@@ -39,14 +39,15 @@ from .priority import (
     UNIFORM_KIND,
     PrioritizedSelector,
     PriorityTable,
+    TrajectoryPairs,
     build_priority_table,
     prioritized_select,
     quality_priority,
     rank_distribution,
     rank_order,
-    refresh_uncertainty_priority,
     trajectory_priority,
-    uncertainty_priority,
+    uncertainty_priorities,
+    uncertainty_priority_from_values,
 )
 from .replay import (
     BatchItem,

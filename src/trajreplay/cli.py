@@ -311,12 +311,10 @@ def cmd_analyze(args) -> int:
     for metric in metrics:
         if metric not in ALL_KINDS:
             raise ValueError(f"unknown metric name {metric!r}")
-    uncertainty = None
-    if args.ensemble:
-        uncertainty = EnsembleQ.load(args.ensemble).uncertainty
+    ensemble = EnsembleQ.load(args.ensemble) if args.ensemble else None
     available = []
     for metric in metrics:
-        if metric in UNCERTAINTY_KINDS and uncertainty is None:
+        if metric in UNCERTAINTY_KINDS and ensemble is None:
             print(f"metric {metric!r} unavailable without --ensemble", file=sys.stderr)
             available.append(False)
         else:
@@ -331,7 +329,7 @@ def cmd_analyze(args) -> int:
             columns.append(["unavailable"] * n)
             columns.append(["unavailable"] * n)
             continue
-        table = build_priority_table(dataset, metric, u=uncertainty)
+        table = build_priority_table(dataset, metric, ensemble=ensemble)
         order = rank_order(table, [traj.id for traj in dataset.trajectories])
         ranks = {tid: rank for rank, tid in enumerate(order, start=1)}
         columns.append([_fmt(table.values[traj.id]) for traj in dataset.trajectories])

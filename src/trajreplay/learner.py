@@ -24,8 +24,8 @@ from .priority import (
     UNCERTAINTY_KINDS,
     UNIFORM_KIND,
     PrioritizedSelector,
+    TrajectoryPairs,
     build_priority_table,
-    uncertainty_priority_from_values,
 )
 from .replay import (
     BatchItem,
@@ -92,21 +92,38 @@ class EnsembleQ:
     def max_mean_q(self, state: int) -> float:
         return float(self.tables[:, state, :].mean(axis=0).max())
 
-    def uncertainty(self, state: int, action: int) -> float:
-        """Population standard deviation of member values at (state, action)."""
-        return float(self.tables[:, state, action].std())
-
     def uncertainty_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return self.tables[:, states, actions].std(axis=0)
+        """Population standard deviation of member values at each (state, action)."""
+        # take() on flat pair indices gathers the same (K, n) block as
+        # tables[:, states, actions], about twice as fast on large batches.
+        tables = self.tables
+        flat = np.asarray(states) * tables.shape[2] + np.asarray(actions)
+        return tables.reshape(len(tables), -1).take(flat, axis=1).std(axis=0)
 
     def update(self, items: Sequence[BatchItem], targets: Sequence[float]) -> list[float]:
         """Move every member toward the targets; returns per-item TD errors.
 
         TD errors are measured against the ensemble-mean Q as it stood before
         this call; duplicate (s, a) pairs within a batch are applied
-        sequentially in batch order.
+        sequentially in batch order.  A batch of several distinct pairs is
+        applied as one gather and one scatter, with the same arithmetic per
+        element as the item loop, so both give bit-identical tables.
         """
         tables = self.tables
+        if len(items) > 1:
+            if len(targets) != len(items):
+                raise ValueError(f"{len(items)} items but {len(targets)} targets")
+            states = np.array([it.transition.state for it in items], dtype=np.intp)
+            actions = np.array([it.transition.action for it in items], dtype=np.intp)
+            flat = np.sort(states * tables.shape[2] + actions)
+            if (flat[1:] != flat[:-1]).all():
+                cols = tables[:, states, actions]
+                goal = np.array(targets, dtype=float)
+                td_errors = (goal - cols.mean(axis=0)).tolist()
+                cols += self.eta * (goal - cols)
+                tables[:, states, actions] = cols
+                self._count_update()
+                return td_errors
         td_errors = [
             target - float(tables[:, it.transition.state, it.transition.action].mean())
             for it, target in zip(items, targets, strict=True)
@@ -116,10 +133,13 @@ class EnsembleQ:
             s, a = it.transition.state, it.transition.action
             col = tables[:, s, a]
             col += eta * (target - col)
+        self._count_update()
+        return td_errors
+
+    def _count_update(self) -> None:
         self.updates_applied += 1
         if self.updates_applied % self.target_sync_period == 0:
-            self.target_tables[:] = tables
-        return td_errors
+            self.target_tables[:] = self.tables
 
     def save(self, path: str | Path) -> None:
         np.savez(
@@ -200,15 +220,6 @@ class TrainResult:
     wall_ms_per_1000: float
 
 
-def _trajectory_pair_arrays(dataset: OfflineDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    arrays = []
-    for traj in dataset.trajectories:
-        states = np.fromiter((tr.state for tr in traj.transitions), dtype=np.int64)
-        actions = np.fromiter((tr.action for tr in traj.transitions), dtype=np.int64)
-        arrays.append((states, actions))
-    return arrays
-
-
 def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     """Run one seeded offline-TD experiment; deterministic given (dataset, config)."""
     if config.sampler in (UNI_TRAJ, PRIO_TRAJ) and config.batch_size > dataset.n_trajectories:
@@ -240,20 +251,9 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         if config.metric == UNIFORM_KIND:
             selector = UniformSelector()
         else:
-            table = build_priority_table(
-                dataset, config.metric, config.alpha, u=ensemble.uncertainty
-            )
-            priority_fn = None
-            if config.metric in UNCERTAINTY_KINDS:
-                pair_arrays = _trajectory_pair_arrays(dataset)
-
-                def priority_fn(traj, _arrays=pair_arrays):
-                    states, actions = _arrays[traj.id]
-                    return uncertainty_priority_from_values(
-                        ensemble.uncertainty_values(states, actions), config.metric
-                    )
-
-            selector = PrioritizedSelector(table, dataset, priority_fn)
+            pairs = TrajectoryPairs.of(dataset) if config.metric in UNCERTAINTY_KINDS else None
+            table = build_priority_table(dataset, config.metric, config.alpha, ensemble, pairs)
+            selector = PrioritizedSelector(table, dataset, ensemble, pairs)
         replay = TrajectoryReplay(dataset, config.batch_size, selector, rng)
 
     curve = np.empty(config.total_steps)

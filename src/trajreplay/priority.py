@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -41,7 +41,12 @@ ALL_KINDS = QUALITY_KINDS + UNCERTAINTY_KINDS + (UNIFORM_KIND,)
 # ensemble (all members agreeing exactly) still yields finite priorities.
 UNCERTAINTY_FLOOR = 1e-6
 
-UncertaintyFn = Callable[[int, int], float]
+
+class UncertaintySource(Protocol):
+    """Per-pair ensemble uncertainty for index arrays (``EnsembleQ`` provides it)."""
+
+    def uncertainty_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        ...
 
 
 def top_fraction_count(length: int, fraction: float) -> int:
@@ -69,17 +74,27 @@ def quality_priority(trajectory: Trajectory, kind: str) -> float:
     raise ValueError(f"{kind!r} is not a quality metric kind")
 
 
-def uncertainty_priority_from_values(values: np.ndarray, kind: str) -> float:
-    """Uncertainty metric from the trajectory's per-pair uncertainty values."""
+def _check_uncertainty_values(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
+    if (values < 0).any():
+        raise ValueError("uncertainty values must be non-negative")
+    return values
+
+
+def _mean(values: np.ndarray) -> float:
+    # The sum and the division of ndarray.mean, without its wrapper's overhead.
+    return float(np.add.reduce(values)) / len(values)
+
+
+def _uncertainty_metric(values: np.ndarray, kind: str) -> float:
     if kind.endswith("_mean_unc"):
-        m = float(values.mean())
+        m = _mean(values)
     elif kind.endswith("_lqm_unc"):
         k = top_fraction_count(len(values), 0.25)
-        m = float(np.sort(values)[:k].mean())
+        m = _mean(np.sort(values)[:k])
     elif kind.endswith("_uqm_unc"):
         k = top_fraction_count(len(values), 0.25)
-        m = float(np.sort(values)[-k:].mean())
+        m = _mean(np.sort(values)[-k:])
     else:
         raise ValueError(f"{kind!r} is not an uncertainty metric kind")
     if kind.startswith("lower_"):
@@ -89,30 +104,57 @@ def uncertainty_priority_from_values(values: np.ndarray, kind: str) -> float:
     raise ValueError(f"{kind!r} is not an uncertainty metric kind")
 
 
-def uncertainty_priority(trajectory: Trajectory, kind: str, u: UncertaintyFn) -> float:
-    """Evaluate an uncertainty metric using ``u(state, action)`` per pair."""
-    values = np.fromiter(
-        (u(tr.state, tr.action) for tr in trajectory.transitions),
-        dtype=float,
-        count=trajectory.length,
-    )
-    if np.any(values < 0):
-        raise ValueError("uncertainty values must be non-negative")
-    return uncertainty_priority_from_values(values, kind)
+def uncertainty_priority_from_values(values: np.ndarray, kind: str) -> float:
+    """Uncertainty metric from the trajectory's per-pair uncertainty values."""
+    return _uncertainty_metric(_check_uncertainty_values(values), kind)
 
 
-def trajectory_priority(
-    trajectory: Trajectory, kind: str, u: UncertaintyFn | None = None
-) -> float:
-    """Dispatch to the right metric family; uniform kind is a constant."""
+@dataclass(frozen=True, eq=False)
+class TrajectoryPairs:
+    """Every trajectory's (state, action) index arrays, as slices of two flat arrays."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    offsets: list[int]  # trajectory j owns flat positions offsets[j]:offsets[j + 1]
+
+    @classmethod
+    def of(cls, dataset: OfflineDataset) -> "TrajectoryPairs":
+        transitions = [tr for traj in dataset.trajectories for tr in traj.transitions]
+        offsets = [0]
+        for traj in dataset.trajectories:
+            offsets.append(offsets[-1] + traj.length)
+        return cls(
+            np.array([tr.state for tr in transitions], dtype=np.intp),
+            np.array([tr.action for tr in transitions], dtype=np.intp),
+            offsets,
+        )
+
+    def __getitem__(self, trajectory_id: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.offsets[trajectory_id], self.offsets[trajectory_id + 1]
+        return self.states[lo:hi], self.actions[lo:hi]
+
+
+def uncertainty_priorities(
+    pairs: TrajectoryPairs, kind: str, source: UncertaintySource
+) -> dict[int, float]:
+    """Every trajectory's uncertainty priority, from one gather over all pairs."""
+    values = _check_uncertainty_values(source.uncertainty_values(pairs.states, pairs.actions))
+    bounds = pairs.offsets
+    return {
+        j: _uncertainty_metric(values[bounds[j] : bounds[j + 1]], kind)
+        for j in range(len(bounds) - 1)
+    }
+
+
+def trajectory_priority(trajectory: Trajectory, kind: str) -> float:
+    """Dispatch a fixed metric; uncertainty metrics need an ensemble (see
+    :func:`build_priority_table`)."""
     if kind == UNIFORM_KIND:
         return 1.0
     if kind in QUALITY_KINDS:
         return quality_priority(trajectory, kind)
     if kind in UNCERTAINTY_KINDS:
-        if u is None:
-            raise ValueError(f"metric {kind!r} requires an uncertainty provider")
-        return uncertainty_priority(trajectory, kind, u)
+        raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
@@ -138,11 +180,22 @@ def build_priority_table(
     dataset: OfflineDataset,
     kind: str,
     alpha: float = 1.0,
-    u: UncertaintyFn | None = None,
+    ensemble: UncertaintySource | None = None,
+    pairs: TrajectoryPairs | None = None,
 ) -> PriorityTable:
-    values = {
-        traj.id: trajectory_priority(traj, kind, u) for traj in dataset.trajectories
-    }
+    """Priorities of every trajectory.
+
+    Uncertainty kinds read ``ensemble`` at the dataset's pairs (``pairs``, when
+    the caller already holds them).
+    """
+    if kind in UNCERTAINTY_KINDS:
+        if ensemble is None:
+            raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
+        if pairs is None:
+            pairs = TrajectoryPairs.of(dataset)
+        values = uncertainty_priorities(pairs, kind, ensemble)
+    else:
+        values = {traj.id: trajectory_priority(traj, kind) for traj in dataset.trajectories}
     return PriorityTable(values=values, alpha=alpha, kind=kind)
 
 
@@ -205,21 +258,6 @@ def prioritized_select(
     return order[_draw_rank_index(len(order), table.alpha, rng)]
 
 
-def refresh_uncertainty_priority(
-    table: PriorityTable, trajectory: Trajectory, u: UncertaintyFn
-) -> PriorityTable:
-    """Recompute one trajectory's uncertainty priority from the current ``u``.
-
-    Called when a replay slot finishes consuming the trajectory; a no-op for
-    quality and uniform tables since those priorities never change.
-    """
-    if trajectory.id not in table.values:
-        raise ValueError(f"unknown trajectory id {trajectory.id}")
-    if table.kind in UNCERTAINTY_KINDS:
-        table.values[trajectory.id] = uncertainty_priority(trajectory, table.kind, u)
-    return table
-
-
 class PrioritizedSelector:
     """Replay-slot selector drawing ids by the rank-reciprocal distribution.
 
@@ -227,19 +265,23 @@ class PrioritizedSelector:
     available pool, candidate priorities are fixed and the pool only shrinks
     by the ids this selector returns, so the sorted rank order is computed
     once per pool refill and popped from thereafter (the length check detects
-    refills).  ``priority_fn``, when given, recomputes a trajectory's priority
-    each time its backward pass completes (dynamic uncertainty metrics).
+    refills).  With an ``ensemble`` and an uncertainty table, a trajectory's
+    priority is recomputed from the ensemble each time its backward pass
+    completes (dynamic uncertainty metrics).
     """
 
     def __init__(
         self,
         table: PriorityTable,
         dataset: OfflineDataset,
-        priority_fn: Callable[[Trajectory], float] | None = None,
+        ensemble: UncertaintySource | None = None,
+        pairs: TrajectoryPairs | None = None,
     ) -> None:
         self.table = table
-        self._trajectories = dataset.trajectories
-        self._priority_fn = priority_fn
+        self._ensemble = ensemble if table.kind in UNCERTAINTY_KINDS else None
+        if self._ensemble is not None and pairs is None:
+            pairs = TrajectoryPairs.of(dataset)
+        self._pairs = pairs
         self._order: list[int] = []
 
     def select(self, candidates: Sequence[int], rng: np.random.Generator) -> int:
@@ -252,7 +294,10 @@ class PrioritizedSelector:
         return self._order.pop(idx)
 
     def notify_complete(self, trajectory_id: int) -> None:
-        if self._priority_fn is not None:
-            self.table.values[trajectory_id] = self._priority_fn(
-                self._trajectories[trajectory_id]
+        if self._ensemble is not None:
+            if trajectory_id not in self.table.values:
+                raise ValueError(f"unknown trajectory id {trajectory_id}")
+            states, actions = self._pairs[trajectory_id]
+            self.table.values[trajectory_id] = uncertainty_priority_from_values(
+                self._ensemble.uncertainty_values(states, actions), self.table.kind
             )

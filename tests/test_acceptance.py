@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from trajreplay.cli import main as cli_main
-from trajreplay.dataset import Trajectory, Transition
+from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.learner import (
     TrainConfig,
     steps_to_threshold,
@@ -31,7 +31,6 @@ from trajreplay.priority import (
     prioritized_select,
     quality_priority,
     rank_distribution,
-    uncertainty_priority,
 )
 from trajreplay.replay import (
     PerTransitionSampler,
@@ -236,12 +235,21 @@ def test_criterion_5_sarsa_support_constraint():
     )
 
 
+class PairValues:
+    """Uncertainty source with fixed per-pair values, standing in for EnsembleQ."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def uncertainty_values(self, states, actions):
+        return np.array([self.table[(int(s), int(a))] for s, a in zip(states, actions)])
+
+
 def _uncertainty_map(dataset, rng):
-    table = {
+    return PairValues({
         (tr.state, tr.action): float(rng.uniform(0.01, 2.0))
         for _, _, tr in dataset.iter_transitions()
-    }
-    return lambda s, a: table[(s, a)]
+    })
 
 
 def test_criterion_6_rank_reciprocal_distribution():
@@ -252,7 +260,7 @@ def test_criterion_6_rank_reciprocal_distribution():
             5, 2, 9, np.random.default_rng(int(rng.integers(1 << 31))), terminal_prob=0.8
         )
         u = _uncertainty_map(dataset, rng) if kind in UNCERTAINTY_KINDS else None
-        table = build_priority_table(dataset, kind, alpha=1.0, u=u)
+        table = build_priority_table(dataset, kind, alpha=1.0, ensemble=u)
         candidates = list(range(5))
         dist = rank_distribution(table, candidates)
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
@@ -328,16 +336,19 @@ def test_criterion_7_metric_correctness():
             <= values["max_reward"]
         ), case
         uvals = [float(v) for v in rng.uniform(0.01, 3.0, length)]
-        lookup = {(t, 0): uvals[t] for t in range(length)}
-        u = lambda s, a: lookup[(s, a)]
+        u = PairValues({(t, 0): uvals[t] for t in range(length)})
+        dataset = OfflineDataset((traj,), state_count=length + 1, action_count=1)
+        got = {
+            kind: build_priority_table(dataset, kind, ensemble=u).values[0]
+            for kind in UNCERTAINTY_KINDS
+        }
         for kind in UNCERTAINTY_KINDS:
-            got = uncertainty_priority(traj, kind, u)
-            assert got == pytest.approx(
+            assert got[kind] == pytest.approx(
                 brute_uncertainty(uvals, kind), rel=1e-12, abs=1e-12
             ), (case, kind)
         for suffix in ("mean_unc", "lqm_unc", "uqm_unc"):
-            lower = uncertainty_priority(traj, f"lower_{suffix}", u)
-            higher = uncertainty_priority(traj, f"higher_{suffix}", u)
+            lower = got[f"lower_{suffix}"]
+            higher = got[f"higher_{suffix}"]
             assert lower * higher == pytest.approx(1.0, rel=1e-9)
         checked += 1
     print(

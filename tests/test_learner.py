@@ -75,21 +75,33 @@ def test_greedy_action_follows_ensemble_mean_not_member_zero():
     assert ens.greedy_action(0) == 1
 
 
+def uncertainty_at(ens, state, action):
+    return float(ens.uncertainty_values(np.array([state]), np.array([action]))[0])
+
+
 def test_uncertainty_values():
     ens = EnsembleQ(1, 1, ensemble_size=3, rng=np.random.default_rng(7))
     ens.tables[:, 0, 0] = [2.0, 2.0, 2.0]
-    assert ens.uncertainty(0, 0) == 0.0
+    assert uncertainty_at(ens, 0, 0) == 0.0
     ens2 = EnsembleQ(1, 1, ensemble_size=2, rng=np.random.default_rng(8))
     ens2.tables[:, 0, 0] = [0.0, 2.0]
-    assert ens2.uncertainty(0, 0) == pytest.approx(1.0)
+    assert uncertainty_at(ens2, 0, 0) == pytest.approx(1.0)
+
+
+def test_uncertainty_values_match_member_std_per_pair():
+    ens = EnsembleQ(4, 3, ensemble_size=5, rng=np.random.default_rng(16))
+    states, actions = np.array([3, 0, 3, 1]), np.array([2, 1, 0, 1])
+    values = ens.uncertainty_values(states, actions)
+    for v, s, a in zip(values, states, actions):
+        assert v == ens.tables[:, s, a].std()
 
 
 def test_uncertainty_translation_invariant():
     rng = np.random.default_rng(9)
     ens = EnsembleQ(1, 1, ensemble_size=5, rng=rng)
-    base = ens.uncertainty(0, 0)
+    base = uncertainty_at(ens, 0, 0)
     ens.tables[:, 0, 0] += 13.7
-    assert ens.uncertainty(0, 0) == pytest.approx(base)
+    assert uncertainty_at(ens, 0, 0) == pytest.approx(base)
 
 
 def test_ensemble_mean_update_is_linear_in_members():
@@ -120,7 +132,7 @@ def test_ensemble_save_load_round_trip(tmp_path):
     ens.save(path)
     loaded = EnsembleQ.load(path)
     assert np.array_equal(loaded.tables, ens.tables)
-    assert loaded.uncertainty(1, 1) == pytest.approx(ens.uncertainty(1, 1))
+    assert uncertainty_at(loaded, 1, 1) == pytest.approx(uncertainty_at(ens, 1, 1))
 
 
 def test_config_normalizes_metric_for_uniform_samplers():

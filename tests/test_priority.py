@@ -6,20 +6,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trajreplay.dataset import Trajectory, Transition
+from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.priority import (
     QUALITY_KINDS,
     UNCERTAINTY_FLOOR,
     PrioritizedSelector,
     PriorityTable,
+    TrajectoryPairs,
     build_priority_table,
     prioritized_select,
     quality_priority,
     rank_distribution,
     rank_order,
-    refresh_uncertainty_priority,
     trajectory_priority,
-    uncertainty_priority,
+    uncertainty_priorities,
+    uncertainty_priority_from_values,
 )
 from trajreplay.scenarios import make_random_chain
 
@@ -32,9 +33,24 @@ def reward_trajectory(rewards, traj_id=0):
     return Trajectory(traj_id, transitions)
 
 
-def u_from_values(values):
-    table = {(t, 0): v for t, v in enumerate(values)}
-    return lambda s, a: table[(s, a)]
+class PairValues:
+    """Uncertainty source with fixed per-pair values, standing in for EnsembleQ."""
+
+    def __init__(self, values):
+        self.table = {(t, 0): v for t, v in enumerate(values)}
+
+    def uncertainty_values(self, states, actions):
+        return np.array([self.table[(int(s), int(a))] for s, a in zip(states, actions)])
+
+
+def one_trajectory_dataset(traj):
+    return OfflineDataset((traj,), state_count=traj.length + 1, action_count=1)
+
+
+def uncertainty_priority(traj, kind, source):
+    """The trajectory's priority as build_priority_table computes it from ``source``."""
+    table = build_priority_table(one_trajectory_dataset(traj), kind, ensemble=source)
+    return table.values[traj.id]
 
 
 def within_3_sigma(count, n, p):
@@ -67,7 +83,7 @@ def test_quality_metrics_length_one():
 
 def test_uncertainty_metrics_worked_example():
     traj = reward_trajectory([0.0] * 4)
-    u = u_from_values([0.1, 0.2, 0.3, 0.4])
+    u = PairValues([0.1, 0.2, 0.3, 0.4])
     assert uncertainty_priority(traj, "lower_mean_unc", u) == pytest.approx(4.0)
     assert uncertainty_priority(traj, "lower_lqm_unc", u) == pytest.approx(10.0)
     assert uncertainty_priority(traj, "lower_uqm_unc", u) == pytest.approx(2.5)
@@ -78,14 +94,14 @@ def test_uncertainty_metrics_worked_example():
 
 def test_uncertainty_metrics_constant():
     traj = reward_trajectory([0.0] * 3)
-    u = u_from_values([0.5, 0.5, 0.5])
+    u = PairValues([0.5, 0.5, 0.5])
     for kind in ("lower_mean_unc", "lower_lqm_unc", "lower_uqm_unc"):
         assert uncertainty_priority(traj, kind, u) == pytest.approx(2.0)
 
 
 def test_uncertainty_zero_clamped_to_floor():
     traj = reward_trajectory([0.0] * 3)
-    u = u_from_values([0.0, 0.0, 0.0])
+    u = PairValues([0.0, 0.0, 0.0])
     assert uncertainty_priority(traj, "lower_mean_unc", u) == pytest.approx(1.0 / UNCERTAINTY_FLOOR)
 
 
@@ -93,7 +109,7 @@ def test_lower_times_higher_is_one_when_unclamped():
     rng = np.random.default_rng(0)
     traj = reward_trajectory([0.0] * 7)
     for _ in range(20):
-        u = u_from_values(list(rng.uniform(0.05, 2.0, 7)))
+        u = PairValues(list(rng.uniform(0.05, 2.0, 7)))
         for suffix in ("mean_unc", "lqm_unc", "uqm_unc"):
             lower = uncertainty_priority(traj, f"lower_{suffix}", u)
             higher = uncertainty_priority(traj, f"higher_{suffix}", u)
@@ -202,42 +218,75 @@ def test_shrinking_candidates_renormalize():
 
 def test_refresh_is_noop_when_u_unchanged():
     traj = reward_trajectory([0.0] * 4, traj_id=0)
-    u = u_from_values([0.1, 0.2, 0.3, 0.4])
-    table = PriorityTable({0: uncertainty_priority(traj, "lower_mean_unc", u)},
-                          alpha=1.0, kind="lower_mean_unc")
+    u = PairValues([0.1, 0.2, 0.3, 0.4])
+    ds = one_trajectory_dataset(traj)
+    table = build_priority_table(ds, "lower_mean_unc", ensemble=u)
     before = table.values[0]
-    refresh_uncertainty_priority(table, traj, u)
+    PrioritizedSelector(table, ds, u).notify_complete(0)
     assert table.values[0] == before
 
 
 def test_refresh_halved_uncertainty_doubles_lower_mean():
     traj = reward_trajectory([0.0] * 4, traj_id=0)
-    u = u_from_values([0.1, 0.2, 0.3, 0.4])
-    table = PriorityTable({0: uncertainty_priority(traj, "lower_mean_unc", u)},
-                          alpha=1.0, kind="lower_mean_unc")
+    ds = one_trajectory_dataset(traj)
+    table = build_priority_table(ds, "lower_mean_unc", ensemble=PairValues([0.1, 0.2, 0.3, 0.4]))
     before = table.values[0]
-    refresh_uncertainty_priority(table, traj, u_from_values([0.05, 0.1, 0.15, 0.2]))
+    PrioritizedSelector(table, ds, PairValues([0.05, 0.1, 0.15, 0.2])).notify_complete(0)
     assert table.values[0] == pytest.approx(2 * before)
 
 
 def test_refresh_noop_for_quality_tables():
     traj = reward_trajectory([1.0, 5.0], traj_id=0)
     table = PriorityTable({0: 6.0}, alpha=1.0, kind="return")
-    refresh_uncertainty_priority(table, traj, u_from_values([9.9, 9.9]))
+    PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([9.9, 9.9])).notify_complete(0)
     assert table.values[0] == 6.0
 
 
 def test_refresh_unknown_id_rejected():
-    traj = reward_trajectory([1.0], traj_id=3)
+    traj = reward_trajectory([1.0], traj_id=0)
     table = PriorityTable({0: 1.0}, alpha=1.0, kind="lower_mean_unc")
+    selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.5]))
     with pytest.raises(ValueError, match="unknown trajectory id 3"):
-        refresh_uncertainty_priority(table, traj, u_from_values([0.5]))
+        selector.notify_complete(3)
 
 
 def test_trajectory_priority_requires_uncertainty_provider():
     traj = reward_trajectory([1.0])
-    with pytest.raises(ValueError, match="uncertainty provider"):
+    with pytest.raises(ValueError, match="requires an ensemble"):
         trajectory_priority(traj, "lower_mean_unc")
+    with pytest.raises(ValueError, match="requires an ensemble"):
+        build_priority_table(one_trajectory_dataset(traj), "lower_mean_unc")
+
+
+def test_negative_uncertainty_values_rejected():
+    traj = reward_trajectory([0.0] * 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        uncertainty_priority(traj, "lower_mean_unc", PairValues([0.1, -0.2, 0.3]))
+    with pytest.raises(ValueError, match="non-negative"):
+        uncertainty_priority_from_values(np.array([0.1, -0.2]), "higher_uqm_unc")
+
+
+def test_table_build_matches_per_trajectory_refresh():
+    """The one-gather table build and the per-trajectory refresh agree bit for bit."""
+    ds = make_random_chain(30, 1, 40, np.random.default_rng(12), action_count=3)
+    tables = np.random.default_rng(13).uniform(0.0, 1.0, size=(5, ds.state_count, 3))
+
+    class Members:
+        def uncertainty_values(self, states, actions):
+            return tables[:, states, actions].std(axis=0)
+
+    pairs = TrajectoryPairs.of(ds)
+    for kind in ("lower_mean_unc", "lower_lqm_unc", "higher_uqm_unc"):
+        bulk = uncertainty_priorities(pairs, kind, Members())
+        for traj in ds.trajectories:
+            states = np.array([tr.state for tr in traj.transitions])
+            actions = np.array([tr.action for tr in traj.transitions])
+            assert np.array_equal(pairs[traj.id][0], states)
+            assert np.array_equal(pairs[traj.id][1], actions)
+            values = tables[:, states, actions].std(axis=0)
+            assert bulk[traj.id] == uncertainty_priority_from_values(values, kind)
+            if kind.endswith("_mean_unc"):
+                assert bulk[traj.id] == 1.0 / max(float(values.mean()), UNCERTAINTY_FLOOR)
 
 
 def test_build_priority_table_covers_every_trajectory():

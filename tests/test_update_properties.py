@@ -1,0 +1,86 @@
+"""Property tests for ``EnsembleQ.update``: the batched path equals the item loop."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trajreplay.dataset import Transition
+from trajreplay.learner import EnsembleQ
+from trajreplay.replay import BatchItem
+
+
+def item(state, action):
+    return BatchItem(0, 0, Transition(state, action, 0.0, 0, True), True)
+
+
+def ensemble(k, state_count, action_count, eta, sync, seed):
+    return EnsembleQ(state_count, action_count, ensemble_size=k, eta=eta,
+                     target_sync_period=sync, rng=np.random.default_rng(seed))
+
+
+def reference_update(tables, eta, pairs, targets):
+    """TD errors from the pre-batch means, then the items applied one by one."""
+    tables = tables.copy()
+    td_errors = [t - float(tables[:, s, a].mean()) for (s, a), t in zip(pairs, targets)]
+    for (s, a), t in zip(pairs, targets):
+        col = tables[:, s, a]
+        col += eta * (t - col)
+    return tables, td_errors
+
+
+@st.composite
+def batches(draw):
+    k = draw(st.integers(1, 32))
+    state_count = draw(st.integers(1, 6))
+    action_count = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, state_count - 1), st.integers(0, action_count - 1))
+    pairs = draw(st.lists(pair, min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        pairs[j] = pairs[i]
+    targets = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    eta = draw(st.floats(0.01, 1.0))
+    sync = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, state_count, action_count, pairs, targets, eta, sync, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_update_matches_item_by_item_reference(batch):
+    k, state_count, action_count, pairs, targets, eta, sync, seed = batch
+    ens = ensemble(k, state_count, action_count, eta, sync, seed)
+    want_tables, want_td = reference_update(ens.tables, eta, pairs, targets)
+    got_td = ens.update([item(s, a) for s, a in pairs], targets)
+    assert np.array_equal(ens.tables, want_tables)
+    assert type(got_td) is list and all(type(td) is float for td in got_td)
+    assert np.array_equal(np.array(got_td), np.array(want_td))
+    if sync == 1:
+        assert np.array_equal(ens.target_tables, want_tables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 32), eta=st.floats(0.01, 1.0), t1=st.floats(-10.0, 10.0),
+       t2=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_repeated_pair_equals_two_single_updates(k, eta, t1, t2, seed):
+    batched = ensemble(k, 3, 2, eta, 100, seed)
+    serial = ensemble(k, 3, 2, eta, 100, seed)
+    batched.update([item(1, 0), item(2, 1), item(1, 0)], [t1, 0.5, t2])
+    serial.update([item(1, 0)], [t1])
+    serial.update([item(2, 1)], [0.5])
+    serial.update([item(1, 0)], [t2])
+    assert np.array_equal(batched.tables, serial.tables)
+
+
+@pytest.mark.parametrize("targets", [[1.0], [1.0, 2.0, 3.0]])
+def test_batched_update_rejects_misaligned_targets(targets):
+    ens = ensemble(3, 4, 2, 0.5, 1, 0)
+    before = ens.tables.copy()
+    with pytest.raises(ValueError):
+        ens.update([item(0, 0), item(1, 1)], targets)
+    assert np.array_equal(ens.tables, before)
+    assert ens.updates_applied == 0
