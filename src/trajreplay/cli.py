@@ -21,9 +21,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -87,6 +87,8 @@ _SCALAR_KEYS = {
     "total_steps": int,
     "target_sync_period": int,
 }
+# TrainConfig's scalar fields: every key above but beta, which lives in TargetKind
+_CONFIG_SCALARS = tuple(key for key in _SCALAR_KEYS if key != "beta")
 
 
 def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
@@ -117,22 +119,12 @@ def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
         # beta sweep cannot mint duplicate standard/sarsa variants
         beta = float(combo.get("beta", 0.5)) if target_kind == "weighted" else 0.5
         kwargs["target"] = TargetKind(target_kind, beta)
-        for key, cast in _SCALAR_KEYS.items():
-            if key in combo and key != "beta":
-                kwargs[key] = cast(combo[key])
+        for key in _CONFIG_SCALARS:
+            if key in combo:
+                kwargs[key] = _SCALAR_KEYS[key](combo[key])
         config = TrainConfig(**kwargs)
-        key = (
-            config.sampler,
-            config.metric,
-            config.target,
-            config.gamma,
-            config.alpha,
-            config.epsilon,
-            config.eta,
-            config.ensemble_size,
-            config.batch_size,
-            config.total_steps,
-            config.target_sync_period,
+        key = (config.sampler, config.metric, config.target) + tuple(
+            getattr(config, name) for name in _CONFIG_SCALARS
         )
         if key not in seen:
             seen.add(key)
@@ -140,7 +132,10 @@ def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
     return configs
 
 
-def variant_label(config: TrainConfig) -> str:
+def variant_label(config: TrainConfig, variants: Sequence[TrainConfig] = ()) -> str:
+    """Name a variant by sampler, metric, target and beta, then by every scalar
+    field whose value differs between ``variants`` (the sweep it belongs to),
+    e.g. ``uni_traj-gamma0.9-ensemble_size5``."""
     parts = [config.sampler]
     if config.sampler == PRIO_TRAJ:
         parts.append(config.metric)
@@ -148,6 +143,9 @@ def variant_label(config: TrainConfig) -> str:
         parts.append(config.target.kind)
         if config.target.kind == "weighted":
             parts.append(f"beta{config.target.beta:g}")
+    for name in _CONFIG_SCALARS:
+        if len({getattr(v, name) for v in variants}) > 1:
+            parts.append(f"{name}{getattr(config, name)}")
     return "-".join(parts)
 
 
@@ -160,7 +158,6 @@ class ExperimentSpec:
     seeds: list[int]
     out_dir: Path
     eps_rel: float = 0.05
-    jobs: int = 1
     save_ensembles: bool = False
 
     def __post_init__(self) -> None:
@@ -168,54 +165,52 @@ class ExperimentSpec:
             raise ValueError("seed list is empty")
         if not self.variants:
             raise ValueError("no variants configured")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) -> Path:
     """Execute every (variant, seed) run and write CSVs plus summary.json.
 
-    Workers only train; the coordinator writes all files after the last worker
-    finishes, so output is deterministic regardless of ``jobs``.  Returns the
-    output directory.
+    Every run trains before any file is written, so a failed run leaves no
+    partial output.  Each variant's steps-to-eps is measured against the
+    oracle at its own discount.  Returns the output directory.
     """
+    labels = [variant_label(config, spec.variants) for config in spec.variants]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"sweep variants share the labels {repeated}; each run needs its own")
     if dataset is None:
         dataset = load_dataset(spec.dataset_path)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    oracle = value_iteration_oracle(dataset)
     s0 = dataset.trajectories[0].transitions[0].state
-    oracle_s0 = float(oracle[s0])
+    oracles = {
+        gamma: float(value_iteration_oracle(dataset, gamma)[s0])
+        for gamma in sorted({config.gamma for config in spec.variants})
+    }
 
-    jobs = [(config, seed) for config in spec.variants for seed in spec.seeds]
-
-    def run_one(job: tuple[TrainConfig, int]) -> TrainResult:
-        config, seed = job
+    def run_one(config: TrainConfig, label: str, seed: int) -> TrainResult:
         try:
             return train(dataset, config.with_seed(seed))
         except Exception as exc:
             raise RuntimeError(
-                f"run failed for (variant, seed) = ({variant_label(config)}, {seed}): {exc}"
+                f"run failed for (variant, seed) = ({label}, {seed}): {exc}"
             ) from exc
 
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            outputs = list(pool.map(run_one, jobs))
-    else:
-        outputs = [run_one(job) for job in jobs]
     results = {
-        (variant_label(config), seed): result
-        for (config, seed), result in zip(jobs, outputs)
+        (label, seed): run_one(config, label, seed)
+        for config, label in zip(spec.variants, labels)
+        for seed in spec.seeds
     }
 
     summary: dict = {
         "dataset": str(spec.dataset_path),
-        "oracle_s0": oracle_s0,
+        # one value when every variant trains at the same discount
+        "oracle_s0": next(iter(oracles.values())) if len(oracles) == 1 else None,
         "eps_rel": spec.eps_rel,
         "seeds": spec.seeds,
         "variants": {},
     }
-    for config in spec.variants:
-        label = variant_label(config)
+    for config, label in zip(spec.variants, labels):
+        oracle_s0 = oracles[config.gamma]
         steps_to = []
         finals = []
         wall = []
@@ -230,6 +225,7 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
         censored = [np.inf if s is None else s for s in steps_to]
         median = float(np.median(censored))
         summary["variants"][label] = {
+            "oracle_s0": oracle_s0,
             "steps_to_eps": steps_to,
             "median_steps_to_eps": None if not np.isfinite(median) else median,
             "final_max_q_s0": finals,
@@ -290,7 +286,6 @@ def cmd_train(args) -> int:
         seeds=_resolve_seeds(args, raw),
         out_dir=Path(args.out),
         eps_rel=args.eps_rel,
-        jobs=args.jobs,
         save_ensembles=args.save_ensembles,
     )
     try:
@@ -370,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--seeds", default=None, help="comma-separated seed list")
-    tr.add_argument("--jobs", type=int, default=1)
     tr.add_argument("--eps-rel", type=float, default=0.05, dest="eps_rel",
                     help="relative band around the oracle for steps-to-eps")
     tr.add_argument("--save-ensembles", action="store_true", dest="save_ensembles")

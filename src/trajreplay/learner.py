@@ -213,7 +213,12 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Learning curve (one point per update), final ensemble, and timing."""
+    """Learning curve (one point per update), final ensemble, and timing.
+
+    ``wall_ms_per_1000`` is the wall time of the whole run per 1000 updates.
+    Its clock starts before the ensemble, the samplers and the priority table
+    are built, so set-up costs (a large uncertainty table, say) show in it.
+    """
 
     curve: np.ndarray
     ensemble: EnsembleQ
@@ -226,6 +231,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         raise ValueError(
             f"batch_size {config.batch_size} exceeds trajectory count {dataset.n_trajectories}"
         )
+    started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     ensemble = EnsembleQ(
         dataset.state_count,
@@ -259,7 +265,6 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     curve = np.empty(config.total_steps)
     kind = config.target
     gamma = config.gamma
-    started = time.perf_counter()
     for step in range(config.total_steps):
         if uniform_sampler is not None:
             items = uniform_sampler.sample(config.batch_size, rng)

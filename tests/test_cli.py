@@ -145,21 +145,65 @@ def test_train_seed_env_fallback(tmp_path, monkeypatch):
     assert (out / "uni_traj__seed11.csv").exists()
 
 
-def test_train_parallel_jobs_match_serial(tmp_path):
+def test_sweep_over_scalars_keeps_every_run_and_its_own_oracle(tmp_path):
     dataset_path = tmp_path / "ds.jsonl"
     main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
     config = write_config(tmp_path / "c.cfg", """
-sampler = uni_traj, uni_state
-total_steps = 30
-ensemble_size = 1
+sampler = uni_traj
+gamma = 0.9, 0.99
+ensemble_size = 1, 5
+eta = 1.0
+target_sync_period = 1
+total_steps = 60
 """)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    main(["train", "--dataset", str(dataset_path), "--config", str(config),
-          "--out", str(serial), "--seeds", "0,1", "--jobs", "1"])
-    main(["train", "--dataset", str(dataset_path), "--config", str(config),
-          "--out", str(parallel), "--seeds", "0,1", "--jobs", "4"])
-    for path in sorted(serial.glob("*.csv")):
-        assert path.read_bytes() == (parallel / path.name).read_bytes()
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
+                 "--out", str(out), "--seeds", "0"]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "uni_traj-gamma0.9-ensemble_size1__seed0.csv",
+        "uni_traj-gamma0.9-ensemble_size5__seed0.csv",
+        "uni_traj-gamma0.99-ensemble_size1__seed0.csv",
+        "uni_traj-gamma0.99-ensemble_size5__seed0.csv",
+    ]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle_s0"] is None
+    variants = summary["variants"]
+    assert len(variants) == 4
+    for label, entry in variants.items():
+        gamma = 0.9 if "gamma0.9-" in label else 0.99
+        assert entry["oracle_s0"] == pytest.approx(8 * gamma**5, abs=1e-9)
+    assert variants["uni_traj-gamma0.9-ensemble_size1"]["oracle_s0"] == pytest.approx(4.72392)
+    # eta = 1 propagates the return in one backward pass, so each run reaches
+    # its own oracle; against the 0.99 oracle the 0.9 runs would never get there
+    for entry in variants.values():
+        assert entry["median_steps_to_eps"] is not None
+
+
+def test_variant_label_names_only_fields_that_differ():
+    variants = expand_variants({"sampler": ["uni_traj", "prio_traj"], "metric": ["return"],
+                                "target": ["standard", "weighted"], "beta": ["0.5"],
+                                "eta": ["1.0"]})
+    assert [variant_label(v, variants) for v in variants] == [
+        "uni_traj", "uni_traj-weighted-beta0.5",
+        "prio_traj-return", "prio_traj-return-weighted-beta0.5",
+    ]
+    swept = expand_variants({"sampler": ["uni_traj"], "batch_size": ["1", "2"]})
+    assert [variant_label(v, swept) for v in swept] == [
+        "uni_traj-batch_size1", "uni_traj-batch_size2"]
+
+
+def test_duplicate_labels_rejected_before_training(tmp_path, monkeypatch):
+    import trajreplay.cli as cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite duplicate labels")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    config = TrainConfig(sampler="uni_traj", total_steps=5)
+    spec = cli.ExperimentSpec(tmp_path / "missing.jsonl", [config, config], [0], tmp_path / "out")
+    with pytest.raises(ValueError, match="share the labels"):
+        cli.run_experiment(spec)
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_return_metric_ranks_figure1(tmp_path):
