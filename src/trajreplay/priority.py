@@ -119,26 +119,37 @@ class TrajectoryPairs:
 
     @classmethod
     def of(cls, dataset: OfflineDataset) -> "TrajectoryPairs":
-        transitions = [tr for traj in dataset.trajectories for tr in traj.transitions]
         offsets = [0]
         for traj in dataset.trajectories:
             offsets.append(offsets[-1] + traj.length)
-        return cls(
-            np.array([tr.state for tr in transitions], dtype=np.intp),
-            np.array([tr.action for tr in transitions], dtype=np.intp),
-            offsets,
-        )
+
+        def column(name: str) -> np.ndarray:
+            values = (getattr(tr, name) for traj in dataset.trajectories for tr in traj.transitions)
+            return np.fromiter(values, dtype=np.intp, count=offsets[-1])
+
+        return cls(column("state"), column("action"), offsets)
 
     def __getitem__(self, trajectory_id: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.offsets[trajectory_id], self.offsets[trajectory_id + 1]
         return self.states[lo:hi], self.actions[lo:hi]
 
 
+# Pairs per uncertainty_values call when scoring a whole dataset: large enough
+# that per-call overhead vanishes, small enough that the (K, n) temporaries
+# of the gather do not add to the run's peak memory.
+UNCERTAINTY_BLOCK = 1 << 14
+
+
 def uncertainty_priorities(
     pairs: TrajectoryPairs, kind: str, source: UncertaintySource
 ) -> dict[int, float]:
-    """Every trajectory's uncertainty priority, from one gather over all pairs."""
-    values = _check_uncertainty_values(source.uncertainty_values(pairs.states, pairs.actions))
+    """Every trajectory's uncertainty priority, gathered in blocks of pairs."""
+    n = len(pairs.states)
+    values = np.empty(n)
+    for lo in range(0, n, UNCERTAINTY_BLOCK):
+        hi = lo + UNCERTAINTY_BLOCK
+        values[lo:hi] = source.uncertainty_values(pairs.states[lo:hi], pairs.actions[lo:hi])
+    values = _check_uncertainty_values(values)
     bounds = pairs.offsets
     return {
         j: _uncertainty_metric(values[bounds[j] : bounds[j + 1]], kind)

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from trajreplay import priority
 from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.priority import (
     QUALITY_KINDS,
@@ -266,8 +267,10 @@ def test_negative_uncertainty_values_rejected():
         uncertainty_priority_from_values(np.array([0.1, -0.2]), "higher_uqm_unc")
 
 
-def test_table_build_matches_per_trajectory_refresh():
-    """The one-gather table build and the per-trajectory refresh agree bit for bit."""
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
+    """The blocked table build and the per-trajectory refresh agree bit for bit."""
+    monkeypatch.setattr(priority, "UNCERTAINTY_BLOCK", block)
     ds = make_random_chain(30, 1, 40, np.random.default_rng(12), action_count=3)
     tables = np.random.default_rng(13).uniform(0.0, 1.0, size=(5, ds.state_count, 3))
 
