@@ -57,7 +57,6 @@ from .replay import (
     UniformSelector,
     UniformTransitionSampler,
     per_priority,
-    uniform_transition_sample,
 )
 from .scenarios import make_figure1, make_random_chain
 from .targets import (

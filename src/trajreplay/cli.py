@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -225,6 +225,8 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
         censored = [np.inf if s is None else s for s in steps_to]
         median = float(np.median(censored))
         summary["variants"][label] = {
+            # the run's seeds are the top-level "seeds", not the config's own
+            "config": {k: v for k, v in asdict(config).items() if k != "seed"},
             "oracle_s0": oracle_s0,
             "steps_to_eps": steps_to,
             "median_steps_to_eps": None if not np.isfinite(median) else median,

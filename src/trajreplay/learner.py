@@ -1,10 +1,10 @@
 """Desk-scale tabular TD learner wiring replay, priorities, and targets together.
 
-The learner keeps an ensemble of K tabular Q functions (plus synced target
-copies).  Greedy actions and values use the ensemble mean; per-pair
-uncertainty is the population standard deviation across members.  ``train``
-runs one fully seeded, single-threaded experiment and records the learning
-curve of ``max_a Q_mean(s0, a)`` after every update;
+The learner keeps an ensemble of K tabular Q functions, their ensemble mean
+and the mean as of the last target sync.  Greedy actions and values read the
+mean table; per-pair uncertainty is the population standard deviation across
+members.  ``train`` runs one fully seeded, single-threaded experiment and
+records the learning curve of ``max_a Q_mean(s0, a)`` after every update;
 ``value_iteration_oracle`` provides the exact value it should converge to on
 the empirical MDP.
 """
@@ -47,8 +47,11 @@ class EnsembleQ:
     """K tabular Q functions over a discrete state/action grid.
 
     Member tables start i.i.d. uniform in [0, 0.1] so the ensemble spread is
-    non-degenerate before any learning; target tables start as exact copies
-    and are refreshed by full copy every ``target_sync_period`` updates.
+    non-degenerate before any learning.  Two (S, A) tables are kept beside
+    them: ``q_mean``, the ensemble mean of the members, rewritten entry by
+    entry as updates touch them, and ``target_mean``, the mean as of the last
+    sync, refreshed by full copy every ``target_sync_period`` updates.  Every
+    entry of both is the column mean ``tables[:, s, a].mean()`` bit for bit.
     """
 
     def __init__(
@@ -62,16 +65,33 @@ class EnsembleQ:
     ) -> None:
         if ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
+        if rng is None:
+            rng = np.random.default_rng()
+        tables = rng.uniform(0.0, 0.1, size=(ensemble_size, state_count, action_count))
+        self._adopt(tables, eta, target_sync_period)
+
+    @classmethod
+    def from_tables(
+        cls, tables: np.ndarray, eta: float = 0.1, target_sync_period: int = 100
+    ) -> "EnsembleQ":
+        """An ensemble holding a copy of the given (K, S, A) member values."""
+        tables = np.array(tables, dtype=float)
+        if tables.ndim != 3 or len(tables) < 1:
+            raise ValueError(f"tables must have shape (K >= 1, S, A), got {tables.shape}")
+        ens = cls.__new__(cls)
+        ens._adopt(tables, eta, target_sync_period)
+        return ens
+
+    def _adopt(self, tables: np.ndarray, eta: float, target_sync_period: int) -> None:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         if target_sync_period < 1:
             raise ValueError(f"target_sync_period must be >= 1, got {target_sync_period}")
-        if rng is None:
-            rng = np.random.default_rng()
         self.eta = eta
         self.target_sync_period = target_sync_period
-        self.tables = rng.uniform(0.0, 0.1, size=(ensemble_size, state_count, action_count))
-        self.target_tables = self.tables.copy()
+        self.tables = tables
+        self.q_mean = column_means(tables)
+        self.target_mean = self.q_mean.copy()
         self.updates_applied = 0
 
     @property
@@ -79,18 +99,20 @@ class EnsembleQ:
         return self.tables.shape[0]
 
     def mean_q(self, state: int, action: int) -> float:
-        return float(self.tables[:, state, action].mean())
+        return self.q_mean.item(state, action)
 
     def target_value(self, state: int, action: int) -> float:
-        """Ensemble-mean target-table value (the Qbar read by targets)."""
-        return float(self.target_tables[:, state, action].mean())
+        """Ensemble-mean target value as of the last sync (the Qbar read by targets)."""
+        return self.target_mean.item(state, action)
 
     def greedy_action(self, state: int) -> int:
         """Argmax of the ensemble-mean row; ties resolve to the lowest action id."""
-        return int(np.argmax(self.tables[:, state, :].mean(axis=0)))
+        return int(self.q_mean[state].argmax())
 
     def max_mean_q(self, state: int) -> float:
-        return float(self.tables[:, state, :].mean(axis=0).max())
+        # The row's max, NaN included; argmax then item costs a third of .max().
+        row = self.q_mean[state]
+        return row.item(row.argmax())
 
     def uncertainty_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Population standard deviation of member values at each (state, action)."""
@@ -107,9 +129,13 @@ class EnsembleQ:
         this call; duplicate (s, a) pairs within a batch are applied
         sequentially in batch order.  A batch of several distinct pairs is
         applied as one gather and one scatter, with the same arithmetic per
-        element as the item loop, so both give bit-identical tables.
+        element as the item loop, so both give bit-identical tables.  Each
+        touched ``q_mean`` entry is then rewritten from its column: on NumPy
+        2.4, ``cols.mean(axis=0)`` of the gather and ``col.sum() / K`` both
+        equal ``tables[:, s, a].mean()`` bit for bit.
         """
         tables = self.tables
+        q_mean = self.q_mean
         if len(items) > 1:
             if len(targets) != len(items):
                 raise ValueError(f"{len(items)} items but {len(targets)} targets")
@@ -119,33 +145,36 @@ class EnsembleQ:
             if (flat[1:] != flat[:-1]).all():
                 cols = tables[:, states, actions]
                 goal = np.array(targets, dtype=float)
-                td_errors = (goal - cols.mean(axis=0)).tolist()
+                td_errors = (goal - q_mean[states, actions]).tolist()
                 cols += self.eta * (goal - cols)
                 tables[:, states, actions] = cols
+                q_mean[states, actions] = cols.mean(axis=0)
                 self._count_update()
                 return td_errors
         td_errors = [
-            target - float(tables[:, it.transition.state, it.transition.action].mean())
+            target - q_mean.item(it.transition.state, it.transition.action)
             for it, target in zip(items, targets, strict=True)
         ]
         eta = self.eta
+        k = len(tables)
         for it, target in zip(items, targets):
             s, a = it.transition.state, it.transition.action
             col = tables[:, s, a]
             col += eta * (target - col)
+            q_mean[s, a] = col.sum() / k
         self._count_update()
         return td_errors
 
     def _count_update(self) -> None:
         self.updates_applied += 1
         if self.updates_applied % self.target_sync_period == 0:
-            self.target_tables[:] = self.tables
+            self.target_mean[:] = self.q_mean
 
     def save(self, path: str | Path) -> None:
         np.savez(
             path,
             tables=self.tables,
-            target_tables=self.target_tables,
+            target_mean=self.target_mean,
             eta=self.eta,
             target_sync_period=self.target_sync_period,
             updates_applied=self.updates_applied,
@@ -153,15 +182,41 @@ class EnsembleQ:
 
     @classmethod
     def load(cls, path: str | Path) -> "EnsembleQ":
-        data = np.load(path)
-        tables = data["tables"]
-        ens = cls.__new__(cls)
-        ens.eta = float(data["eta"])
-        ens.target_sync_period = int(data["target_sync_period"])
-        ens.tables = tables
-        ens.target_tables = data["target_tables"]
-        ens.updates_applied = int(data["updates_applied"])
+        """Read a file written by :meth:`save`, or by a version that stored the
+        full target member tables (``target_tables``) instead of their mean."""
+        with np.load(path) as data:
+            ens = cls.from_tables(
+                data["tables"], float(data["eta"]), int(data["target_sync_period"])
+            )
+            if "target_mean" in data:
+                ens.target_mean[:] = data["target_mean"]
+            else:
+                ens.target_mean[:] = column_means(data["target_tables"])
+            ens.updates_applied = int(data["updates_applied"])
         return ens
+
+
+# (state, action) pairs per block when column means are built from a transposed
+# copy, so the copy holds at most this many pairs of K values however large the
+# table is.
+MEAN_BLOCK_PAIRS = 1 << 14
+
+
+def column_means(tables: np.ndarray) -> np.ndarray:
+    """The (S, A) table of ``tables[:, s, a].mean()``, bit for bit.
+
+    ``tables.mean(axis=0)`` adds the members one row at a time, which differs
+    from a column's own (pairwise) mean in the last bit for K >= 8; reducing
+    the contiguous last axis of an (S, A, K) copy sums each column the same
+    way the column mean does.
+    """
+    _, state_count, action_count = tables.shape
+    means = np.empty((state_count, action_count))
+    step = max(1, MEAN_BLOCK_PAIRS // action_count)
+    for lo in range(0, state_count, step):
+        block = tables[:, lo:lo + step].transpose(1, 2, 0)
+        means[lo:lo + step] = np.ascontiguousarray(block).mean(axis=2)
+    return means
 
 
 @dataclass

@@ -197,13 +197,6 @@ class UniformTransitionSampler:
         return items
 
 
-def uniform_transition_sample(
-    dataset: OfflineDataset, batch_size: int, rng: np.random.Generator
-) -> list[BatchItem]:
-    """One-shot form of :class:`UniformTransitionSampler` for casual use."""
-    return UniformTransitionSampler(dataset).sample(batch_size, rng)
-
-
 class SumTree:
     """Complete binary tree whose internal nodes hold the sum of their children.
 

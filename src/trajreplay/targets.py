@@ -60,9 +60,6 @@ class TargetCache:
     def put(self, trajectory_id: int, time_index: int, value: float) -> None:
         self._entries.setdefault(trajectory_id, {})[time_index] = value
 
-    def has(self, trajectory_id: int, time_index: int) -> bool:
-        return time_index in self._entries.get(trajectory_id, ())
-
     def clear_trajectory(self, trajectory_id: int) -> None:
         self._entries.pop(trajectory_id, None)
 
@@ -80,18 +77,6 @@ def standard_target(
     return tr.reward + gamma * q_bar(tr.next_state, policy(tr.next_state))
 
 
-def _head_target(
-    item: BatchItem, q_bar: QValueFn, policy: PolicyFn, gamma: float
-) -> float:
-    # Base case of the backward recursion: a terminal head bootstraps nothing;
-    # a truncated head has no recorded next action, so fall back to the policy
-    # bootstrap there and only there.
-    tr = item.transition
-    if tr.terminal:
-        return tr.reward
-    return tr.reward + gamma * q_bar(tr.next_state, policy(tr.next_state))
-
-
 def sarsa_target(
     item: BatchItem,
     cache: TargetCache,
@@ -99,9 +84,14 @@ def sarsa_target(
     policy: PolicyFn,
     gamma: float,
 ) -> float:
-    """r + gamma * target(t+1), reusing the value cached by the previous step."""
+    """r + gamma * target(t+1), reusing the value cached by the previous step.
+
+    The head is the base case of the backward recursion: a terminal head
+    bootstraps nothing, and a truncated head has no recorded next action, so
+    it takes the standard policy bootstrap there and only there.
+    """
     if item.is_trajectory_head:
-        value = _head_target(item, q_bar, policy, gamma)
+        value = standard_target(item, q_bar, policy, gamma)
     else:
         value = item.transition.reward + gamma * cache.get(
             item.trajectory_id, item.time_index + 1
@@ -126,7 +116,7 @@ def weighted_target(
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     if item.is_trajectory_head:
-        value = _head_target(item, q_bar, policy, gamma)
+        value = standard_target(item, q_bar, policy, gamma)
     else:
         tr = item.transition
         cached = cache.get(item.trajectory_id, item.time_index + 1)

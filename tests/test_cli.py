@@ -8,6 +8,7 @@ import pytest
 from trajreplay.cli import expand_variants, main, parse_config_file, variant_label
 from trajreplay.dataset import flatten_trajectories, load_dataset
 from trajreplay.learner import TrainConfig
+from trajreplay.targets import TargetKind
 
 
 def write_config(path, text):
@@ -173,6 +174,16 @@ total_steps = 60
         gamma = 0.9 if "gamma0.9-" in label else 0.99
         assert entry["oracle_s0"] == pytest.approx(8 * gamma**5, abs=1e-9)
     assert variants["uni_traj-gamma0.9-ensemble_size1"]["oracle_s0"] == pytest.approx(4.72392)
+    assert variants["uni_traj-gamma0.9-ensemble_size5"]["config"] == {
+        "sampler": "uni_traj", "metric": "uniform",
+        "target": {"kind": "standard", "beta": 0.5},
+        "gamma": 0.9, "alpha": 1.0, "epsilon": 0.01, "eta": 1.0, "ensemble_size": 5,
+        "batch_size": 1, "total_steps": 60, "target_sync_period": 1,
+    }
+    # each echoed config rebuilds its run's TrainConfig, which names its label
+    configs = [TrainConfig(**dict(entry["config"], target=TargetKind(**entry["config"]["target"])))
+               for entry in variants.values()]
+    assert [variant_label(c, configs) for c in configs] == list(variants)
     # eta = 1 propagates the return in one backward pass, so each run reaches
     # its own oracle; against the 0.99 oracle the 0.9 runs would never get there
     for entry in variants.values():

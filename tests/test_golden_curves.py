@@ -26,6 +26,8 @@ FIG1_VARIANTS = (
       for kind in ("standard", "sarsa", "weighted")),
 )
 
+K16_VARIANTS = (("uni_state", "standard"), ("uni_traj", "standard"), ("uni_traj", "weighted"))
+
 
 @functools.cache
 def dataset(name: str):
@@ -52,6 +54,16 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
                                          total_steps=300, seed=seed)
                     runs[f"{scenario}/{sampler}-{metric}-{kind}/K{k}/seed{seed}"] = (
                         scenario, config)
+    # K = 16 reads means whose column sums no longer match a row mean over
+    # axis 0 (K >= 8), so these pin the column-mean reads of greedy actions,
+    # curve values and targets.
+    for scenario in ("figure1-sparse", "figure1-dense"):
+        for sampler, kind in K16_VARIANTS:
+            for seed in (0, 1):
+                config = TrainConfig(sampler=sampler, target=TargetKind(kind, 0.5), eta=0.5,
+                                     ensemble_size=16, target_sync_period=10,
+                                     total_steps=300, seed=seed)
+                runs[f"{scenario}/{sampler}-uniform-{kind}/K16/seed{seed}"] = (scenario, config)
     for metric in ("lower_mean_unc", "higher_uqm_unc"):
         for seed in (0, 1):
             config = TrainConfig(sampler="prio_traj", metric=metric, ensemble_size=5,
@@ -68,6 +80,30 @@ def curve_digest(scenario: str, config: TrainConfig) -> str:
 
 
 GOLDENS = {
+    "figure1-dense/uni_state-uniform-standard/K16/seed0":
+        "7b677970bb6fed961cff56188f8d1028aebdc8f83a1d2b83483f4ebd3142a7b6",
+    "figure1-dense/uni_state-uniform-standard/K16/seed1":
+        "3d9a3ed0a1a6a0493858557f2a97e91794572c113bae9e1f4f85fbd7514fc4f1",
+    "figure1-dense/uni_traj-uniform-standard/K16/seed0":
+        "52e394598cc796293bdb558ac148be718c298f0fb3f316a380ce750416499782",
+    "figure1-dense/uni_traj-uniform-standard/K16/seed1":
+        "f3232abe312cd520a45e99a56c8c3677933f4b69e4b652ce4604feee843f6a64",
+    "figure1-dense/uni_traj-uniform-weighted/K16/seed0":
+        "d7dbd6f92ecf7fbc24f8d8103b8a5039b62b6168e763c33b9b365410c1914680",
+    "figure1-dense/uni_traj-uniform-weighted/K16/seed1":
+        "4678971c4900afcc1f33df7d7994c266cb49e11582a0c6ad172496453c461829",
+    "figure1-sparse/uni_state-uniform-standard/K16/seed0":
+        "2279cd97dc4490179065309d288902511d2363cbb0475e69f7c84f779b39128b",
+    "figure1-sparse/uni_state-uniform-standard/K16/seed1":
+        "76ab2107ff7c0ba192ff0587697d9fd2f14a04a3512f854055c90660b5617a5f",
+    "figure1-sparse/uni_traj-uniform-standard/K16/seed0":
+        "e37c8ce8c2f07533f69e40245fb7c5a14aa61f3c7eaddb687ade9b7efd551dc7",
+    "figure1-sparse/uni_traj-uniform-standard/K16/seed1":
+        "2687be736d11a64f835e28793450a7df80ec183c9ae8472ae5a571096b08c0d0",
+    "figure1-sparse/uni_traj-uniform-weighted/K16/seed0":
+        "9857e309cd1372d559e234c0fe95e4d064d59ff1b24ae6f204dee227a1c98859",
+    "figure1-sparse/uni_traj-uniform-weighted/K16/seed1":
+        "3bb9a50c19c9c56067026d75cc12357ba1cb937da951be8a83b01a05cbf77c4d",
     "chain-1000x10/uni_state/B32/K5/seed0":
         "6e255f1ffa3c00713765cdbda61a244e728dd5dec2dbbcd559373f224507a5ad",
     "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed0":

@@ -28,9 +28,10 @@ def test_update_full_step_hits_target_exactly():
 
 
 def test_update_is_noop_at_fixed_point():
-    ens = EnsembleQ(2, 2, ensemble_size=3, eta=0.5, rng=np.random.default_rng(1))
+    tables = np.random.default_rng(1).uniform(0.0, 0.1, size=(3, 2, 2))
     # per-member fixed point requires all members equal; force that
-    ens.tables[:, 0, 0] = 0.7
+    tables[:, 0, 0] = 0.7
+    ens = EnsembleQ.from_tables(tables, eta=0.5)
     tds = ens.update([single_item(0, 0, 0.0, 1)], [0.7])
     assert np.allclose(ens.tables[:, 0, 0], 0.7)
     assert tds[0] == pytest.approx(0.0)
@@ -61,17 +62,17 @@ def test_td_errors_use_pre_update_mean():
 
 
 def test_greedy_action_argmax_and_tie_break():
-    ens = EnsembleQ(1, 2, ensemble_size=1, rng=np.random.default_rng(5))
-    ens.tables[0, 0] = [0.0, 1.0]
+    ens = EnsembleQ.from_tables([[[0.0, 1.0]]])
     assert ens.greedy_action(0) == 1
-    ens.tables[0, 0] = [0.4, 0.4]
+    ens = EnsembleQ.from_tables([[[0.4, 0.4]]])
     assert ens.greedy_action(0) == 0
 
 
 def test_greedy_action_follows_ensemble_mean_not_member_zero():
-    ens = EnsembleQ(1, 2, ensemble_size=2, rng=np.random.default_rng(6))
-    ens.tables[0, 0] = [1.0, 0.0]   # member 0 prefers action 0
-    ens.tables[1, 0] = [0.0, 2.0]   # mean prefers action 1
+    ens = EnsembleQ.from_tables([
+        [[1.0, 0.0]],   # member 0 prefers action 0
+        [[0.0, 2.0]],   # mean prefers action 1
+    ])
     assert ens.greedy_action(0) == 1
 
 
@@ -108,31 +109,106 @@ def test_ensemble_mean_update_is_linear_in_members():
     rng = np.random.default_rng(10)
     ens = EnsembleQ(2, 2, ensemble_size=4, eta=0.25, rng=rng)
     mean_before = ens.tables.mean(axis=0).copy()
-    solo = EnsembleQ(2, 2, ensemble_size=1, eta=0.25, rng=np.random.default_rng(0))
-    solo.tables[0] = mean_before
+    solo = EnsembleQ.from_tables(mean_before[None], eta=0.25)
     item, target = single_item(1, 1, 0.0, 0), 4.0
     ens.update([item], [target])
     solo.update([item], [target])
     assert np.allclose(ens.tables.mean(axis=0), solo.tables[0])
 
 
+def target_values(ens):
+    return [[ens.target_value(s, a) for a in range(ens.tables.shape[2])]
+            for s in range(ens.tables.shape[1])]
+
+
+def member_means(ens):
+    return [[float(ens.tables[:, s, a].mean()) for a in range(ens.tables.shape[2])]
+            for s in range(ens.tables.shape[1])]
+
+
 def test_target_sync_full_copy_every_period():
     ens = EnsembleQ(2, 2, ensemble_size=1, eta=1.0, target_sync_period=2,
                     rng=np.random.default_rng(11))
-    frozen = ens.target_tables.copy()
+    frozen = target_values(ens)
+    assert frozen == member_means(ens)
     ens.update([single_item(0, 0, 0.0, 1)], [9.0])
-    assert np.array_equal(ens.target_tables, frozen)  # period not reached
+    assert target_values(ens) == frozen  # period not reached
     ens.update([single_item(0, 1, 0.0, 1)], [7.0])
-    assert np.array_equal(ens.target_tables, ens.tables)
+    assert target_values(ens) == member_means(ens)
+    assert target_values(ens) != frozen
 
 
 def test_ensemble_save_load_round_trip(tmp_path):
-    ens = EnsembleQ(3, 2, ensemble_size=2, rng=np.random.default_rng(12))
+    ens = EnsembleQ(3, 2, ensemble_size=2, target_sync_period=2,
+                    rng=np.random.default_rng(12))
+    ens.update([single_item(1, 0, 0.0, 1)], [4.0])  # target mean now lags q_mean
     path = tmp_path / "ens.npz"
     ens.save(path)
+    assert sorted(np.load(path).files) == [
+        "eta", "tables", "target_mean", "target_sync_period", "updates_applied"]
     loaded = EnsembleQ.load(path)
     assert np.array_equal(loaded.tables, ens.tables)
+    assert np.array_equal(loaded.q_mean, ens.q_mean)
+    assert np.array_equal(loaded.target_mean, ens.target_mean)
+    assert target_values(loaded) != member_means(loaded)
+    assert (loaded.eta, loaded.target_sync_period, loaded.updates_applied) == (0.1, 2, 1)
     assert uncertainty_at(loaded, 1, 1) == pytest.approx(uncertainty_at(ens, 1, 1))
+    # the next update completes the period and syncs the loaded copy too
+    loaded.update([single_item(0, 1, 0.0, 1)], [2.0])
+    assert target_values(loaded) == member_means(loaded)
+
+
+def test_ensemble_load_reads_file_with_target_member_tables(tmp_path):
+    rng = np.random.default_rng(17)
+    tables, target_tables = rng.uniform(size=(2, 16, 3, 2))
+    path = tmp_path / "old.npz"
+    np.savez(path, tables=tables, target_tables=target_tables, eta=0.5,
+             target_sync_period=3, updates_applied=7)
+    loaded = EnsembleQ.load(path)
+    assert np.array_equal(loaded.tables, tables)
+    for s in range(3):
+        for a in range(2):
+            assert loaded.target_value(s, a) == target_tables[:, s, a].mean()
+            assert loaded.mean_q(s, a) == tables[:, s, a].mean()
+    assert (loaded.eta, loaded.target_sync_period, loaded.updates_applied) == (0.5, 3, 7)
+
+
+def test_from_tables_copies_and_validates():
+    tables = np.zeros((2, 1, 2))
+    ens = EnsembleQ.from_tables(tables, eta=0.5, target_sync_period=4)
+    tables[:] = 1.0
+    assert ens.max_mean_q(0) == 0.0 and ens.target_value(0, 1) == 0.0
+    with pytest.raises(ValueError, match="shape"):
+        EnsembleQ.from_tables(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        EnsembleQ.from_tables(np.zeros((0, 1, 2)))
+    with pytest.raises(ValueError, match="eta"):
+        EnsembleQ.from_tables(np.zeros((1, 1, 2)), eta=0.0)
+    with pytest.raises(ValueError, match="target_sync_period"):
+        EnsembleQ.from_tables(np.zeros((1, 1, 2)), target_sync_period=0)
+
+
+def test_sixteen_members_read_one_column_mean_everywhere():
+    # For K >= 8 a row mean over axis 0 differs from the column mean in the
+    # last bit; every read must give tables[:, s, a].mean() exactly.
+    ens = EnsembleQ(6, 5, ensemble_size=16, eta=0.3, target_sync_period=1,
+                    rng=np.random.default_rng(18))
+    rng = np.random.default_rng(19)
+    for batch in ([(0, 1)], [(1, 2), (3, 4), (5, 0)], [(2, 2), (4, 1), (2, 2)]):
+        items = [single_item(s, a, 0.0, 0) for s, a in batch]
+        targets = rng.uniform(-1.0, 1.0, len(batch)).tolist()
+        before = [float(ens.tables[:, s, a].mean()) for s, a in batch]
+        tds = ens.update(items, targets)
+        assert tds == [t - m for t, m in zip(targets, before)]
+        means = np.array(member_means(ens))
+        assert target_values(ens) == means.tolist()  # synced after every update
+        for s in range(6):
+            assert ens.greedy_action(s) == int(means[s].argmax())
+            assert ens.max_mean_q(s) == means[s].max()
+            for a in range(5):
+                assert ens.mean_q(s, a) == means[s, a]
+    # the property is not vacuous: a row mean differs somewhere
+    assert not np.array_equal(ens.tables.mean(axis=0), means)
 
 
 def test_config_normalizes_metric_for_uniform_samplers():

@@ -12,7 +12,6 @@ from trajreplay.replay import (
     UniformSelector,
     UniformTransitionSampler,
     per_priority,
-    uniform_transition_sample,
 )
 from trajreplay.scenarios import make_random_chain
 
@@ -142,13 +141,13 @@ def test_head_flag_marks_last_time_index():
 def test_uniform_sample_single_transition_dataset():
     ds = chain_dataset([1])
     rng = np.random.default_rng(0)
-    for item in uniform_transition_sample(ds, 5, rng):
+    for item in UniformTransitionSampler(ds).sample(5, rng):
         assert (item.trajectory_id, item.time_index) == (0, 0)
 
 
 def test_uniform_sample_empty_batch():
     ds = chain_dataset([3])
-    assert uniform_transition_sample(ds, 0, np.random.default_rng(0)) == []
+    assert UniformTransitionSampler(ds).sample(0, np.random.default_rng(0)) == []
 
 
 def test_uniform_sample_frequencies_binomial():

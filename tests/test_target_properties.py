@@ -1,0 +1,86 @@
+"""Property tests for the β endpoints of ``weighted_target``.
+
+β = 0 must be the recursive (sarsa) target bit for bit and never consult the
+value function or the policy off the trajectory head; β = 1 must be the
+standard target on every item.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trajreplay.dataset import Trajectory, Transition
+from trajreplay.replay import BatchItem
+from trajreplay.targets import TargetCache, sarsa_target, standard_target, weighted_target
+
+ACTIONS = 3
+values = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def passes(draw):
+    """A trajectory's backward pass, a gamma, and Q / policy tables over its states."""
+    length = draw(st.integers(1, 10))
+    rewards = draw(st.lists(values, min_size=length, max_size=length))
+    terminal = draw(st.booleans())
+    actions = draw(st.lists(st.integers(0, ACTIONS - 1), min_size=length, max_size=length))
+    transitions = tuple(
+        Transition(t, actions[t], rewards[t], t + 1, terminal and t == length - 1)
+        for t in range(length)
+    )
+    traj = Trajectory(draw(st.integers(0, 50)), transitions, timeout_truncated=not terminal)
+    items = [BatchItem(traj.id, t, transitions[t], t == length - 1)
+             for t in range(length - 1, -1, -1)]
+    gamma = draw(st.floats(0.0, 1.0))
+    q = draw(st.lists(st.lists(values, min_size=ACTIONS, max_size=ACTIONS),
+                      min_size=length + 1, max_size=length + 1))
+    policy = draw(st.lists(st.integers(0, ACTIONS - 1), min_size=length + 1,
+                           max_size=length + 1))
+    return items, gamma, q, policy
+
+
+class Recorder:
+    """Q and policy lookups that note whether the current item is a head."""
+
+    def __init__(self, q, policy):
+        self.q, self.policy_table = q, policy
+        self.head = True
+        self.off_head_calls = []
+
+    def q_bar(self, s, a):
+        if not self.head:
+            self.off_head_calls.append(("q_bar", s, a))
+        return self.q[s][a]
+
+    def policy(self, s):
+        if not self.head:
+            self.off_head_calls.append(("policy", s))
+        return self.policy_table[s]
+
+
+@settings(max_examples=300, deadline=None)
+@given(passes())
+def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
+    items, gamma, q, policy = case
+    recorder = Recorder(q, policy)
+    weighted_cache, sarsa_cache = TargetCache(), TargetCache()
+    for item in items:
+        recorder.head = item.is_trajectory_head
+        got = weighted_target(item, weighted_cache, recorder.q_bar, recorder.policy,
+                              gamma, beta=0.0)
+        want = sarsa_target(item, sarsa_cache, recorder.q_bar, recorder.policy, gamma)
+        assert got.hex() == want.hex()
+    assert recorder.off_head_calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(passes())
+def test_weighted_at_beta_one_is_standard_on_every_item(case):
+    items, gamma, q, policy = case
+    q_bar = lambda s, a: q[s][a]
+    pi = policy.__getitem__
+    cache = TargetCache()
+    for item in items:
+        got = weighted_target(item, cache, q_bar, pi, gamma, beta=1.0)
+        assert got == standard_target(item, q_bar, pi, gamma)

@@ -175,10 +175,11 @@ def test_cache_hygiene_after_clearing_trajectory():
     cache.put(4, 0, 9.0)
     assert len(cache) == 3
     cache.clear_trajectory(3)
-    assert not cache.has(3, 0) and not cache.has(3, 1)
+    assert len(cache) == 1
+    for t in (0, 1):
+        with pytest.raises(ValueError, match="no cached target"):
+            cache.get(3, t)
     assert cache.get(4, 0) == 9.0
-    with pytest.raises(ValueError, match="no cached target"):
-        cache.get(3, 1)
 
 
 def test_compute_target_dispatch():

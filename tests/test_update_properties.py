@@ -31,6 +31,12 @@ def reference_update(tables, eta, pairs, targets):
     return tables, td_errors
 
 
+def column_means(tables):
+    """Each (s, a) entry as the mean of its own member column."""
+    return np.array([[tables[:, s, a].mean() for a in range(tables.shape[2])]
+                     for s in range(tables.shape[1])])
+
+
 @st.composite
 def batches(draw):
     k = draw(st.integers(1, 32))
@@ -54,13 +60,16 @@ def batches(draw):
 def test_update_matches_item_by_item_reference(batch):
     k, state_count, action_count, pairs, targets, eta, sync, seed = batch
     ens = ensemble(k, state_count, action_count, eta, sync, seed)
+    start_means = column_means(ens.tables)
     want_tables, want_td = reference_update(ens.tables, eta, pairs, targets)
     got_td = ens.update([item(s, a) for s, a in pairs], targets)
     assert np.array_equal(ens.tables, want_tables)
     assert type(got_td) is list and all(type(td) is float for td in got_td)
     assert np.array_equal(np.array(got_td), np.array(want_td))
-    if sync == 1:
-        assert np.array_equal(ens.target_tables, want_tables)
+    want_means = column_means(want_tables)
+    assert np.array_equal(ens.q_mean, want_means)
+    # one update: only a period of 1 has synced the target mean
+    assert np.array_equal(ens.target_mean, want_means if sync == 1 else start_means)
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,6 +83,7 @@ def test_repeated_pair_equals_two_single_updates(k, eta, t1, t2, seed):
     serial.update([item(2, 1)], [0.5])
     serial.update([item(1, 0)], [t2])
     assert np.array_equal(batched.tables, serial.tables)
+    assert np.array_equal(batched.q_mean, serial.q_mean)
 
 
 @pytest.mark.parametrize("targets", [[1.0], [1.0, 2.0, 3.0]])
@@ -83,4 +93,5 @@ def test_batched_update_rejects_misaligned_targets(targets):
     with pytest.raises(ValueError):
         ens.update([item(0, 0), item(1, 1)], targets)
     assert np.array_equal(ens.tables, before)
+    assert np.array_equal(ens.q_mean, column_means(before))
     assert ens.updates_applied == 0
