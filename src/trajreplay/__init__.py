@@ -15,7 +15,6 @@ from .dataset import (
     Transition,
     flatten_trajectories,
     load_dataset,
-    normalized_score,
     save_dataset,
     split_flat_transitions,
 )
@@ -39,15 +38,11 @@ from .priority import (
     UNIFORM_KIND,
     PrioritizedSelector,
     PriorityTable,
-    TrajectoryPairs,
     build_priority_table,
-    prioritized_select,
     quality_priority,
     rank_distribution,
     rank_order,
-    trajectory_priority,
     uncertainty_priorities,
-    uncertainty_priority_from_values,
 )
 from .replay import (
     BatchItem,
@@ -63,9 +58,6 @@ from .targets import (
     TargetCache,
     TargetKind,
     compute_target,
-    sarsa_target,
-    standard_target,
-    weighted_target,
 )
 
 __version__ = "0.1.0"

@@ -181,7 +181,7 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
     if dataset is None:
         dataset = load_dataset(spec.dataset_path)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    s0 = dataset.trajectories[0].transitions[0].state
+    s0 = dataset.start_state
     oracles = {
         gamma: float(value_iteration_oracle(dataset, gamma)[s0])
         for gamma in sorted({config.gamma for config in spec.variants})

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 TRAJECTORY_JSONL = "trajectory-jsonl"
 FLAT_TRANSITIONS = "flat-transitions"
@@ -95,18 +98,28 @@ class Trajectory:
 
 @dataclass(frozen=True, slots=True)
 class OfflineDataset:
-    """Immutable store of all trajectories plus the MDP bookkeeping counts."""
+    """Immutable store of all trajectories plus the MDP bookkeeping counts.
+
+    Beside the trajectories it holds their (state, action) pairs as two flat
+    columns, trajectory-major: trajectory j owns the positions
+    ``offsets[j]:offsets[j + 1]`` of ``states`` and ``actions``.
+    """
 
     trajectories: tuple[Trajectory, ...]
     state_count: int
     action_count: int
     discount: float = DEFAULT_DISCOUNT
+    states: np.ndarray = field(init=False, compare=False, repr=False)
+    actions: np.ndarray = field(init=False, compare=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.trajectories) < 1:
             raise ValueError("dataset must contain at least one trajectory")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
+        states: list[int] = []
+        actions: list[int] = []
         for j, traj in enumerate(self.trajectories):
             if traj.id != j:
                 raise ValueError(f"trajectory ids must be 0..N-1 in order, got {traj.id} at {j}")
@@ -119,6 +132,12 @@ class OfflineDataset:
                     raise ValueError(
                         f"trajectory {j} step {t}: action id outside action_count {self.action_count}"
                     )
+                states.append(tr.state)
+                actions.append(tr.action)
+        object.__setattr__(self, "states", np.array(states, dtype=np.intp))
+        object.__setattr__(self, "actions", np.array(actions, dtype=np.intp))
+        lengths = (traj.length for traj in self.trajectories)
+        object.__setattr__(self, "offsets", tuple(accumulate(lengths, initial=0)))
 
     @property
     def n_trajectories(self) -> int:
@@ -126,7 +145,13 @@ class OfflineDataset:
 
     @property
     def total_transitions(self) -> int:
-        return sum(traj.length for traj in self.trajectories)
+        return self.offsets[-1]
+
+    @property
+    def start_state(self) -> int:
+        """s0, the state whose greedy value the learning curve records: the
+        first state of trajectory 0."""
+        return int(self.states[0])
 
     def iter_transitions(self) -> Iterator[tuple[int, int, Transition]]:
         """Yield (trajectory_id, time_index, transition) over the whole store."""
@@ -180,13 +205,6 @@ def flatten_trajectories(
         for t, tr in enumerate(traj.transitions):
             steps.append((tr, traj.timeout_truncated and t == last))
     return steps
-
-
-def normalized_score(score: float, random_ref: float, expert_ref: float) -> float:
-    """Scale a raw score to 0 (random reference) .. 100 (expert reference)."""
-    if expert_ref == random_ref:
-        raise ValueError("expert_ref and random_ref must differ")
-    return 100.0 * (score - random_ref) / (expert_ref - random_ref)
 
 
 def _require(record: dict, key: str, line_no: int):

@@ -21,10 +21,8 @@ import numpy as np
 from .dataset import OfflineDataset
 from .priority import (
     ALL_KINDS,
-    UNCERTAINTY_KINDS,
     UNIFORM_KIND,
     PrioritizedSelector,
-    TrajectoryPairs,
     build_priority_table,
 )
 from .replay import (
@@ -94,13 +92,6 @@ class EnsembleQ:
         self.target_mean = self.q_mean.copy()
         self.updates_applied = 0
 
-    @property
-    def ensemble_size(self) -> int:
-        return self.tables.shape[0]
-
-    def mean_q(self, state: int, action: int) -> float:
-        return self.q_mean.item(state, action)
-
     def target_value(self, state: int, action: int) -> float:
         """Ensemble-mean target value as of the last sync (the Qbar read by targets)."""
         return self.target_mean.item(state, action)
@@ -119,8 +110,18 @@ class EnsembleQ:
         # take() on flat pair indices gathers the same (K, n) block as
         # tables[:, states, actions], about twice as fast on large batches.
         tables = self.tables
+        k = len(tables)
         flat = np.asarray(states) * tables.shape[2] + np.asarray(actions)
-        return tables.reshape(len(tables), -1).take(flat, axis=1).std(axis=0)
+        cols = tables.reshape(k, -1).take(flat, axis=1)
+        # cols.std(axis=0) by the same ufunc calls in the same order as NumPy's
+        # own, bit for bit, without the wrapper that costs a third of a short call.
+        mean = np.add.reduce(cols, axis=0, keepdims=True)
+        mean /= k
+        cols -= mean
+        np.square(cols, out=cols)
+        var = np.add.reduce(cols, axis=0)
+        var /= k
+        return np.sqrt(var, out=var)
 
     def update(self, items: Sequence[BatchItem], targets: Sequence[float]) -> list[float]:
         """Move every member toward the targets; returns per-item TD errors.
@@ -296,7 +297,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         config.target_sync_period,
         rng,
     )
-    s0 = dataset.trajectories[0].transitions[0].state
+    s0 = dataset.start_state
     q_bar = ensemble.target_value
     policy = ensemble.greedy_action
     cache = TargetCache()
@@ -312,9 +313,8 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         if config.metric == UNIFORM_KIND:
             selector = UniformSelector()
         else:
-            pairs = TrajectoryPairs.of(dataset) if config.metric in UNCERTAINTY_KINDS else None
-            table = build_priority_table(dataset, config.metric, config.alpha, ensemble, pairs)
-            selector = PrioritizedSelector(table, dataset, ensemble, pairs)
+            table = build_priority_table(dataset, config.metric, config.alpha, ensemble)
+            selector = PrioritizedSelector(table, dataset, ensemble)
         replay = TrajectoryReplay(dataset, config.batch_size, selector, rng)
 
     curve = np.empty(config.total_steps)
@@ -333,9 +333,6 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         td_errors = ensemble.update(items, targets)
         if per_sampler is not None:
             per_sampler.update_priorities(leaves, td_errors)
-        if replay is not None:
-            for tid in replay.last_completed:
-                cache.clear_trajectory(tid)
         curve[step] = ensemble.max_mean_q(s0)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(curve, ensemble, elapsed_ms * 1000.0 / config.total_steps)

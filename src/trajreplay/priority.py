@@ -11,6 +11,7 @@ the current candidate set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -76,7 +77,8 @@ def quality_priority(trajectory: Trajectory, kind: str) -> float:
 
 def _check_uncertainty_values(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if (values < 0).any():
+    # fmin skips NaN, so this is any(values < 0) in one ufunc call
+    if np.fmin.reduce(values) < 0:
         raise ValueError("uncertainty values must be non-negative")
     return values
 
@@ -104,36 +106,6 @@ def _uncertainty_metric(values: np.ndarray, kind: str) -> float:
     raise ValueError(f"{kind!r} is not an uncertainty metric kind")
 
 
-def uncertainty_priority_from_values(values: np.ndarray, kind: str) -> float:
-    """Uncertainty metric from the trajectory's per-pair uncertainty values."""
-    return _uncertainty_metric(_check_uncertainty_values(values), kind)
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryPairs:
-    """Every trajectory's (state, action) index arrays, as slices of two flat arrays."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    offsets: list[int]  # trajectory j owns flat positions offsets[j]:offsets[j + 1]
-
-    @classmethod
-    def of(cls, dataset: OfflineDataset) -> "TrajectoryPairs":
-        offsets = [0]
-        for traj in dataset.trajectories:
-            offsets.append(offsets[-1] + traj.length)
-
-        def column(name: str) -> np.ndarray:
-            values = (getattr(tr, name) for traj in dataset.trajectories for tr in traj.transitions)
-            return np.fromiter(values, dtype=np.intp, count=offsets[-1])
-
-        return cls(column("state"), column("action"), offsets)
-
-    def __getitem__(self, trajectory_id: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.offsets[trajectory_id], self.offsets[trajectory_id + 1]
-        return self.states[lo:hi], self.actions[lo:hi]
-
-
 # Pairs per uncertainty_values call when scoring a whole dataset: large enough
 # that per-call overhead vanishes, small enough that the (K, n) temporaries
 # of the gather do not add to the run's peak memory.
@@ -141,32 +113,21 @@ UNCERTAINTY_BLOCK = 1 << 14
 
 
 def uncertainty_priorities(
-    pairs: TrajectoryPairs, kind: str, source: UncertaintySource
+    dataset: OfflineDataset, kind: str, source: UncertaintySource
 ) -> dict[int, float]:
     """Every trajectory's uncertainty priority, gathered in blocks of pairs."""
-    n = len(pairs.states)
+    states, actions = dataset.states, dataset.actions
+    n = len(states)
     values = np.empty(n)
     for lo in range(0, n, UNCERTAINTY_BLOCK):
         hi = lo + UNCERTAINTY_BLOCK
-        values[lo:hi] = source.uncertainty_values(pairs.states[lo:hi], pairs.actions[lo:hi])
+        values[lo:hi] = source.uncertainty_values(states[lo:hi], actions[lo:hi])
     values = _check_uncertainty_values(values)
-    bounds = pairs.offsets
+    bounds = dataset.offsets
     return {
         j: _uncertainty_metric(values[bounds[j] : bounds[j + 1]], kind)
         for j in range(len(bounds) - 1)
     }
-
-
-def trajectory_priority(trajectory: Trajectory, kind: str) -> float:
-    """Dispatch a fixed metric; uncertainty metrics need an ensemble (see
-    :func:`build_priority_table`)."""
-    if kind == UNIFORM_KIND:
-        return 1.0
-    if kind in QUALITY_KINDS:
-        return quality_priority(trajectory, kind)
-    if kind in UNCERTAINTY_KINDS:
-        raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
-    raise ValueError(f"unknown metric kind {kind!r}")
 
 
 @dataclass
@@ -192,21 +153,18 @@ def build_priority_table(
     kind: str,
     alpha: float = 1.0,
     ensemble: UncertaintySource | None = None,
-    pairs: TrajectoryPairs | None = None,
 ) -> PriorityTable:
-    """Priorities of every trajectory.
-
-    Uncertainty kinds read ``ensemble`` at the dataset's pairs (``pairs``, when
-    the caller already holds them).
-    """
+    """Priorities of every trajectory; uncertainty kinds read ``ensemble`` at
+    the dataset's (state, action) pairs, the uniform kind gives every
+    trajectory 1.0."""
     if kind in UNCERTAINTY_KINDS:
         if ensemble is None:
             raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
-        if pairs is None:
-            pairs = TrajectoryPairs.of(dataset)
-        values = uncertainty_priorities(pairs, kind, ensemble)
+        values = uncertainty_priorities(dataset, kind, ensemble)
+    elif kind == UNIFORM_KIND:
+        values = {traj.id: 1.0 for traj in dataset.trajectories}
     else:
-        values = {traj.id: trajectory_priority(traj, kind) for traj in dataset.trajectories}
+        values = {traj.id: quality_priority(traj, kind) for traj in dataset.trajectories}
     return PriorityTable(values=values, alpha=alpha, kind=kind)
 
 
@@ -221,18 +179,16 @@ def rank_order(table: PriorityTable, candidates: Sequence[int]) -> list[int]:
         raise ValueError(f"trajectory id {exc.args[0]} missing from priority table") from exc
 
 
-_cum_rank_weights: dict[float, np.ndarray] = {}
+_cum_rank_weights: dict[float, list[float]] = {}
 
 
-def _rank_cumweights(n: int, alpha: float) -> np.ndarray:
-    """Cumulative sums of rank^-alpha for ranks 1..n (cached per alpha)."""
+def _rank_cumweights(n: int, alpha: float) -> list[float]:
+    """Cumulative sums of rank^-alpha for ranks 1..n at least (cached per alpha)."""
     cached = _cum_rank_weights.get(alpha)
     if cached is None or len(cached) < n:
-        size = max(n, 64)
-        ranks = np.arange(1, size + 1, dtype=float)
-        cached = np.cumsum(ranks**-alpha)
-        _cum_rank_weights[alpha] = cached
-    return cached[:n]
+        ranks = np.arange(1, max(n, 64) + 1, dtype=float)
+        cached = _cum_rank_weights[alpha] = np.cumsum(ranks**-alpha).tolist()
+    return cached
 
 
 def rank_distribution(
@@ -253,32 +209,18 @@ def rank_distribution(
     return {j: float(p) for j, p in zip(order, probs)}
 
 
-def _draw_rank_index(n: int, alpha: float, rng: np.random.Generator) -> int:
-    cum = _rank_cumweights(n, alpha)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
-
-
-def prioritized_select(
-    table: PriorityTable, candidates: Sequence[int], rng: np.random.Generator
-) -> int:
-    """Draw one candidate id according to :func:`rank_distribution`."""
-    order = rank_order(table, candidates)
-    if table.kind == UNIFORM_KIND:
-        return order[int(rng.integers(len(order)))]
-    return order[_draw_rank_index(len(order), table.alpha, rng)]
-
-
 class PrioritizedSelector:
     """Replay-slot selector drawing ids by the rank-reciprocal distribution.
 
-    Owned by a single replay machine.  Between refills of the machine's
-    available pool, candidate priorities are fixed and the pool only shrinks
-    by the ids this selector returns, so the sorted rank order is computed
-    once per pool refill and popped from thereafter (the length check detects
-    refills).  With an ``ensemble`` and an uncertainty table, a trajectory's
-    priority is recomputed from the ensemble each time its backward pass
-    completes (dynamic uncertainty metrics).
+    The only sampler of :func:`rank_distribution`.  Uniform trajectory choice
+    is :class:`~trajreplay.replay.UniformSelector`'s job, so a uniform-kind
+    table is rejected.  Owned by a single replay machine.  Between refills of
+    the machine's available pool, candidate priorities are fixed and the pool
+    only shrinks by the ids this selector returns, so the sorted rank order is
+    computed once per pool refill and popped from thereafter (the length check
+    detects refills).  With an ``ensemble`` and an uncertainty table, a
+    trajectory's priority is recomputed from the ensemble each time its
+    backward pass completes (dynamic uncertainty metrics).
     """
 
     def __init__(
@@ -286,29 +228,30 @@ class PrioritizedSelector:
         table: PriorityTable,
         dataset: OfflineDataset,
         ensemble: UncertaintySource | None = None,
-        pairs: TrajectoryPairs | None = None,
     ) -> None:
+        if table.kind == UNIFORM_KIND:
+            raise ValueError("a uniform table draws through UniformSelector instead")
         self.table = table
+        self._dataset = dataset
         self._ensemble = ensemble if table.kind in UNCERTAINTY_KINDS else None
-        if self._ensemble is not None and pairs is None:
-            pairs = TrajectoryPairs.of(dataset)
-        self._pairs = pairs
         self._order: list[int] = []
 
     def select(self, candidates: Sequence[int], rng: np.random.Generator) -> int:
         if len(self._order) != len(candidates):
             self._order = rank_order(self.table, candidates)
-        if self.table.kind == UNIFORM_KIND:
-            idx = int(rng.integers(len(self._order)))
-        else:
-            idx = _draw_rank_index(len(self._order), self.table.alpha, rng)
-        return self._order.pop(idx)
+        n = len(self._order)
+        cum = _rank_cumweights(n, self.table.alpha)
+        return self._order.pop(bisect_right(cum, rng.random() * cum[n - 1], 0, n))
 
     def notify_complete(self, trajectory_id: int) -> None:
         if self._ensemble is not None:
             if trajectory_id not in self.table.values:
                 raise ValueError(f"unknown trajectory id {trajectory_id}")
-            states, actions = self._pairs[trajectory_id]
-            self.table.values[trajectory_id] = uncertainty_priority_from_values(
-                self._ensemble.uncertainty_values(states, actions), self.table.kind
+            offsets = self._dataset.offsets
+            lo, hi = offsets[trajectory_id], offsets[trajectory_id + 1]
+            values = self._ensemble.uncertainty_values(
+                self._dataset.states[lo:hi], self._dataset.actions[lo:hi]
+            )
+            self.table.values[trajectory_id] = _uncertainty_metric(
+                _check_uncertainty_values(values), self.table.kind
             )

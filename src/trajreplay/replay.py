@@ -85,14 +85,9 @@ class TrajectoryReplay:
         self._epoch = 1
         self._slot_ids = [-1] * batch_size
         self._slot_cursors = [0] * batch_size
-        self._completed_last: tuple[int, ...] = ()
         self._available: list[int] = list(range(n))
         self._avail_pos = {j: j for j in self._available}
         self._fill_vacant_slots()
-
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
 
     @property
     def epoch(self) -> int:
@@ -111,11 +106,6 @@ class TrajectoryReplay:
             for tid, cur in zip(self._slot_ids, self._slot_cursors)
             if tid != -1
         )
-
-    @property
-    def last_completed(self) -> tuple[int, ...]:
-        """Ids whose backward pass finished during the last ``next_batch`` call."""
-        return self._completed_last
 
     def _remove_available(self, trajectory_id: int) -> None:
         pos = self._avail_pos.pop(trajectory_id)
@@ -147,54 +137,41 @@ class TrajectoryReplay:
         """Emit one transition per slot at its cursor, then step cursors back."""
         self._fill_vacant_slots()
         trajectories = self._trajectories
+        slot_ids, cursors = self._slot_ids, self._slot_cursors
         items: list[BatchItem] = []
-        completed: list[int] = []
         for i in range(self._batch_size):
-            tid = self._slot_ids[i]
-            cursor = self._slot_cursors[i]
-            traj = trajectories[tid]
+            tid = slot_ids[i]
+            cursor = cursors[i]
+            transitions = trajectories[tid].transitions
             items.append(
-                BatchItem(tid, cursor, traj.transitions[cursor], cursor == traj.length - 1)
+                BatchItem(tid, cursor, transitions[cursor], cursor == len(transitions) - 1)
             )
-            cursor -= 1
-            if cursor < 0:
-                self._slot_ids[i] = -1
-                completed.append(tid)
+            if cursor == 0:
+                slot_ids[i] = -1
                 self._selector.notify_complete(tid)
             else:
-                self._slot_cursors[i] = cursor
-        self._completed_last = tuple(completed)
+                cursors[i] = cursor - 1
         return items
+
+
+def flat_items(dataset: OfflineDataset) -> list[BatchItem]:
+    """One item per stored transition, trajectory-major (the columns' order)."""
+    return [
+        BatchItem(traj.id, t, tr, t == traj.length - 1)
+        for traj in dataset.trajectories
+        for t, tr in enumerate(traj.transitions)
+    ]
 
 
 class UniformTransitionSampler:
     """I.i.d. uniform draws (with replacement) over every stored transition."""
 
     def __init__(self, dataset: OfflineDataset) -> None:
-        lengths = np.array([traj.length for traj in dataset.trajectories])
-        self._cum = np.cumsum(lengths)
-        self._starts = self._cum - lengths
-        self._trajectories = dataset.trajectories
-        self._total = int(self._cum[-1])
-
-    @property
-    def total(self) -> int:
-        return self._total
+        self._items = flat_items(dataset)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[BatchItem]:
-        if batch_size == 0:
-            return []
-        flat = rng.integers(0, self._total, size=batch_size)
-        tids = np.searchsorted(self._cum, flat, side="right")
-        starts = self._starts
-        trajectories = self._trajectories
-        items = []
-        for k in range(batch_size):
-            j = int(tids[k])
-            t = int(flat[k] - starts[j])
-            traj = trajectories[j]
-            items.append(BatchItem(j, t, traj.transitions[t], t == traj.length - 1))
-        return items
+        items = self._items
+        return [items[i] for i in rng.integers(0, len(items), size=batch_size)]
 
 
 class SumTree:
@@ -229,7 +206,12 @@ class SumTree:
             nodes[idx] += change
 
     def find_prefix(self, prefix: float) -> int:
-        """Return the leaf index owning the mass interval containing ``prefix``."""
+        """Return the leaf whose mass interval contains ``prefix``.
+
+        Leaves sit in heap order, and the descent lays their intervals out left
+        subtree first: in index order for a power-of-two capacity, rotated
+        otherwise (capacity 3 visits leaves 1, 2, 0).  Draws stay proportional.
+        """
         nodes = self._nodes
         size = len(nodes)
         idx = 0
@@ -270,16 +252,10 @@ class PerTransitionSampler:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.alpha = alpha
         self.epsilon = epsilon
-        self._items = [
-            BatchItem(tid, t, tr, t == dataset.trajectories[tid].length - 1)
-            for tid, t, tr in dataset.iter_transitions()
-        ]
+        self._items = flat_items(dataset)
         self.tree = SumTree(len(self._items))
         for leaf in range(len(self._items)):
             self.tree.update(leaf, 1.0)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def sample(
         self, batch_size: int, rng: np.random.Generator

@@ -26,9 +26,10 @@ from trajreplay.priority import (
     ALL_KINDS,
     QUALITY_KINDS,
     UNCERTAINTY_KINDS,
+    UNIFORM_KIND,
+    PrioritizedSelector,
     PriorityTable,
     build_priority_table,
-    prioritized_select,
     quality_priority,
     rank_distribution,
 )
@@ -39,12 +40,12 @@ from trajreplay.replay import (
     UniformSelector,
 )
 from trajreplay.scenarios import make_figure1, make_random_chain
-from trajreplay.targets import (
-    TargetCache,
-    sarsa_target,
-    standard_target,
-    weighted_target,
-)
+from trajreplay.targets import TargetCache, TargetKind, compute_target
+
+STANDARD = TargetKind("standard")
+SARSA = TargetKind("sarsa")
+WEIGHTED_ONE = TargetKind("weighted", 1.0)
+WEIGHTED_ZERO = TargetKind("weighted", 0.0)
 
 SWEEP_SEEDS = 50
 SWEEP_STEPS = 1_500  # well under the 20,000-update budget
@@ -126,8 +127,19 @@ def test_criterion_2_fig1_scheme_ordering(fig1_sweep):
     )
 
 
+class CompletionRecorder(UniformSelector):
+    """Uniform selector that notes every completed backward pass."""
+
+    def __init__(self):
+        self.completed: list[int] = []
+
+    def notify_complete(self, trajectory_id):
+        self.completed.append(trajectory_id)
+
+
 def collect_first_passes(dataset, batch_size, rng):
-    replay = TrajectoryReplay(dataset, batch_size, UniformSelector(), rng)
+    selector = CompletionRecorder()
+    replay = TrajectoryReplay(dataset, batch_size, selector, rng)
     per_traj = defaultdict(list)
     done: set[int] = set()
     guard = 0
@@ -135,7 +147,8 @@ def collect_first_passes(dataset, batch_size, rng):
         for item in replay.next_batch():
             if item.trajectory_id not in done:
                 per_traj[item.trajectory_id].append(item.time_index)
-        for tid in replay.last_completed:
+        completed, selector.completed = selector.completed, []
+        for tid in completed:
             if len(per_traj[tid]) == dataset.trajectories[tid].length:
                 done.add(tid)
         guard += 1
@@ -185,13 +198,16 @@ def test_criterion_4_weighted_target_endpoints():
         q_bar = lambda s, a, q=q_table: float(q[s, a])
         policy = lambda s, g=greedy: int(g[s])
         gamma = float(rng.uniform(0.5, 1.0))
+        def target(item, kind, cache):
+            return compute_target(item, kind, cache, q_bar, policy, gamma)
+
         for traj in dataset.trajectories:
-            cache_one, cache_zero, cache_sarsa = TargetCache(), TargetCache(), TargetCache()
+            caches = {kind: TargetCache() for kind in (WEIGHTED_ONE, WEIGHTED_ZERO, SARSA)}
             for item in backward_items(traj):
-                w1 = weighted_target(item, cache_one, q_bar, policy, gamma, beta=1.0)
-                assert w1 == standard_target(item, q_bar, policy, gamma)
-                w0 = weighted_target(item, cache_zero, q_bar, policy, gamma, beta=0.0)
-                assert w0 == sarsa_target(item, cache_sarsa, q_bar, policy, gamma)
+                w1 = target(item, WEIGHTED_ONE, caches[WEIGHTED_ONE])
+                assert w1 == target(item, STANDARD, TargetCache())
+                w0 = target(item, WEIGHTED_ZERO, caches[WEIGHTED_ZERO])
+                assert w0 == target(item, SARSA, caches[SARSA])
                 transitions_checked += 1
     print(
         f"\n[acceptance] criterion 4 (weighted-target endpoints): PASS — "
@@ -220,7 +236,9 @@ def test_criterion_5_sarsa_support_constraint():
             cache = TargetCache()
             got = {}
             for item in backward_items(traj):
-                got[item.time_index] = sarsa_target(item, cache, q_bar, lambda s: 0, gamma)
+                got[item.time_index] = compute_target(
+                    item, SARSA, cache, q_bar, lambda s: 0, gamma
+                )
             acc = 0.0
             for t in range(traj.length - 1, -1, -1):
                 acc = traj.transitions[t].reward + gamma * acc
@@ -264,9 +282,12 @@ def test_criterion_6_rank_reciprocal_distribution():
         candidates = list(range(5))
         dist = rank_distribution(table, candidates)
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
-        counts = Counter(
-            prioritized_select(table, candidates, rng) for _ in range(draws)
-        )
+        if kind == UNIFORM_KIND:
+            draw = UniformSelector().select
+        else:
+            # A fresh selector per draw, so every draw sees the whole pool.
+            draw = lambda c, g: PrioritizedSelector(table, dataset).select(c, g)
+        counts = Counter(draw(candidates, rng) for _ in range(draws))
         for j, p in dist.items():
             assert within_3_sigma(counts[j], draws, p), (kind, j, counts[j], p)
         scaled = PriorityTable(

@@ -217,6 +217,24 @@ def test_duplicate_labels_rejected_before_training(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_oracle_reads_the_start_state(tmp_path, monkeypatch):
+    import trajreplay.cli as cli
+    from trajreplay.dataset import OfflineDataset
+    from trajreplay.learner import value_iteration_oracle
+    from trajreplay.scenarios import make_random_chain
+
+    ds = make_random_chain(3, 2, 4, np.random.default_rng(21), terminal_prob=1.0)
+    oracle = value_iteration_oracle(ds, 0.99)
+    other = ds.trajectories[2].transitions[0].state
+    assert oracle[other] != oracle[ds.start_state]
+    monkeypatch.setattr(OfflineDataset, "start_state", property(lambda self: other))
+    spec = cli.ExperimentSpec(tmp_path / "chain.jsonl", [TrainConfig(total_steps=20)], [0],
+                              tmp_path / "out")
+    cli.run_experiment(spec, ds)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["oracle_s0"] == float(oracle[other])
+
+
 def test_analyze_return_metric_ranks_figure1(tmp_path):
     dataset_path = tmp_path / "ds.jsonl"
     main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])

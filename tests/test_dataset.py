@@ -13,10 +13,10 @@ from trajreplay.dataset import (
     Transition,
     flatten_trajectories,
     load_dataset,
-    normalized_score,
     save_dataset,
     split_flat_transitions,
 )
+from trajreplay.scenarios import make_figure1, make_random_chain
 
 
 def chain_steps(n, rewards=None, terminal_at=(), timeout_at=(), start=0):
@@ -139,12 +139,57 @@ def test_split_then_flatten_is_identity_on_steps():
         assert [tr for tr, _ in rebuilt] == [tr for tr, _ in steps]
 
 
-def test_normalized_score_endpoints_and_midpoint():
-    assert normalized_score(-5.0, -5.0, 20.0) == 0.0
-    assert normalized_score(20.0, -5.0, 20.0) == 100.0
-    assert normalized_score(7.5, -5.0, 20.0) == pytest.approx(50.0)
-    with pytest.raises(ValueError, match="differ"):
-        normalized_score(1.0, 3.0, 3.0)
+def assert_columns_match_transitions(ds):
+    assert ds.states.dtype == np.intp and ds.actions.dtype == np.intp
+    assert type(ds.offsets) is tuple and all(type(o) is int for o in ds.offsets)
+    assert ds.offsets[0] == 0 and len(ds.offsets) == ds.n_trajectories + 1
+    assert ds.total_transitions == len(ds.states) == len(ds.actions)
+    for traj in ds.trajectories:
+        lo, hi = ds.offsets[traj.id], ds.offsets[traj.id + 1]
+        assert hi - lo == traj.length
+        assert ds.states[lo:hi].tolist() == [tr.state for tr in traj.transitions]
+        assert ds.actions[lo:hi].tolist() == [tr.action for tr in traj.transitions]
+    assert ds.start_state == ds.trajectories[0].transitions[0].state
+
+
+def test_columns_match_transitions_of_generated_datasets():
+    assert_columns_match_transitions(make_figure1("sparse"))
+    for seed in range(5):
+        ds = make_random_chain(12, 1, 9, np.random.default_rng(seed), action_count=3)
+        assert_columns_match_transitions(ds)
+
+
+def test_columns_match_transitions_of_loaded_datasets(tmp_path):
+    ds = make_random_chain(9, 1, 7, np.random.default_rng(3), action_count=4, terminal_prob=0.5)
+    path = tmp_path / "chain.jsonl"
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    assert_columns_match_transitions(loaded)
+    assert np.array_equal(loaded.states, ds.states)
+    assert np.array_equal(loaded.actions, ds.actions)
+    assert loaded.offsets == ds.offsets
+    flat = tmp_path / "flat.jsonl"
+    flat.write_text("".join(
+        json.dumps({"state": tr.state, "action": tr.action, "reward": tr.reward,
+                    "next_state": tr.next_state, "terminal": tr.terminal,
+                    "timeout": timeout}) + "\n"
+        for tr, timeout in flatten_trajectories(ds.trajectories)
+    ))
+    assert_columns_match_transitions(load_dataset(flat, FLAT_TRANSITIONS))
+
+
+def test_start_state_is_first_state_of_trajectory_zero():
+    transitions = (Transition(4, 1, 0.0, 2, False), Transition(2, 0, 1.0, 0, True))
+    ds = OfflineDataset((Trajectory(0, transitions),), state_count=5, action_count=2)
+    assert ds.start_state == 4
+    assert type(ds.start_state) is int
+
+
+def test_columns_do_not_take_part_in_equality_or_repr():
+    a = make_random_chain(3, 1, 4, np.random.default_rng(1))
+    b = make_random_chain(3, 1, 4, np.random.default_rng(1))
+    assert a == b and hash(a) == hash(b)
+    assert "states=" not in repr(a)
 
 
 def test_load_trajectory_jsonl_single_record(tmp_path):

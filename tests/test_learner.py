@@ -24,7 +24,7 @@ def single_item(s, a, r, s2, terminal=True):
 def test_update_full_step_hits_target_exactly():
     ens = EnsembleQ(2, 2, ensemble_size=1, eta=1.0, rng=np.random.default_rng(0))
     ens.update([single_item(0, 0, 1.0, 1)], [3.5])
-    assert ens.mean_q(0, 0) == 3.5
+    assert ens.q_mean[0, 0] == 3.5
 
 
 def test_update_is_noop_at_fixed_point():
@@ -40,12 +40,12 @@ def test_update_is_noop_at_fixed_point():
 def test_repeated_updates_converge_geometrically():
     eta = 0.3
     ens = EnsembleQ(2, 2, ensemble_size=1, eta=eta, rng=np.random.default_rng(2))
-    q0 = ens.mean_q(0, 0)
+    q0 = ens.q_mean[0, 0]
     target = 5.0
     for m in range(1, 8):
         ens.update([single_item(0, 0, 0.0, 1)], [target])
         expected = target + (q0 - target) * (1 - eta) ** m
-        assert ens.mean_q(0, 0) == pytest.approx(expected, rel=1e-12)
+        assert ens.q_mean[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_update_rejects_misaligned_lengths():
@@ -56,7 +56,7 @@ def test_update_rejects_misaligned_lengths():
 
 def test_td_errors_use_pre_update_mean():
     ens = EnsembleQ(2, 2, ensemble_size=2, eta=1.0, rng=np.random.default_rng(4))
-    before = ens.mean_q(0, 0)
+    before = ens.q_mean[0, 0]
     tds = ens.update([single_item(0, 0, 0.0, 1)], [2.0])
     assert tds[0] == pytest.approx(2.0 - before)
 
@@ -89,12 +89,21 @@ def test_uncertainty_values():
     assert uncertainty_at(ens2, 0, 0) == pytest.approx(1.0)
 
 
-def test_uncertainty_values_match_member_std_per_pair():
-    ens = EnsembleQ(4, 3, ensemble_size=5, rng=np.random.default_rng(16))
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 32])
+def test_uncertainty_values_match_member_std_per_pair(k):
+    ens = EnsembleQ(40, 3, ensemble_size=k, rng=np.random.default_rng(16))
+    ens.tables *= np.random.default_rng(k).uniform(-50.0, 50.0, size=ens.tables.shape)
     states, actions = np.array([3, 0, 3, 1]), np.array([2, 1, 0, 1])
     values = ens.uncertainty_values(states, actions)
-    for v, s, a in zip(values, states, actions):
-        assert v == ens.tables[:, s, a].std()
+    if k < 8:
+        # From 8 members on, a column's own std sums pairwise, while the
+        # gathered block sums its rows in order; the two differ in the last bit.
+        for v, s, a in zip(values, states, actions):
+            assert v == ens.tables[:, s, a].std()
+    rng = np.random.default_rng(k + 1)
+    states, actions = rng.integers(0, 40, 500), rng.integers(0, 3, 500)
+    want = ens.tables.reshape(k, -1).take(states * 3 + actions, axis=1).std(axis=0)
+    assert ens.uncertainty_values(states, actions).tobytes() == want.tobytes()
 
 
 def test_uncertainty_translation_invariant():
@@ -169,7 +178,7 @@ def test_ensemble_load_reads_file_with_target_member_tables(tmp_path):
     for s in range(3):
         for a in range(2):
             assert loaded.target_value(s, a) == target_tables[:, s, a].mean()
-            assert loaded.mean_q(s, a) == tables[:, s, a].mean()
+            assert loaded.q_mean[s, a] == tables[:, s, a].mean()
     assert (loaded.eta, loaded.target_sync_period, loaded.updates_applied) == (0.5, 3, 7)
 
 
@@ -206,7 +215,7 @@ def test_sixteen_members_read_one_column_mean_everywhere():
             assert ens.greedy_action(s) == int(means[s].argmax())
             assert ens.max_mean_q(s) == means[s].max()
             for a in range(5):
-                assert ens.mean_q(s, a) == means[s, a]
+                assert ens.q_mean[s, a] == means[s, a]
     # the property is not vacuous: a row mean differs somewhere
     assert not np.array_equal(ens.tables.mean(axis=0), means)
 
@@ -310,12 +319,21 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
 
     # re-run the target computation path with an instrumented value function
     from trajreplay.replay import TrajectoryReplay, UniformSelector
-    from trajreplay.targets import TargetCache, sarsa_target
+    from trajreplay.targets import TargetCache, compute_target
+
+    class CompletionRecorder(UniformSelector):
+        def __init__(self):
+            self.completed = []
+
+        def notify_complete(self, trajectory_id):
+            self.completed.append(trajectory_id)
 
     reads = []
     rng = np.random.default_rng(1)
-    replay = TrajectoryReplay(ds, 1, UniformSelector(), rng)
+    selector = CompletionRecorder()
+    replay = TrajectoryReplay(ds, 1, selector, rng)
     cache = TargetCache()
+    sarsa = TargetKind("sarsa")
 
     def q_bar(s, a):
         reads.append((s, a))
@@ -323,11 +341,24 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
 
     for _ in range(300):
         for item in replay.next_batch():
-            sarsa_target(item, cache, q_bar, lambda s: 0, 0.99)
-        for tid in replay.last_completed:
-            cache.clear_trajectory(tid)
+            compute_target(item, sarsa, cache, q_bar, lambda s: 0, 0.99)
     assert [pair for pair in reads if pair not in seen_pairs] == []
+    # 300 single-slot steps cover many whole passes, each signalled once
+    assert len(selector.completed) >= 300 // max(t.length for t in ds.trajectories)
     assert reads == []  # terminal-ended data never consults the bootstrap at all
+
+
+def test_train_records_the_start_state(monkeypatch):
+    ds = make_random_chain(3, 2, 4, np.random.default_rng(20))
+    config = TrainConfig(sampler="uni_traj", total_steps=30, seed=3)
+    default = train(ds, config)
+    assert default.curve[-1] == default.ensemble.max_mean_q(ds.start_state)
+    other = ds.trajectories[1].transitions[0].state
+    monkeypatch.setattr(OfflineDataset, "start_state", property(lambda self: other))
+    moved = train(ds, config)
+    assert np.array_equal(moved.ensemble.tables, default.ensemble.tables)  # same run
+    assert moved.curve[-1] == moved.ensemble.max_mean_q(other)
+    assert moved.curve[-1] != default.curve[-1]
 
 
 def test_train_uncertainty_metric_runs_and_refreshes():

@@ -13,16 +13,13 @@ from trajreplay.priority import (
     UNCERTAINTY_FLOOR,
     PrioritizedSelector,
     PriorityTable,
-    TrajectoryPairs,
     build_priority_table,
-    prioritized_select,
     quality_priority,
     rank_distribution,
     rank_order,
-    trajectory_priority,
     uncertainty_priorities,
-    uncertainty_priority_from_values,
 )
+from trajreplay.replay import UniformSelector
 from trajreplay.scenarios import make_random_chain
 
 
@@ -56,6 +53,12 @@ def uncertainty_priority(traj, kind, source):
 
 def within_3_sigma(count, n, p):
     return abs(count - n * p) <= 3 * np.sqrt(n * p * (1 - p))
+
+
+def fresh_draws(table, candidates, rng, draws):
+    """Ids drawn one at a time, each by a new selector over the whole pool."""
+    ds = make_random_chain(max(table.values) + 1, 1, 2, np.random.default_rng(0))
+    return Counter(PrioritizedSelector(table, ds).select(candidates, rng) for _ in range(draws))
 
 
 def test_quality_metrics_worked_example():
@@ -187,34 +190,44 @@ def test_rank_distribution_sums_to_one_for_alpha_grid():
         assert all(p >= 0 for p in dist.values())
 
 
-def test_prioritized_select_frequencies_match_distribution():
+def test_selector_frequencies_match_distribution():
     table = PriorityTable({0: 2.0, 1: 1.0}, alpha=1.0, kind="return")
     rng = np.random.default_rng(4)
     draws = 100_000
-    counts = Counter(prioritized_select(table, [0, 1], rng) for _ in range(draws))
+    counts = fresh_draws(table, [0, 1], rng, draws)
     assert within_3_sigma(counts[0], draws, 2 / 3)
     assert within_3_sigma(counts[1], draws, 1 / 3)
 
 
-def test_prioritized_select_uniform_kind_is_uniform():
-    table = PriorityTable({0: 1.0, 1: 1.0, 2: 1.0}, alpha=1.0, kind="uniform")
+def test_uniform_kind_draws_through_uniform_selector():
+    ds = make_random_chain(3, 1, 4, np.random.default_rng(5))
+    table = build_priority_table(ds, "uniform")
+    assert table.values == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert rank_distribution(table, [0, 1, 2]) == {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
     rng = np.random.default_rng(5)
     draws = 60_000
-    counts = Counter(prioritized_select(table, [0, 1, 2], rng) for _ in range(draws))
+    counts = Counter(UniformSelector().select([0, 1, 2], rng) for _ in range(draws))
     for j in range(3):
         assert within_3_sigma(counts[j], draws, 1 / 3), j
+
+
+def test_prioritized_selector_rejects_uniform_table():
+    ds = make_random_chain(3, 1, 4, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="UniformSelector"):
+        PrioritizedSelector(build_priority_table(ds, "uniform"), ds)
 
 
 def test_shrinking_candidates_renormalize():
     rng = np.random.default_rng(6)
     values = {j: float(v) for j, v in enumerate(rng.uniform(0, 5, 6))}
     table = PriorityTable(values, alpha=1.0, kind="return")
+    selector = PrioritizedSelector(table, make_random_chain(6, 1, 2, rng))
     candidates = list(values)
     while candidates:
         dist = rank_distribution(table, candidates)
         assert set(dist) == set(candidates)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-        candidates.remove(prioritized_select(table, candidates, rng))
+        candidates.remove(selector.select(candidates, rng))
 
 
 def test_refresh_is_noop_when_u_unchanged():
@@ -251,10 +264,8 @@ def test_refresh_unknown_id_rejected():
         selector.notify_complete(3)
 
 
-def test_trajectory_priority_requires_uncertainty_provider():
+def test_uncertainty_kind_requires_ensemble():
     traj = reward_trajectory([1.0])
-    with pytest.raises(ValueError, match="requires an ensemble"):
-        trajectory_priority(traj, "lower_mean_unc")
     with pytest.raises(ValueError, match="requires an ensemble"):
         build_priority_table(one_trajectory_dataset(traj), "lower_mean_unc")
 
@@ -263,8 +274,10 @@ def test_negative_uncertainty_values_rejected():
     traj = reward_trajectory([0.0] * 3)
     with pytest.raises(ValueError, match="non-negative"):
         uncertainty_priority(traj, "lower_mean_unc", PairValues([0.1, -0.2, 0.3]))
+    table = PriorityTable({0: 1.0}, alpha=1.0, kind="higher_uqm_unc")
+    selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.1, -0.2, 0.3]))
     with pytest.raises(ValueError, match="non-negative"):
-        uncertainty_priority_from_values(np.array([0.1, -0.2]), "higher_uqm_unc")
+        selector.notify_complete(0)
 
 
 @pytest.mark.parametrize("block", [7, 1 << 14])
@@ -278,16 +291,16 @@ def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
         def uncertainty_values(self, states, actions):
             return tables[:, states, actions].std(axis=0)
 
-    pairs = TrajectoryPairs.of(ds)
     for kind in ("lower_mean_unc", "lower_lqm_unc", "higher_uqm_unc"):
-        bulk = uncertainty_priorities(pairs, kind, Members())
+        bulk = uncertainty_priorities(ds, kind, Members())
+        refreshed = PriorityTable({j: 0.0 for j in bulk}, alpha=1.0, kind=kind)
+        selector = PrioritizedSelector(refreshed, ds, Members())
         for traj in ds.trajectories:
+            selector.notify_complete(traj.id)
+            assert bulk[traj.id] == refreshed.values[traj.id]
             states = np.array([tr.state for tr in traj.transitions])
             actions = np.array([tr.action for tr in traj.transitions])
-            assert np.array_equal(pairs[traj.id][0], states)
-            assert np.array_equal(pairs[traj.id][1], actions)
             values = tables[:, states, actions].std(axis=0)
-            assert bulk[traj.id] == uncertainty_priority_from_values(values, kind)
             if kind.endswith("_mean_unc"):
                 assert bulk[traj.id] == 1.0 / max(float(values.mean()), UNCERTAINTY_FLOOR)
 

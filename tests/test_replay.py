@@ -30,6 +30,20 @@ def within_3_sigma(count, n, p):
     return abs(count - n * p) <= 3 * np.sqrt(n * p * (1 - p))
 
 
+class CompletionRecorder(UniformSelector):
+    """Uniform selector that notes every completed backward pass."""
+
+    def __init__(self):
+        self.completed = []
+
+    def take_completed(self):
+        completed, self.completed = self.completed, []
+        return completed
+
+    def notify_complete(self, trajectory_id):
+        self.completed.append(trajectory_id)
+
+
 def test_init_all_trajectories_active_when_batch_equals_n():
     ds = chain_dataset([3, 3, 3])
     replay = TrajectoryReplay(ds, 3, UniformSelector(), np.random.default_rng(0))
@@ -76,16 +90,18 @@ def test_two_trajectories_emit_each_index_once_over_epoch():
 
 def test_completion_signaled_when_cursor_exhausts():
     ds = chain_dataset([2, 3])
-    replay = TrajectoryReplay(ds, 2, UniformSelector(), np.random.default_rng(0))
+    selector = CompletionRecorder()
+    replay = TrajectoryReplay(ds, 2, selector, np.random.default_rng(0))
     replay.next_batch()
-    assert replay.last_completed == ()
+    assert selector.take_completed() == []
     replay.next_batch()
-    assert replay.last_completed == (0,)
+    assert selector.take_completed() == [0]
 
 
-def first_pass_emissions(replay, dataset, max_batches=10_000):
+def first_pass_emissions(replay, selector, dataset, max_batches=10_000):
     """Drive the machine until every trajectory finished one backward pass;
-    returns per-trajectory emission lists for that first pass."""
+    returns per-trajectory emission lists for that first pass.  ``selector``
+    is the machine's :class:`CompletionRecorder`."""
     per_traj = defaultdict(list)
     done = set()
     n = dataset.n_trajectories
@@ -95,7 +111,8 @@ def first_pass_emissions(replay, dataset, max_batches=10_000):
             if item.trajectory_id not in done:
                 per_traj[item.trajectory_id].append(item.time_index)
         done.update(
-            tid for tid in replay.last_completed if len(per_traj[tid]) == dataset.trajectories[tid].length
+            tid for tid in selector.take_completed()
+            if len(per_traj[tid]) == dataset.trajectories[tid].length
         )
         batches += 1
         assert batches < max_batches, "machine failed to finish first passes"
@@ -108,8 +125,9 @@ def test_exactly_once_per_epoch_randomized():
         n = int(rng.integers(1, 10))
         ds = make_random_chain(n, 1, 8, np.random.default_rng(int(rng.integers(1 << 30))))
         batch = int(rng.integers(1, n + 1))
-        replay = TrajectoryReplay(ds, batch, UniformSelector(), rng)
-        passes = first_pass_emissions(replay, ds)
+        selector = CompletionRecorder()
+        replay = TrajectoryReplay(ds, batch, selector, rng)
+        passes = first_pass_emissions(replay, selector, ds)
         emitted = Counter(
             (tid, t) for tid, indices in passes.items() for t in indices
         )

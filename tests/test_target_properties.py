@@ -1,8 +1,10 @@
-"""Property tests for the β endpoints of ``weighted_target``.
+"""Property tests for the β endpoints of the weighted target.
 
-β = 0 must be the recursive (sarsa) target bit for bit and never consult the
-value function or the policy off the trajectory head; β = 1 must be the
-standard target on every item.
+``compute_target`` with ``TargetKind("weighted", β)`` is checked against
+closed forms written out here.  β = 0 must be the recursive target
+r + γ·target(t+1) bit for bit and never consult the value function or the
+policy off the trajectory head; β = 1 must be r + γ·Q̄(s′, π(s′)) (just r at a
+terminal step) on every item.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from trajreplay.dataset import Trajectory, Transition
 from trajreplay.replay import BatchItem
-from trajreplay.targets import TargetCache, sarsa_target, standard_target, weighted_target
+from trajreplay.targets import TargetCache, TargetKind, compute_target
 
 ACTIONS = 3
 values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -59,17 +61,29 @@ class Recorder:
         return self.policy_table[s]
 
 
+def policy_bootstrap(item, gamma, q, policy):
+    """Closed form r + γ·Q̄(s′, π(s′)), or r at a terminal step."""
+    tr = item.transition
+    if tr.terminal:
+        return tr.reward
+    return tr.reward + gamma * q[tr.next_state][policy[tr.next_state]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(passes())
 def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
     items, gamma, q, policy = case
     recorder = Recorder(q, policy)
-    weighted_cache, sarsa_cache = TargetCache(), TargetCache()
+    cache = TargetCache()
+    kind = TargetKind("weighted", 0.0)
+    want = None
     for item in items:
         recorder.head = item.is_trajectory_head
-        got = weighted_target(item, weighted_cache, recorder.q_bar, recorder.policy,
-                              gamma, beta=0.0)
-        want = sarsa_target(item, sarsa_cache, recorder.q_bar, recorder.policy, gamma)
+        got = compute_target(item, kind, cache, recorder.q_bar, recorder.policy, gamma)
+        if item.is_trajectory_head:
+            want = policy_bootstrap(item, gamma, q, policy)
+        else:
+            want = item.transition.reward + gamma * want
         assert got.hex() == want.hex()
     assert recorder.off_head_calls == []
 
@@ -81,6 +95,7 @@ def test_weighted_at_beta_one_is_standard_on_every_item(case):
     q_bar = lambda s, a: q[s][a]
     pi = policy.__getitem__
     cache = TargetCache()
+    kind = TargetKind("weighted", 1.0)
     for item in items:
-        got = weighted_target(item, cache, q_bar, pi, gamma, beta=1.0)
-        assert got == standard_target(item, q_bar, pi, gamma)
+        got = compute_target(item, kind, cache, q_bar, pi, gamma)
+        assert got.hex() == policy_bootstrap(item, gamma, q, policy).hex()

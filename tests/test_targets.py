@@ -5,15 +5,11 @@ import pytest
 
 from trajreplay.dataset import Trajectory, Transition
 from trajreplay.replay import BatchItem
-from trajreplay.targets import (
-    TargetCache,
-    TargetKind,
-    compute_target,
-    sarsa_target,
-    standard_target,
-    weighted_target,
-)
+from trajreplay.targets import TargetCache, TargetKind, compute_target
 from trajreplay.scenarios import make_random_chain
+
+STANDARD = TargetKind("standard")
+SARSA = TargetKind("sarsa")
 
 
 def item_for(traj, t):
@@ -37,6 +33,18 @@ def constant_q(value):
     return lambda s, a: value
 
 
+def standard_target(item, q_bar, policy, gamma):
+    return compute_target(item, STANDARD, TargetCache(), q_bar, policy, gamma)
+
+
+def sarsa_target(item, cache, q_bar, policy, gamma):
+    return compute_target(item, SARSA, cache, q_bar, policy, gamma)
+
+
+def weighted_target(item, cache, q_bar, policy, gamma, beta):
+    return compute_target(item, TargetKind("weighted", beta), cache, q_bar, policy, gamma)
+
+
 def returns_to_go(rewards, gamma):
     out = [0.0] * len(rewards)
     acc = 0.0
@@ -51,6 +59,14 @@ def test_target_kind_validation():
         TargetKind("q_lambda")
     with pytest.raises(ValueError, match="beta"):
         TargetKind("weighted", beta=1.5)
+
+
+def test_bootstrap_weight_per_kind():
+    assert STANDARD.bootstrap_weight == 1.0
+    assert SARSA.bootstrap_weight == 0.0
+    assert TargetKind("weighted", 0.3).bootstrap_weight == 0.3
+    # beta is ignored outside the weighted kind
+    assert TargetKind("sarsa", 0.9).bootstrap_weight == 0.0
 
 
 def test_standard_target_terminal_skips_bootstrap():
@@ -131,13 +147,26 @@ def test_weighted_beta_endpoints_match_standard_and_sarsa_exactly():
         policy = lambda s: 0
 
         cache_one = TargetCache()
-        cache_sarsa, cache_zero = TargetCache(), TargetCache()
+        cache_zero = TargetCache()
+        recursive = None
         for item in backward_items(traj):
+            tr = item.transition
+            bootstrap = 0.0 if tr.terminal else q_bar(tr.next_state, 0)
             w1 = weighted_target(item, cache_one, q_bar, policy, gamma, beta=1.0)
-            assert w1 == standard_target(item, q_bar, policy, gamma)
+            assert w1 == tr.reward + gamma * bootstrap
             w0 = weighted_target(item, cache_zero, q_bar, policy, gamma, beta=0.0)
-            s = sarsa_target(item, cache_sarsa, q_bar, policy, gamma)
-            assert w0 == s
+            recursive = tr.reward + gamma * (bootstrap if item.is_trajectory_head else recursive)
+            assert w0 == recursive
+
+
+def test_recursive_target_keeps_a_negative_zero():
+    # w = 0 is r + gamma * cached; the blend (1 - 0) * cached + 0 * 0.0 gives +0.0
+    traj = reward_trajectory([-0.0, -0.0])
+    for kind in (SARSA, TargetKind("weighted", 0.0)):
+        cache = TargetCache()
+        values = [compute_target(item, kind, cache, constant_q(1.0), lambda s: 0, 0.9)
+                  for item in backward_items(traj)]
+        assert [v.hex() for v in values] == [(-0.0).hex()] * 2
 
 
 def test_weighted_blend_worked_example():
@@ -163,23 +192,59 @@ def test_weighted_is_affine_in_beta():
 
 
 def test_weighted_rejects_beta_outside_unit_interval():
-    traj = reward_trajectory([1.0])
     with pytest.raises(ValueError, match="beta"):
-        weighted_target(item_for(traj, 0), TargetCache(), constant_q(0.0), lambda s: 0, 0.99, beta=-0.1)
+        TargetKind("weighted", beta=-0.1)
 
 
-def test_cache_hygiene_after_clearing_trajectory():
+def test_cache_keeps_one_value_per_trajectory():
     cache = TargetCache()
-    cache.put(3, 0, 1.0)
     cache.put(3, 1, 2.0)
+    cache.put(3, 0, 1.0)
     cache.put(4, 0, 9.0)
-    assert len(cache) == 3
-    cache.clear_trajectory(3)
-    assert len(cache) == 1
-    for t in (0, 1):
-        with pytest.raises(ValueError, match="no cached target"):
-            cache.get(3, t)
+    assert cache.get(3, 0) == 1.0
     assert cache.get(4, 0) == 9.0
+    with pytest.raises(ValueError, match="no cached target"):
+        cache.get(3, 1)  # replaced by the pass's next step
+    with pytest.raises(ValueError, match="no cached target"):
+        cache.get(5, 0)
+
+
+def test_new_pass_head_overwrites_earlier_pass():
+    traj = reward_trajectory([1.0, 2.0], terminal=False)
+    cache = TargetCache()
+    for q in (10.0, 20.0):
+        values = [sarsa_target(item, cache, constant_q(q), lambda s: 0, 0.5)
+                  for item in backward_items(traj)]
+        assert values == [2.0 + 0.5 * q, 1.0 + 0.5 * (2.0 + 0.5 * q)]
+
+
+def test_cache_rejects_repeated_step():
+    traj = reward_trajectory([0.0, 1.0, 2.0])
+    cache = TargetCache()
+    sarsa_target(item_for(traj, 2), cache, constant_q(0.0), lambda s: 0, 0.9)
+    sarsa_target(item_for(traj, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
+    with pytest.raises(ValueError, match="backward order"):
+        sarsa_target(item_for(traj, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
+
+
+def test_cache_rejects_skipped_step():
+    traj = reward_trajectory([0.0, 1.0, 2.0, 3.0])
+    cache = TargetCache()
+    sarsa_target(item_for(traj, 3), cache, constant_q(0.0), lambda s: 0, 0.9)
+    with pytest.raises(ValueError, match="backward order"):
+        sarsa_target(item_for(traj, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
+
+
+def test_cache_rejects_new_pass_that_skips_its_head():
+    traj = reward_trajectory([0.0, 1.0, 2.0])
+    cache = TargetCache()
+    for item in backward_items(traj):
+        sarsa_target(item, cache, constant_q(0.0), lambda s: 0, 0.9)
+    # The finished pass left its t=0 value; a new pass starting below the
+    # head must not read it as target(t+1).
+    for t in (1, 0):
+        with pytest.raises(ValueError, match="backward order"):
+            sarsa_target(item_for(traj, t), cache, constant_q(0.0), lambda s: 0, 0.9)
 
 
 def test_compute_target_dispatch():
