@@ -107,7 +107,6 @@ def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
             continue
         pending = [dict(combo, **{key: entry}) for combo in pending for entry in entries]
     configs: list[TrainConfig] = []
-    seen: set[tuple] = set()
     for combo in pending:
         kwargs: dict = {}
         if "sampler" in combo:
@@ -123,11 +122,8 @@ def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
             if key in combo:
                 kwargs[key] = _SCALAR_KEYS[key](combo[key])
         config = TrainConfig(**kwargs)
-        key = (config.sampler, config.metric, config.target) + tuple(
-            getattr(config, name) for name in _CONFIG_SCALARS
-        )
-        if key not in seen:
-            seen.add(key)
+        # every config keeps the default seed, so equality is the variant's identity
+        if config not in configs:
             configs.append(config)
     return configs
 

@@ -323,14 +323,20 @@ def load_dataset(path: str | Path, format: str | None = None) -> OfflineDataset:
         steps = [_transition_from_record(record, line_no) for line_no, record in data]
         trajectories = tuple(split_flat_transitions(steps))
 
-    max_state = max(
-        max(tr.state, tr.next_state) for traj in trajectories for tr in traj.transitions
-    )
-    max_action = max(tr.action for traj in trajectories for tr in traj.transitions)
+    if "state_count" in header:
+        state_count = int(header["state_count"])
+    else:
+        state_count = 1 + max(
+            max(tr.state, tr.next_state) for traj in trajectories for tr in traj.transitions
+        )
+    if "action_count" in header:
+        action_count = int(header["action_count"])
+    else:
+        action_count = 1 + max(tr.action for traj in trajectories for tr in traj.transitions)
     return OfflineDataset(
         trajectories=trajectories,
-        state_count=int(header.get("state_count", max_state + 1)),
-        action_count=int(header.get("action_count", max_action + 1)),
+        state_count=state_count,
+        action_count=action_count,
         discount=float(header.get("discount", DEFAULT_DISCOUNT)),
     )
 

@@ -11,6 +11,7 @@ the empirical MDP.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -106,7 +107,13 @@ class EnsembleQ:
         return row.item(row.argmax())
 
     def uncertainty_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Population standard deviation of member values at each (state, action)."""
+        """Population standard deviation of member values at each (state, action).
+
+        The members are summed in order, so from 8 members on a value may
+        differ in the last bit from ``tables[:, s, a].std()``, which sums
+        pairwise.  The priority table build and its refresh both read it
+        through ``priority.uncertainty_priorities``, so they agree.
+        """
         # take() on flat pair indices gathers the same (K, n) block as
         # tables[:, states, actions], about twice as fast on large batches.
         tables = self.tables
@@ -354,7 +361,10 @@ def value_iteration_oracle(
 
     Only (s, a) pairs present in the data enter the max; a terminal transition
     contributes its reward with no continuation.  The same (s, a) observed
-    with two different outcomes is a conflict error.
+    with two different outcomes is a conflict error.  At gamma = 1 a cycle
+    in the data can leave the values without a finite limit; deterministic
+    values that have one settle within |S| sweeps (the Bellman-Ford bound),
+    so a sweep still moving after |S| + 1 of them raises instead of looping.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -375,7 +385,7 @@ def value_iteration_oracle(
                 f"outcomes {seen} and {outcome} (trajectory {tid}, step {t})"
             )
     values = np.zeros(dataset.state_count)
-    while True:
+    for sweep in itertools.count(1):
         new_values = values.copy()
         for s, outs in by_state.items():
             new_values[s] = max(
@@ -385,3 +395,8 @@ def value_iteration_oracle(
         values = new_values
         if delta < tol:
             return values
+        if gamma == 1.0 and sweep > dataset.state_count:
+            raise ValueError(
+                f"values still move after {sweep} sweeps at gamma = 1: "
+                "a cycle in the data has no finite value; train with gamma < 1"
+            )

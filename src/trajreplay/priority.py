@@ -75,14 +75,6 @@ def quality_priority(trajectory: Trajectory, kind: str) -> float:
     raise ValueError(f"{kind!r} is not a quality metric kind")
 
 
-def _check_uncertainty_values(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    # fmin skips NaN, so this is any(values < 0) in one ufunc call
-    if np.fmin.reduce(values) < 0:
-        raise ValueError("uncertainty values must be non-negative")
-    return values
-
-
 def _mean(values: np.ndarray) -> float:
     # The sum and the division of ndarray.mean, without its wrapper's overhead.
     return float(np.add.reduce(values)) / len(values)
@@ -106,27 +98,37 @@ def _uncertainty_metric(values: np.ndarray, kind: str) -> float:
     raise ValueError(f"{kind!r} is not an uncertainty metric kind")
 
 
-# Pairs per uncertainty_values call when scoring a whole dataset: large enough
+# Pairs per uncertainty_values call when scoring many trajectories: large enough
 # that per-call overhead vanishes, small enough that the (K, n) temporaries
 # of the gather do not add to the run's peak memory.
 UNCERTAINTY_BLOCK = 1 << 14
 
 
 def uncertainty_priorities(
-    dataset: OfflineDataset, kind: str, source: UncertaintySource
+    dataset: OfflineDataset,
+    kind: str,
+    source: UncertaintySource,
+    trajectory_ids: Sequence[int],
 ) -> dict[int, float]:
-    """Every trajectory's uncertainty priority, gathered in blocks of pairs."""
-    states, actions = dataset.states, dataset.actions
-    n = len(states)
-    values = np.empty(n)
-    for lo in range(0, n, UNCERTAINTY_BLOCK):
+    """The given trajectories' uncertainty priorities, their pairs gathered in
+    blocks of ``UNCERTAINTY_BLOCK``; the one path from uncertainty to priority."""
+    offsets = dataset.offsets
+    starts = np.array([offsets[j] for j in trajectory_ids], dtype=np.intp)
+    lengths = np.array([offsets[j + 1] for j in trajectory_ids], dtype=np.intp) - starts
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    pairs = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)
+    values = np.empty(len(pairs))
+    for lo in range(0, len(pairs), UNCERTAINTY_BLOCK):
         hi = lo + UNCERTAINTY_BLOCK
-        values[lo:hi] = source.uncertainty_values(states[lo:hi], actions[lo:hi])
-    values = _check_uncertainty_values(values)
-    bounds = dataset.offsets
+        block = pairs[lo:hi]
+        values[lo:hi] = source.uncertainty_values(dataset.states[block], dataset.actions[block])
+    # fmin skips NaN, so this is any(values < 0) in one ufunc call
+    if np.fmin.reduce(values) < 0:
+        raise ValueError("uncertainty values must be non-negative")
+    edges = bounds.tolist()
     return {
-        j: _uncertainty_metric(values[bounds[j] : bounds[j + 1]], kind)
-        for j in range(len(bounds) - 1)
+        j: _uncertainty_metric(values[lo:hi], kind)
+        for j, lo, hi in zip(trajectory_ids, edges, edges[1:])
     }
 
 
@@ -160,7 +162,7 @@ def build_priority_table(
     if kind in UNCERTAINTY_KINDS:
         if ensemble is None:
             raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
-        values = uncertainty_priorities(dataset, kind, ensemble)
+        values = uncertainty_priorities(dataset, kind, ensemble, range(dataset.n_trajectories))
     elif kind == UNIFORM_KIND:
         values = {traj.id: 1.0 for traj in dataset.trajectories}
     else:
@@ -177,18 +179,6 @@ def rank_order(table: PriorityTable, candidates: Sequence[int]) -> list[int]:
         return sorted(candidates, key=lambda j: (-values[j], j))
     except KeyError as exc:
         raise ValueError(f"trajectory id {exc.args[0]} missing from priority table") from exc
-
-
-_cum_rank_weights: dict[float, list[float]] = {}
-
-
-def _rank_cumweights(n: int, alpha: float) -> list[float]:
-    """Cumulative sums of rank^-alpha for ranks 1..n at least (cached per alpha)."""
-    cached = _cum_rank_weights.get(alpha)
-    if cached is None or len(cached) < n:
-        ranks = np.arange(1, max(n, 64) + 1, dtype=float)
-        cached = _cum_rank_weights[alpha] = np.cumsum(ranks**-alpha).tolist()
-    return cached
 
 
 def rank_distribution(
@@ -218,9 +208,9 @@ class PrioritizedSelector:
     the machine's available pool, candidate priorities are fixed and the pool
     only shrinks by the ids this selector returns, so the sorted rank order is
     computed once per pool refill and popped from thereafter (the length check
-    detects refills).  With an ``ensemble`` and an uncertainty table, a
-    trajectory's priority is recomputed from the ensemble each time its
-    backward pass completes (dynamic uncertainty metrics).
+    detects refills).  With an ``ensemble`` and an uncertainty table, the
+    trajectories a batch completes are re-scored from the ensemble in one
+    :func:`uncertainty_priorities` call (dynamic uncertainty metrics).
     """
 
     def __init__(
@@ -235,23 +225,24 @@ class PrioritizedSelector:
         self._dataset = dataset
         self._ensemble = ensemble if table.kind in UNCERTAINTY_KINDS else None
         self._order: list[int] = []
+        # cum[r - 1] = sum of rank^-alpha over ranks 1..r, for every pool size
+        ranks = np.arange(1, dataset.n_trajectories + 1, dtype=float)
+        self._cum_weights = np.cumsum(ranks**-table.alpha).tolist()
 
     def select(self, candidates: Sequence[int], rng: np.random.Generator) -> int:
         if len(self._order) != len(candidates):
             self._order = rank_order(self.table, candidates)
         n = len(self._order)
-        cum = _rank_cumweights(n, self.table.alpha)
+        cum = self._cum_weights
         return self._order.pop(bisect_right(cum, rng.random() * cum[n - 1], 0, n))
 
-    def notify_complete(self, trajectory_id: int) -> None:
+    def notify_complete(self, trajectory_ids: Sequence[int]) -> None:
         if self._ensemble is not None:
-            if trajectory_id not in self.table.values:
-                raise ValueError(f"unknown trajectory id {trajectory_id}")
-            offsets = self._dataset.offsets
-            lo, hi = offsets[trajectory_id], offsets[trajectory_id + 1]
-            values = self._ensemble.uncertainty_values(
-                self._dataset.states[lo:hi], self._dataset.actions[lo:hi]
-            )
-            self.table.values[trajectory_id] = _uncertainty_metric(
-                _check_uncertainty_values(values), self.table.kind
+            for j in trajectory_ids:
+                if j not in self.table.values:
+                    raise ValueError(f"unknown trajectory id {j}")
+            self.table.values.update(
+                uncertainty_priorities(
+                    self._dataset, self.table.kind, self._ensemble, trajectory_ids
+                )
             )

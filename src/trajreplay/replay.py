@@ -41,8 +41,9 @@ class TrajectorySelector(Protocol):
         """Return one id from ``candidates`` (must not mutate the sequence)."""
         ...
 
-    def notify_complete(self, trajectory_id: int) -> None:
-        """Hook fired when a slot finishes emitting a trajectory."""
+    def notify_complete(self, trajectory_ids: Sequence[int]) -> None:
+        """Hook fired once per batch that completes trajectories, with the ids
+        whose time index 0 the batch emitted, in slot order."""
         ...
 
 
@@ -52,7 +53,7 @@ class UniformSelector:
     def select(self, candidates: Sequence[int], rng: np.random.Generator) -> int:
         return candidates[int(rng.integers(len(candidates)))]
 
-    def notify_complete(self, trajectory_id: int) -> None:
+    def notify_complete(self, trajectory_ids: Sequence[int]) -> None:
         pass
 
 
@@ -62,7 +63,8 @@ class TrajectoryReplay:
     One instance per training run; not thread-safe.  ``next_batch`` always
     returns exactly ``batch_size`` items: vacant slots are refilled at the
     start of the call, and a slot goes vacant at the end of the call in which
-    its trajectory emits time index 0.
+    its trajectory emits time index 0; that call then passes every such id,
+    in slot order, to one ``notify_complete`` call of the selector.
     """
 
     def __init__(
@@ -139,6 +141,7 @@ class TrajectoryReplay:
         trajectories = self._trajectories
         slot_ids, cursors = self._slot_ids, self._slot_cursors
         items: list[BatchItem] = []
+        completed: list[int] = []
         for i in range(self._batch_size):
             tid = slot_ids[i]
             cursor = cursors[i]
@@ -148,9 +151,11 @@ class TrajectoryReplay:
             )
             if cursor == 0:
                 slot_ids[i] = -1
-                self._selector.notify_complete(tid)
+                completed.append(tid)
             else:
                 cursors[i] = cursor - 1
+        if completed:
+            self._selector.notify_complete(completed)
         return items
 
 

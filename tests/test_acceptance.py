@@ -133,8 +133,8 @@ class CompletionRecorder(UniformSelector):
     def __init__(self):
         self.completed: list[int] = []
 
-    def notify_complete(self, trajectory_id):
-        self.completed.append(trajectory_id)
+    def notify_complete(self, trajectory_ids):
+        self.completed.extend(trajectory_ids)
 
 
 def collect_first_passes(dataset, batch_size, rng):

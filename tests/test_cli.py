@@ -235,6 +235,22 @@ def test_oracle_reads_the_start_state(tmp_path, monkeypatch):
     assert summary["oracle_s0"] == float(oracle[other])
 
 
+def test_train_exits_with_error_when_gamma_one_oracle_has_no_value(tmp_path, capsys):
+    from trajreplay.dataset import OfflineDataset, Trajectory, Transition, save_dataset
+
+    transitions = (Transition(0, 0, 1.0, 1, False), Transition(1, 0, 1.0, 0, False))
+    ds = OfflineDataset(
+        (Trajectory(0, transitions, timeout_truncated=True),), state_count=2, action_count=1
+    )
+    save_dataset(ds, tmp_path / "cycle.jsonl")
+    config = write_config(tmp_path / "c.cfg", "gamma = 1.0\ntotal_steps = 5\n")
+    code = main(["train", "--dataset", str(tmp_path / "cycle.jsonl"), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_analyze_return_metric_ranks_figure1(tmp_path):
     dataset_path = tmp_path / "ds.jsonl"
     main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])

@@ -210,6 +210,22 @@ def test_load_trajectory_jsonl_single_record(tmp_path):
     assert ds.state_count == 4 and ds.action_count == 2
 
 
+def test_load_takes_header_state_count_and_infers_missing_action_count(tmp_path):
+    path = tmp_path / "header.jsonl"
+    record = {
+        "states": [0, 1],
+        "actions": [2, 0],
+        "rewards": [0.0, 1.0],
+        "next_states": [1, 2],
+        "terminal": True,
+        "timeout": False,
+    }
+    path.write_text(json.dumps({"state_count": 10}) + "\n" + json.dumps(record) + "\n")
+    ds = load_dataset(path)
+    assert ds.state_count == 10 and ds.action_count == 3
+    assert ds.discount == 0.99
+
+
 def test_load_flat_transitions_splits_on_terminals(tmp_path):
     path = tmp_path / "flat.jsonl"
     lines = []

@@ -276,6 +276,22 @@ def test_oracle_rejects_conflicting_transitions():
         value_iteration_oracle(ds)
 
 
+def two_state_cycle(reward):
+    """One timeout trajectory 0 -> 1 -> 0 under action 0, ``reward`` per step."""
+    transitions = (Transition(0, 0, reward, 1, False), Transition(1, 0, reward, 0, False))
+    return OfflineDataset(
+        (Trajectory(0, transitions, timeout_truncated=True),), state_count=2, action_count=1
+    )
+
+
+def test_oracle_rejects_cycle_without_finite_value_at_gamma_one():
+    ds = two_state_cycle(1.0)
+    assert value_iteration_oracle(ds, gamma=0.99) == pytest.approx([100.0, 100.0])
+    with pytest.raises(ValueError, match="gamma = 1"):
+        value_iteration_oracle(ds, gamma=1.0)
+    assert value_iteration_oracle(two_state_cycle(0.0), gamma=1.0).tolist() == [0.0, 0.0]
+
+
 def test_oracle_figure1_values():
     sparse = value_iteration_oracle(make_figure1("sparse"))
     assert sparse[0] == pytest.approx(8 * 0.99**5, abs=1e-9)
@@ -325,8 +341,8 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
         def __init__(self):
             self.completed = []
 
-        def notify_complete(self, trajectory_id):
-            self.completed.append(trajectory_id)
+        def notify_complete(self, trajectory_ids):
+            self.completed.extend(trajectory_ids)
 
     reads = []
     rng = np.random.default_rng(1)

@@ -17,7 +17,6 @@ from trajreplay.priority import (
     quality_priority,
     rank_distribution,
     rank_order,
-    uncertainty_priorities,
 )
 from trajreplay.replay import UniformSelector
 from trajreplay.scenarios import make_random_chain
@@ -236,7 +235,7 @@ def test_refresh_is_noop_when_u_unchanged():
     ds = one_trajectory_dataset(traj)
     table = build_priority_table(ds, "lower_mean_unc", ensemble=u)
     before = table.values[0]
-    PrioritizedSelector(table, ds, u).notify_complete(0)
+    PrioritizedSelector(table, ds, u).notify_complete([0])
     assert table.values[0] == before
 
 
@@ -245,14 +244,14 @@ def test_refresh_halved_uncertainty_doubles_lower_mean():
     ds = one_trajectory_dataset(traj)
     table = build_priority_table(ds, "lower_mean_unc", ensemble=PairValues([0.1, 0.2, 0.3, 0.4]))
     before = table.values[0]
-    PrioritizedSelector(table, ds, PairValues([0.05, 0.1, 0.15, 0.2])).notify_complete(0)
+    PrioritizedSelector(table, ds, PairValues([0.05, 0.1, 0.15, 0.2])).notify_complete([0])
     assert table.values[0] == pytest.approx(2 * before)
 
 
 def test_refresh_noop_for_quality_tables():
     traj = reward_trajectory([1.0, 5.0], traj_id=0)
     table = PriorityTable({0: 6.0}, alpha=1.0, kind="return")
-    PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([9.9, 9.9])).notify_complete(0)
+    PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([9.9, 9.9])).notify_complete([0])
     assert table.values[0] == 6.0
 
 
@@ -261,7 +260,19 @@ def test_refresh_unknown_id_rejected():
     table = PriorityTable({0: 1.0}, alpha=1.0, kind="lower_mean_unc")
     selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.5]))
     with pytest.raises(ValueError, match="unknown trajectory id 3"):
-        selector.notify_complete(3)
+        selector.notify_complete([3])
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_refresh_unknown_id_anywhere_leaves_table_unchanged(position):
+    ds = make_random_chain(3, 2, 4, np.random.default_rng(4), action_count=1)
+    table = PriorityTable({0: 1.0, 1: 2.0, 2: 3.0}, alpha=1.0, kind="lower_mean_unc")
+    selector = PrioritizedSelector(table, ds, PairValues([0.5] * ds.state_count))
+    ids = [0, 1, 2]
+    ids.insert(position, 7)
+    with pytest.raises(ValueError, match="unknown trajectory id 7"):
+        selector.notify_complete(ids)
+    assert table.values == {0: 1.0, 1: 2.0, 2: 3.0}
 
 
 def test_uncertainty_kind_requires_ensemble():
@@ -277,27 +288,39 @@ def test_negative_uncertainty_values_rejected():
     table = PriorityTable({0: 1.0}, alpha=1.0, kind="higher_uqm_unc")
     selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.1, -0.2, 0.3]))
     with pytest.raises(ValueError, match="non-negative"):
-        selector.notify_complete(0)
+        selector.notify_complete([0])
+    assert table.values == {0: 1.0}
 
 
 @pytest.mark.parametrize("block", [7, 1 << 14])
 def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
-    """The blocked table build and the per-trajectory refresh agree bit for bit."""
+    """The blocked table build and refreshes of one trajectory, of every
+    trajectory at once and of random sub-batches agree bit for bit."""
     monkeypatch.setattr(priority, "UNCERTAINTY_BLOCK", block)
     ds = make_random_chain(30, 1, 40, np.random.default_rng(12), action_count=3)
     tables = np.random.default_rng(13).uniform(0.0, 1.0, size=(5, ds.state_count, 3))
+    rng = np.random.default_rng(14)
 
     class Members:
         def uncertainty_values(self, states, actions):
             return tables[:, states, actions].std(axis=0)
 
+    def refreshed(kind, batches):
+        table = PriorityTable({j: 0.0 for j in range(ds.n_trajectories)}, alpha=1.0, kind=kind)
+        selector = PrioritizedSelector(table, ds, Members())
+        for ids in batches:
+            selector.notify_complete(ids)
+        return table.values
+
     for kind in ("lower_mean_unc", "lower_lqm_unc", "higher_uqm_unc"):
-        bulk = uncertainty_priorities(ds, kind, Members())
-        refreshed = PriorityTable({j: 0.0 for j in bulk}, alpha=1.0, kind=kind)
-        selector = PrioritizedSelector(refreshed, ds, Members())
+        bulk = build_priority_table(ds, kind, ensemble=Members()).values
+        ids = rng.permutation(ds.n_trajectories).tolist()
+        cuts = sorted(rng.choice(np.arange(1, len(ids)), size=5, replace=False).tolist())
+        sub_batches = [ids[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(ids)])]
+        assert refreshed(kind, [ids]) == bulk
+        assert refreshed(kind, sub_batches) == bulk
+        assert refreshed(kind, [[j] for j in range(ds.n_trajectories)]) == bulk
         for traj in ds.trajectories:
-            selector.notify_complete(traj.id)
-            assert bulk[traj.id] == refreshed.values[traj.id]
             states = np.array([tr.state for tr in traj.transitions])
             actions = np.array([tr.action for tr in traj.transitions])
             values = tables[:, states, actions].std(axis=0)

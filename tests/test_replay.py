@@ -40,8 +40,8 @@ class CompletionRecorder(UniformSelector):
         completed, self.completed = self.completed, []
         return completed
 
-    def notify_complete(self, trajectory_id):
-        self.completed.append(trajectory_id)
+    def notify_complete(self, trajectory_ids):
+        self.completed.extend(trajectory_ids)
 
 
 def test_init_all_trajectories_active_when_batch_equals_n():

@@ -47,8 +47,8 @@ class PoolRecorder(UniformSelector):
         drawn.append(tid)
         return tid
 
-    def notify_complete(self, trajectory_id):
-        self.completed.append(trajectory_id)
+    def notify_complete(self, trajectory_ids):
+        self.completed.extend(trajectory_ids)
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,3 +94,36 @@ def test_every_trajectory_once_per_epoch_in_backward_order(lengths, data, seed, 
             assert p == whole_pass[:len(p)]
         assert starts[j] == len(passes)
         assert selector.completed.count(j) == sum(len(p) == lengths[j] for p in passes)
+
+
+class BatchRecorder(UniformSelector):
+    """Uniform selector that records the id list of every completion call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def notify_complete(self, trajectory_ids):
+        self.calls.append(list(trajectory_ids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=1, max_size=12),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 80),
+)
+def test_one_completion_call_per_batch_in_slot_order(lengths, data, seed, steps):
+    """A batch that emits some t = 0 makes one call with exactly those ids in
+    slot order; a batch that emits none makes no call."""
+    batch_size = data.draw(st.integers(1, len(lengths)))
+    selector = BatchRecorder()
+    replay = TrajectoryReplay(dataset_of(lengths), batch_size, selector, np.random.default_rng(seed))
+    for _ in range(steps):
+        slot_order = [tid for tid, _ in replay.slots]
+        batch = replay.next_batch()
+        finished = [it.trajectory_id for it in batch if it.time_index == 0]
+        assert selector.calls == ([finished] if finished else [])
+        if len(slot_order) == batch_size:
+            assert [it.trajectory_id for it in batch] == slot_order
+        selector.calls.clear()
