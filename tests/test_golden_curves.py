@@ -10,10 +10,20 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajreplay.dataset import (
+    FLAT_TRANSITIONS,
+    TRAJECTORY_JSONL,
+    flatten_trajectories,
+    load_dataset,
+    save_dataset,
+)
 from trajreplay.learner import EnsembleQ, TrainConfig, train
 from trajreplay.scenarios import make_figure1, make_random_chain
 from trajreplay.targets import TargetKind
@@ -28,9 +38,43 @@ FIG1_VARIANTS = (
 
 K16_VARIANTS = (("uni_state", "standard"), ("uni_traj", "standard"), ("uni_traj", "weighted"))
 
+# Runs on datasets that went through a file and ``load_dataset``, so the loader
+# feeds goldens too: "<scenario>@<format>" is the in-code scenario written in
+# that format and read back.
+LOADED_CHAIN_VARIANTS = (
+    ("prio_traj", "lower_mean_unc", "standard"),
+    ("prio_traj", "return", "sarsa"),
+    ("uni_traj", "uniform", "weighted"),
+)
+
+
+def write_flat(ds, path: Path) -> None:
+    """The dataset as a flat-transitions file, metadata line first."""
+    header = {"state_count": ds.state_count, "action_count": ds.action_count,
+              "discount": ds.discount}
+    lines = [json.dumps(header)] + [
+        json.dumps({"state": tr.state, "action": tr.action, "reward": tr.reward,
+                    "next_state": tr.next_state, "terminal": tr.terminal, "timeout": timeout})
+        for tr, timeout in flatten_trajectories(ds.trajectories)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reloaded(ds, format: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        if format == FLAT_TRANSITIONS:
+            write_flat(ds, path)
+        else:
+            save_dataset(ds, path)
+        return load_dataset(path, format)
+
 
 @functools.cache
 def dataset(name: str):
+    if "@" in name:
+        scenario, _, format = name.partition("@")
+        return reloaded(dataset(scenario), format)
     if name.startswith("figure1-"):
         return make_figure1(name.removeprefix("figure1-"))
     if name == "chain-40":
@@ -72,6 +116,22 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
     config = TrainConfig(sampler="uni_state", ensemble_size=5, batch_size=32,
                          total_steps=300, seed=0)
     runs["chain-1000x10/uni_state/B32/K5/seed0"] = ("chain-1000x10", config)
+    for seed in (0, 1):
+        config = TrainConfig(sampler="prio_state", ensemble_size=5, batch_size=32,
+                             total_steps=300, seed=seed)
+        runs[f"chain-1000x10/prio_state/B32/K5/seed{seed}"] = ("chain-1000x10", config)
+    for format in (TRAJECTORY_JSONL, FLAT_TRANSITIONS):
+        scenario = f"figure1-sparse@{format}"
+        for sampler, metric, kind in FIG1_VARIANTS:
+            config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
+                                 eta=0.5, ensemble_size=5, target_sync_period=10,
+                                 total_steps=300, seed=0)
+            runs[f"{scenario}/{sampler}-{metric}-{kind}/K5/seed0"] = (scenario, config)
+    scenario = f"chain-40@{TRAJECTORY_JSONL}"
+    for sampler, metric, kind in LOADED_CHAIN_VARIANTS:
+        config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
+                             ensemble_size=5, batch_size=8, total_steps=200, seed=0)
+        runs[f"{scenario}/{sampler}-{metric}-{kind}/B8/K5/seed0"] = (scenario, config)
     return runs
 
 
@@ -242,6 +302,48 @@ GOLDENS = {
         "8bbe9b65536d64e64b7db057b8dc8f690e23cc52c08aef6b9d4c77162521923e",
     "figure1-sparse/uni_traj-uniform-weighted/K5/seed1":
         "09aafc2b935048cf3fd93eef3477f60cecba2613acda2570f0ac4b362d34db2c",
+    "chain-1000x10/prio_state/B32/K5/seed0":
+        "652245ed3ca131f8de6e843a8d5d9a7ef251236235b8abfb97c955b704c8934e",
+    "chain-1000x10/prio_state/B32/K5/seed1":
+        "09938d134f71ad14403e59eb03bb175f75e2ad132bfe4ea4e421c02e98d9de34",
+    "chain-40@trajectory-jsonl/prio_traj-lower_mean_unc-standard/B8/K5/seed0":
+        "74cd05ed978dc32dc5cccfa7d1208f2799ddd4e505a6c9d503700ed40dc82293",
+    "chain-40@trajectory-jsonl/prio_traj-return-sarsa/B8/K5/seed0":
+        "f63377e6630967905e5e13f9f3863abe08916c93958fc6ab11007f58b2a3368e",
+    "chain-40@trajectory-jsonl/uni_traj-uniform-weighted/B8/K5/seed0":
+        "86af5d063fab1e654ee89d33bdbee8d08e836269e3ed877174da91bea2057baa",
+    "figure1-sparse@flat-transitions/prio_state-uniform-standard/K5/seed0":
+        "95afba346779d42eed6269afc6242d5154f22973dfb29119b516d0670e5d5fa1",
+    "figure1-sparse@flat-transitions/prio_traj-return-sarsa/K5/seed0":
+        "5e814a94ea7309f8bc6075b3181be54d4e564d81c4eef07937d585c01c2472bd",
+    "figure1-sparse@flat-transitions/prio_traj-return-standard/K5/seed0":
+        "580d487965d6d1544966dc3b2892775665be420ef09b9bed0c32ebb0e0c8470d",
+    "figure1-sparse@flat-transitions/prio_traj-return-weighted/K5/seed0":
+        "bf7bfd8852185c6c04d5885640e1bc5e2eab7134301a0f8adb3a4991e165c80e",
+    "figure1-sparse@flat-transitions/uni_state-uniform-standard/K5/seed0":
+        "1e93d352d2876b5e586977776a275270639fdb7d225240fb9d2864c169915a24",
+    "figure1-sparse@flat-transitions/uni_traj-uniform-sarsa/K5/seed0":
+        "423932bc4101398b04c7a1b9515629f85456f03325b4f31496a9d44896506ef8",
+    "figure1-sparse@flat-transitions/uni_traj-uniform-standard/K5/seed0":
+        "aeb9a1feb5b06a3c09b4a7258f353a0442621cc85eeada53b4fb9ab2c0e919b9",
+    "figure1-sparse@flat-transitions/uni_traj-uniform-weighted/K5/seed0":
+        "8bbe9b65536d64e64b7db057b8dc8f690e23cc52c08aef6b9d4c77162521923e",
+    "figure1-sparse@trajectory-jsonl/prio_state-uniform-standard/K5/seed0":
+        "95afba346779d42eed6269afc6242d5154f22973dfb29119b516d0670e5d5fa1",
+    "figure1-sparse@trajectory-jsonl/prio_traj-return-sarsa/K5/seed0":
+        "5e814a94ea7309f8bc6075b3181be54d4e564d81c4eef07937d585c01c2472bd",
+    "figure1-sparse@trajectory-jsonl/prio_traj-return-standard/K5/seed0":
+        "580d487965d6d1544966dc3b2892775665be420ef09b9bed0c32ebb0e0c8470d",
+    "figure1-sparse@trajectory-jsonl/prio_traj-return-weighted/K5/seed0":
+        "bf7bfd8852185c6c04d5885640e1bc5e2eab7134301a0f8adb3a4991e165c80e",
+    "figure1-sparse@trajectory-jsonl/uni_state-uniform-standard/K5/seed0":
+        "1e93d352d2876b5e586977776a275270639fdb7d225240fb9d2864c169915a24",
+    "figure1-sparse@trajectory-jsonl/uni_traj-uniform-sarsa/K5/seed0":
+        "423932bc4101398b04c7a1b9515629f85456f03325b4f31496a9d44896506ef8",
+    "figure1-sparse@trajectory-jsonl/uni_traj-uniform-standard/K5/seed0":
+        "aeb9a1feb5b06a3c09b4a7258f353a0442621cc85eeada53b4fb9ab2c0e919b9",
+    "figure1-sparse@trajectory-jsonl/uni_traj-uniform-weighted/K5/seed0":
+        "8bbe9b65536d64e64b7db057b8dc8f690e23cc52c08aef6b9d4c77162521923e",
 }
 
 RUNS = golden_runs()
