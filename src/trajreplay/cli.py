@@ -323,14 +323,15 @@ def cmd_analyze(args) -> int:
             columns.append(["unavailable"] * n)
             continue
         table = build_priority_table(dataset, metric, ensemble=ensemble)
-        order = rank_order(table, [traj.id for traj in dataset.trajectories])
+        order = rank_order(table, range(n))
         ranks = {tid: rank for rank, tid in enumerate(order, start=1)}
-        columns.append([_fmt(table.values[traj.id]) for traj in dataset.trajectories])
-        columns.append([str(ranks[traj.id]) for traj in dataset.trajectories])
+        columns.append([_fmt(table.values[j]) for j in range(n)])
+        columns.append([str(ranks[j]) for j in range(n)])
 
     lines = [",".join(header)]
-    for idx, traj in enumerate(dataset.trajectories):
-        row = [str(traj.id), str(traj.length)] + [col[idx] for col in columns]
+    offsets = dataset.offsets
+    for j in range(n):
+        row = [str(j), str(offsets[j + 1] - offsets[j])] + [col[j] for col in columns]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -27,7 +27,6 @@ from .priority import (
     build_priority_table,
 )
 from .replay import (
-    BatchItem,
     PerTransitionSampler,
     TrajectoryReplay,
     UniformSelector,
@@ -130,25 +129,30 @@ class EnsembleQ:
         var /= k
         return np.sqrt(var, out=var)
 
-    def update(self, items: Sequence[BatchItem], targets: Sequence[float]) -> list[float]:
-        """Move every member toward the targets; returns per-item TD errors.
+    def update(
+        self, states: Sequence[int], actions: Sequence[int], targets: Sequence[float]
+    ) -> list[float]:
+        """Move every member toward the targets at the (state, action) pairs
+        ``zip(states, actions)``; returns per-pair TD errors.
 
         TD errors are measured against the ensemble-mean Q as it stood before
         this call; duplicate (s, a) pairs within a batch are applied
         sequentially in batch order.  A batch of several distinct pairs is
         applied as one gather and one scatter, with the same arithmetic per
-        element as the item loop, so both give bit-identical tables.  Each
+        element as the pair loop, so both give bit-identical tables.  Each
         touched ``q_mean`` entry is then rewritten from its column: on NumPy
         2.4, ``cols.mean(axis=0)`` of the gather and ``col.sum() / K`` both
         equal ``tables[:, s, a].mean()`` bit for bit.
         """
+        if not len(states) == len(actions) == len(targets):
+            raise ValueError(
+                f"{len(states)} states and {len(actions)} actions but {len(targets)} targets"
+            )
         tables = self.tables
         q_mean = self.q_mean
-        if len(items) > 1:
-            if len(targets) != len(items):
-                raise ValueError(f"{len(items)} items but {len(targets)} targets")
-            states = np.array([it.transition.state for it in items], dtype=np.intp)
-            actions = np.array([it.transition.action for it in items], dtype=np.intp)
+        if len(states) > 1:
+            states = np.asarray(states, dtype=np.intp)
+            actions = np.asarray(actions, dtype=np.intp)
             flat = np.sort(states * tables.shape[2] + actions)
             if (flat[1:] != flat[:-1]).all():
                 cols = tables[:, states, actions]
@@ -160,13 +164,11 @@ class EnsembleQ:
                 self._count_update()
                 return td_errors
         td_errors = [
-            target - q_mean.item(it.transition.state, it.transition.action)
-            for it, target in zip(items, targets, strict=True)
+            target - q_mean.item(s, a) for s, a, target in zip(states, actions, targets)
         ]
         eta = self.eta
         k = len(tables)
-        for it, target in zip(items, targets):
-            s, a = it.transition.state, it.transition.action
+        for s, a, target in zip(states, actions, targets):
             col = tables[:, s, a]
             col += eta * (target - col)
             q_mean[s, a] = col.sum() / k
@@ -327,6 +329,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     curve = np.empty(config.total_steps)
     kind = config.target
     gamma = config.gamma
+    state_column, action_column = dataset.states, dataset.actions
     for step in range(config.total_steps):
         if uniform_sampler is not None:
             items = uniform_sampler.sample(config.batch_size, rng)
@@ -336,8 +339,15 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         else:
             items = replay.next_batch()
             leaves = None
-        targets = [compute_target(it, kind, cache, q_bar, policy, gamma) for it in items]
-        td_errors = ensemble.update(items, targets)
+        targets = [compute_target(it, dataset, kind, cache, q_bar, policy, gamma) for it in items]
+        if len(items) == 1:
+            # two scalar reads; a one-element gather costs more than the update
+            i = items[0].index
+            states, actions = (state_column.item(i),), (action_column.item(i),)
+        else:
+            index = [it.index for it in items]
+            states, actions = state_column[index], action_column[index]
+        td_errors = ensemble.update(states, actions, targets)
         if per_sampler is not None:
             per_sampler.update_priorities(leaves, td_errors)
         curve[step] = ensemble.max_mean_q(s0)
@@ -372,16 +382,19 @@ def value_iteration_oracle(
         gamma = dataset.discount
     outcomes: dict[tuple[int, int], tuple[float, int, bool]] = {}
     by_state: dict[int, list[tuple[float, int, bool]]] = {}
-    for tid, t, tr in dataset.iter_transitions():
-        key = (tr.state, tr.action)
-        outcome = (tr.reward, tr.next_state, tr.terminal)
+    steps = zip(*(getattr(dataset, name).tolist()
+                  for name in ("states", "actions", "rewards", "next_states", "terminal")))
+    for i, (s, a, reward, next_state, terminal) in enumerate(steps):
+        key = (s, a)
+        outcome = (reward, next_state, terminal)
         seen = outcomes.get(key)
         if seen is None:
             outcomes[key] = outcome
-            by_state.setdefault(tr.state, []).append(outcome)
+            by_state.setdefault(s, []).append(outcome)
         elif seen != outcome:
+            tid, t = dataset.position(i)
             raise ValueError(
-                f"non-deterministic data: (state={tr.state}, action={tr.action}) has "
+                f"non-deterministic data: (state={s}, action={a}) has "
                 f"outcomes {seen} and {outcome} (trajectory {tid}, step {t})"
             )
     values = np.zeros(dataset.state_count)

@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .dataset import OfflineDataset, Trajectory
+from .dataset import OfflineDataset
 
 QUALITY_KINDS = (
     "return",
@@ -55,9 +55,9 @@ def top_fraction_count(length: int, fraction: float) -> int:
     return max(1, math.ceil(fraction * length))
 
 
-def quality_priority(trajectory: Trajectory, kind: str) -> float:
-    """Evaluate one of the reward-based trajectory quality metrics."""
-    rewards = trajectory.rewards
+def quality_priority(rewards: Sequence[float], kind: str) -> float:
+    """Evaluate one of the reward-based quality metrics on a trajectory's
+    rewards, in time order (built-in sums, added left to right)."""
     if kind == "return":
         return float(sum(rewards))
     if kind == "avg_reward":
@@ -164,9 +164,13 @@ def build_priority_table(
             raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
         values = uncertainty_priorities(dataset, kind, ensemble, range(dataset.n_trajectories))
     elif kind == UNIFORM_KIND:
-        values = {traj.id: 1.0 for traj in dataset.trajectories}
+        values = dict.fromkeys(range(dataset.n_trajectories), 1.0)
     else:
-        values = {traj.id: quality_priority(traj, kind) for traj in dataset.trajectories}
+        rewards, offsets = dataset.rewards, dataset.offsets
+        values = {
+            j: quality_priority(rewards[lo:hi].tolist(), kind)
+            for j, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        }
     return PriorityTable(values=values, alpha=alpha, kind=kind)
 
 

@@ -21,16 +21,17 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .dataset import OfflineDataset, Transition
+from .dataset import OfflineDataset
 
 
 @dataclass(slots=True)
 class BatchItem:
-    """One sampled transition plus its position inside its trajectory."""
+    """One sampled transition: its flat ``index`` into the dataset's columns
+    plus its position inside its trajectory."""
 
     trajectory_id: int
     time_index: int
-    transition: Transition
+    index: int
     is_trajectory_head: bool
 
 
@@ -80,13 +81,14 @@ class TrajectoryReplay:
                 f"batch_size must be in [1, {n}] so no trajectory is active twice, "
                 f"got {batch_size}"
             )
-        self._trajectories = dataset.trajectories
+        self._offsets = dataset.offsets
         self._batch_size = batch_size
         self._selector = selector
         self._rng = rng
         self._epoch = 1
         self._slot_ids = [-1] * batch_size
         self._slot_cursors = [0] * batch_size
+        self._slot_heads = [0] * batch_size
         self._available: list[int] = list(range(n))
         self._avail_pos = {j: j for j in self._available}
         self._fill_vacant_slots()
@@ -119,7 +121,7 @@ class TrajectoryReplay:
     def _refill_available(self) -> None:
         active = set(self._slot_ids)
         self._available = [
-            j for j in range(len(self._trajectories)) if j not in active
+            j for j in range(len(self._offsets) - 1) if j not in active
         ]
         self._avail_pos = {j: pos for pos, j in enumerate(self._available)}
         self._epoch += 1
@@ -132,23 +134,22 @@ class TrajectoryReplay:
                 self._refill_available()
             tid = self._selector.select(self._available, self._rng)
             self._remove_available(tid)
+            head = self._offsets[tid + 1] - self._offsets[tid] - 1
             self._slot_ids[i] = tid
-            self._slot_cursors[i] = self._trajectories[tid].length - 1
+            self._slot_cursors[i] = head
+            self._slot_heads[i] = head
 
     def next_batch(self) -> list[BatchItem]:
         """Emit one transition per slot at its cursor, then step cursors back."""
         self._fill_vacant_slots()
-        trajectories = self._trajectories
-        slot_ids, cursors = self._slot_ids, self._slot_cursors
+        offsets = self._offsets
+        slot_ids, cursors, heads = self._slot_ids, self._slot_cursors, self._slot_heads
         items: list[BatchItem] = []
         completed: list[int] = []
         for i in range(self._batch_size):
             tid = slot_ids[i]
             cursor = cursors[i]
-            transitions = trajectories[tid].transitions
-            items.append(
-                BatchItem(tid, cursor, transitions[cursor], cursor == len(transitions) - 1)
-            )
+            items.append(BatchItem(tid, cursor, offsets[tid] + cursor, cursor == heads[i]))
             if cursor == 0:
                 slot_ids[i] = -1
                 completed.append(tid)
@@ -160,11 +161,12 @@ class TrajectoryReplay:
 
 
 def flat_items(dataset: OfflineDataset) -> list[BatchItem]:
-    """One item per stored transition, trajectory-major (the columns' order)."""
+    """One item per stored transition, trajectory-major: item i has index i."""
+    offsets = dataset.offsets
     return [
-        BatchItem(traj.id, t, tr, t == traj.length - 1)
-        for traj in dataset.trajectories
-        for t, tr in enumerate(traj.transitions)
+        BatchItem(j, i - lo, i, i == hi - 1)
+        for j, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        for i in range(lo, hi)
     ]
 
 

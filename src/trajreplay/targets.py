@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .dataset import OfflineDataset
 from .replay import BatchItem
 
 STANDARD = "standard"
@@ -72,6 +73,7 @@ class TargetCache:
 
 def compute_target(
     item: BatchItem,
+    dataset: OfflineDataset,
     kind: TargetKind,
     cache: TargetCache,
     q_bar: QValueFn,
@@ -80,26 +82,31 @@ def compute_target(
 ) -> float:
     """The target of one item under the run's kind (fixed for the whole run).
 
-    w = 1 is the cache-free bootstrap r + gamma * Qbar(s', pi(s')) (just r at
-    a terminal step).  Otherwise a trajectory head, the base case of the
-    backward recursion, takes that bootstrap and stores its value.
+    The item's reward, next state and terminal flag are read from the
+    dataset's columns at ``item.index``.  w = 1 is the cache-free bootstrap
+    r + gamma * Qbar(s', pi(s')) (just r at a terminal step).  Otherwise a
+    trajectory head, the base case of the backward recursion, takes that
+    bootstrap and stores its value.
     """
-    tr = item.transition
+    i = item.index
+    reward = dataset.rewards.item(i)
     w = kind.bootstrap_weight
     if w == 1.0 or item.is_trajectory_head:
-        if tr.terminal:
-            value = tr.reward
+        if dataset.terminal.item(i):
+            value = reward
         else:
-            value = tr.reward + gamma * q_bar(tr.next_state, policy(tr.next_state))
+            next_state = dataset.next_states.item(i)
+            value = reward + gamma * q_bar(next_state, policy(next_state))
         if w == 1.0:
             return value
     else:
         cached = cache.get(item.trajectory_id, item.time_index + 1)
         if w == 0.0:
             # Not the blend: (1 - 0) * cached + 0 * 0.0 would turn a -0.0 into +0.0.
-            value = tr.reward + gamma * cached
+            value = reward + gamma * cached
         else:
-            bootstrap = q_bar(tr.next_state, policy(tr.next_state))
-            value = tr.reward + gamma * ((1.0 - w) * cached + w * bootstrap)
+            next_state = dataset.next_states.item(i)
+            bootstrap = q_bar(next_state, policy(next_state))
+            value = reward + gamma * ((1.0 - w) * cached + w * bootstrap)
     cache.put(item.trajectory_id, item.time_index, value)
     return value

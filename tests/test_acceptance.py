@@ -56,13 +56,12 @@ def within_3_sigma(count: int, n: int, p: float) -> bool:
     return abs(count - n * p) <= 3 * math.sqrt(n * p * (1 - p))
 
 
-def backward_items(traj):
+def backward_items(dataset, j):
+    """Trajectory j's items in backward order, indexing the dataset's columns."""
     from trajreplay.replay import BatchItem
 
-    return [
-        BatchItem(traj.id, t, traj.transitions[t], t == traj.length - 1)
-        for t in range(traj.length - 1, -1, -1)
-    ]
+    lo, hi = dataset.offsets[j], dataset.offsets[j + 1]
+    return [BatchItem(j, i - lo, i, i == hi - 1) for i in range(hi - 1, lo - 1, -1)]
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +198,11 @@ def test_criterion_4_weighted_target_endpoints():
         policy = lambda s, g=greedy: int(g[s])
         gamma = float(rng.uniform(0.5, 1.0))
         def target(item, kind, cache):
-            return compute_target(item, kind, cache, q_bar, policy, gamma)
+            return compute_target(item, dataset, kind, cache, q_bar, policy, gamma)
 
         for traj in dataset.trajectories:
             caches = {kind: TargetCache() for kind in (WEIGHTED_ONE, WEIGHTED_ZERO, SARSA)}
-            for item in backward_items(traj):
+            for item in backward_items(dataset, traj.id):
                 w1 = target(item, WEIGHTED_ONE, caches[WEIGHTED_ONE])
                 assert w1 == target(item, STANDARD, TargetCache())
                 w0 = target(item, WEIGHTED_ZERO, caches[WEIGHTED_ZERO])
@@ -235,9 +234,9 @@ def test_criterion_5_sarsa_support_constraint():
         for traj in dataset.trajectories:
             cache = TargetCache()
             got = {}
-            for item in backward_items(traj):
+            for item in backward_items(dataset, traj.id):
                 got[item.time_index] = compute_target(
-                    item, SARSA, cache, q_bar, lambda s: 0, gamma
+                    item, dataset, SARSA, cache, q_bar, lambda s: 0, gamma
                 )
             acc = 0.0
             for t in range(traj.length - 1, -1, -1):
@@ -345,7 +344,7 @@ def test_criterion_7_metric_correctness():
         traj = Trajectory(0, transitions)
         values = {}
         for kind in QUALITY_KINDS:
-            values[kind] = quality_priority(traj, kind)
+            values[kind] = quality_priority(traj.rewards, kind)
             assert values[kind] == pytest.approx(
                 brute_quality(list(rewards), kind), rel=1e-12, abs=1e-12
             ), (case, kind)

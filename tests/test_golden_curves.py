@@ -364,10 +364,10 @@ def test_batched_golden_run_repeats_a_pair(monkeypatch):
     repeats = []
     update = EnsembleQ.update
 
-    def recording_update(self, items, targets):
-        pairs = [(it.transition.state, it.transition.action) for it in items]
+    def recording_update(self, states, actions, targets):
+        pairs = list(zip(np.asarray(states).tolist(), np.asarray(actions).tolist()))
         repeats.append(len(set(pairs)) < len(pairs))
-        return update(self, items, targets)
+        return update(self, states, actions, targets)
 
     monkeypatch.setattr(EnsembleQ, "update", recording_update)
     scenario, config = RUNS["chain-1000x10/uni_state/B32/K5/seed0"]

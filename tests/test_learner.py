@@ -11,19 +11,13 @@ from trajreplay.learner import (
     train,
     value_iteration_oracle,
 )
-from trajreplay.replay import BatchItem
 from trajreplay.scenarios import make_figure1, make_random_chain
 from trajreplay.targets import TargetKind
 
 
-def single_item(s, a, r, s2, terminal=True):
-    tr = Transition(s, a, r, s2, terminal)
-    return BatchItem(0, 0, tr, True)
-
-
 def test_update_full_step_hits_target_exactly():
     ens = EnsembleQ(2, 2, ensemble_size=1, eta=1.0, rng=np.random.default_rng(0))
-    ens.update([single_item(0, 0, 1.0, 1)], [3.5])
+    ens.update([0], [0], [3.5])
     assert ens.q_mean[0, 0] == 3.5
 
 
@@ -32,7 +26,7 @@ def test_update_is_noop_at_fixed_point():
     # per-member fixed point requires all members equal; force that
     tables[:, 0, 0] = 0.7
     ens = EnsembleQ.from_tables(tables, eta=0.5)
-    tds = ens.update([single_item(0, 0, 0.0, 1)], [0.7])
+    tds = ens.update([0], [0], [0.7])
     assert np.allclose(ens.tables[:, 0, 0], 0.7)
     assert tds[0] == pytest.approx(0.0)
 
@@ -43,7 +37,7 @@ def test_repeated_updates_converge_geometrically():
     q0 = ens.q_mean[0, 0]
     target = 5.0
     for m in range(1, 8):
-        ens.update([single_item(0, 0, 0.0, 1)], [target])
+        ens.update([0], [0], [target])
         expected = target + (q0 - target) * (1 - eta) ** m
         assert ens.q_mean[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -51,13 +45,13 @@ def test_repeated_updates_converge_geometrically():
 def test_update_rejects_misaligned_lengths():
     ens = EnsembleQ(2, 2, rng=np.random.default_rng(3))
     with pytest.raises(ValueError):
-        ens.update([single_item(0, 0, 0.0, 1)], [1.0, 2.0])
+        ens.update([0], [0], [1.0, 2.0])
 
 
 def test_td_errors_use_pre_update_mean():
     ens = EnsembleQ(2, 2, ensemble_size=2, eta=1.0, rng=np.random.default_rng(4))
     before = ens.q_mean[0, 0]
-    tds = ens.update([single_item(0, 0, 0.0, 1)], [2.0])
+    tds = ens.update([0], [0], [2.0])
     assert tds[0] == pytest.approx(2.0 - before)
 
 
@@ -119,9 +113,9 @@ def test_ensemble_mean_update_is_linear_in_members():
     ens = EnsembleQ(2, 2, ensemble_size=4, eta=0.25, rng=rng)
     mean_before = ens.tables.mean(axis=0).copy()
     solo = EnsembleQ.from_tables(mean_before[None], eta=0.25)
-    item, target = single_item(1, 1, 0.0, 0), 4.0
-    ens.update([item], [target])
-    solo.update([item], [target])
+    target = 4.0
+    ens.update([1], [1], [target])
+    solo.update([1], [1], [target])
     assert np.allclose(ens.tables.mean(axis=0), solo.tables[0])
 
 
@@ -140,9 +134,9 @@ def test_target_sync_full_copy_every_period():
                     rng=np.random.default_rng(11))
     frozen = target_values(ens)
     assert frozen == member_means(ens)
-    ens.update([single_item(0, 0, 0.0, 1)], [9.0])
+    ens.update([0], [0], [9.0])
     assert target_values(ens) == frozen  # period not reached
-    ens.update([single_item(0, 1, 0.0, 1)], [7.0])
+    ens.update([0], [1], [7.0])
     assert target_values(ens) == member_means(ens)
     assert target_values(ens) != frozen
 
@@ -150,7 +144,7 @@ def test_target_sync_full_copy_every_period():
 def test_ensemble_save_load_round_trip(tmp_path):
     ens = EnsembleQ(3, 2, ensemble_size=2, target_sync_period=2,
                     rng=np.random.default_rng(12))
-    ens.update([single_item(1, 0, 0.0, 1)], [4.0])  # target mean now lags q_mean
+    ens.update([1], [0], [4.0])  # target mean now lags q_mean
     path = tmp_path / "ens.npz"
     ens.save(path)
     assert sorted(np.load(path).files) == [
@@ -163,7 +157,7 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert (loaded.eta, loaded.target_sync_period, loaded.updates_applied) == (0.1, 2, 1)
     assert uncertainty_at(loaded, 1, 1) == pytest.approx(uncertainty_at(ens, 1, 1))
     # the next update completes the period and syncs the loaded copy too
-    loaded.update([single_item(0, 1, 0.0, 1)], [2.0])
+    loaded.update([0], [1], [2.0])
     assert target_values(loaded) == member_means(loaded)
 
 
@@ -204,10 +198,10 @@ def test_sixteen_members_read_one_column_mean_everywhere():
                     rng=np.random.default_rng(18))
     rng = np.random.default_rng(19)
     for batch in ([(0, 1)], [(1, 2), (3, 4), (5, 0)], [(2, 2), (4, 1), (2, 2)]):
-        items = [single_item(s, a, 0.0, 0) for s, a in batch]
+        states, actions = [s for s, _ in batch], [a for _, a in batch]
         targets = rng.uniform(-1.0, 1.0, len(batch)).tolist()
         before = [float(ens.tables[:, s, a].mean()) for s, a in batch]
-        tds = ens.update(items, targets)
+        tds = ens.update(states, actions, targets)
         assert tds == [t - m for t, m in zip(targets, before)]
         means = np.array(member_means(ens))
         assert target_values(ens) == means.tolist()  # synced after every update
@@ -357,7 +351,7 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
 
     for _ in range(300):
         for item in replay.next_batch():
-            compute_target(item, sarsa, cache, q_bar, lambda s: 0, 0.99)
+            compute_target(item, ds, sarsa, cache, q_bar, lambda s: 0, 0.99)
     assert [pair for pair in reads if pair not in seen_pairs] == []
     # 300 single-slot steps cover many whole passes, each signalled once
     assert len(selector.completed) >= 300 // max(t.length for t in ds.trajectories)

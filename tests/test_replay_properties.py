@@ -71,7 +71,7 @@ def test_every_trajectory_once_per_epoch_in_backward_order(lengths, data, seed, 
         assert len({it.trajectory_id for it in batch}) == batch_size
         for it in batch:
             emitted[it.trajectory_id].append(it.time_index)
-            assert it.transition is ds.trajectories[it.trajectory_id].transitions[it.time_index]
+            assert it.index == ds.offsets[it.trajectory_id] + it.time_index
             assert it.is_trajectory_head == (it.time_index == lengths[it.trajectory_id] - 1)
 
     all_ids = set(range(len(lengths)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajreplay.dataset import Trajectory, Transition
+from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.replay import BatchItem
 from trajreplay.targets import TargetCache, TargetKind, compute_target
 
@@ -22,7 +22,9 @@ values = st.floats(-10.0, 10.0, allow_nan=False)
 
 @st.composite
 def passes(draw):
-    """A trajectory's backward pass, a gamma, and Q / policy tables over its states."""
+    """A one-trajectory dataset, its backward pass, a gamma, and Q / policy
+    tables over its states.  The items carry a drawn trajectory id, the key
+    of the target cache, and index the dataset's columns."""
     length = draw(st.integers(1, 10))
     rewards = draw(st.lists(values, min_size=length, max_size=length))
     terminal = draw(st.booleans())
@@ -31,15 +33,16 @@ def passes(draw):
         Transition(t, actions[t], rewards[t], t + 1, terminal and t == length - 1)
         for t in range(length)
     )
-    traj = Trajectory(draw(st.integers(0, 50)), transitions, timeout_truncated=not terminal)
-    items = [BatchItem(traj.id, t, transitions[t], t == length - 1)
-             for t in range(length - 1, -1, -1)]
+    traj = Trajectory(0, transitions, timeout_truncated=not terminal)
+    ds = OfflineDataset((traj,), state_count=length + 1, action_count=ACTIONS)
+    tid = draw(st.integers(0, 50))
+    items = [BatchItem(tid, t, t, t == length - 1) for t in range(length - 1, -1, -1)]
     gamma = draw(st.floats(0.0, 1.0))
     q = draw(st.lists(st.lists(values, min_size=ACTIONS, max_size=ACTIONS),
                       min_size=length + 1, max_size=length + 1))
     policy = draw(st.lists(st.integers(0, ACTIONS - 1), min_size=length + 1,
                            max_size=length + 1))
-    return items, gamma, q, policy
+    return ds, items, gamma, q, policy
 
 
 class Recorder:
@@ -61,9 +64,9 @@ class Recorder:
         return self.policy_table[s]
 
 
-def policy_bootstrap(item, gamma, q, policy):
+def policy_bootstrap(ds, item, gamma, q, policy):
     """Closed form r + γ·Q̄(s′, π(s′)), or r at a terminal step."""
-    tr = item.transition
+    tr = ds.trajectories[0].transitions[item.index]
     if tr.terminal:
         return tr.reward
     return tr.reward + gamma * q[tr.next_state][policy[tr.next_state]]
@@ -72,18 +75,18 @@ def policy_bootstrap(item, gamma, q, policy):
 @settings(max_examples=300, deadline=None)
 @given(passes())
 def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
-    items, gamma, q, policy = case
+    ds, items, gamma, q, policy = case
     recorder = Recorder(q, policy)
     cache = TargetCache()
     kind = TargetKind("weighted", 0.0)
     want = None
     for item in items:
         recorder.head = item.is_trajectory_head
-        got = compute_target(item, kind, cache, recorder.q_bar, recorder.policy, gamma)
+        got = compute_target(item, ds, kind, cache, recorder.q_bar, recorder.policy, gamma)
         if item.is_trajectory_head:
-            want = policy_bootstrap(item, gamma, q, policy)
+            want = policy_bootstrap(ds, item, gamma, q, policy)
         else:
-            want = item.transition.reward + gamma * want
+            want = ds.trajectories[0].transitions[item.index].reward + gamma * want
         assert got.hex() == want.hex()
     assert recorder.off_head_calls == []
 
@@ -91,11 +94,11 @@ def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
 @settings(max_examples=300, deadline=None)
 @given(passes())
 def test_weighted_at_beta_one_is_standard_on_every_item(case):
-    items, gamma, q, policy = case
+    ds, items, gamma, q, policy = case
     q_bar = lambda s, a: q[s][a]
     pi = policy.__getitem__
     cache = TargetCache()
     kind = TargetKind("weighted", 1.0)
     for item in items:
-        got = compute_target(item, kind, cache, q_bar, pi, gamma)
-        assert got.hex() == policy_bootstrap(item, gamma, q, policy).hex()
+        got = compute_target(item, ds, kind, cache, q_bar, pi, gamma)
+        assert got.hex() == policy_bootstrap(ds, item, gamma, q, policy).hex()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trajreplay.dataset import Trajectory, Transition
+from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.replay import BatchItem
 from trajreplay.targets import TargetCache, TargetKind, compute_target
 from trajreplay.scenarios import make_random_chain
@@ -12,37 +12,42 @@ STANDARD = TargetKind("standard")
 SARSA = TargetKind("sarsa")
 
 
-def item_for(traj, t):
-    return BatchItem(traj.id, t, traj.transitions[t], t == traj.length - 1)
+def item_for(ds, t, j=0):
+    """The item at time t of trajectory j, indexing the dataset's columns."""
+    lo, hi = ds.offsets[j], ds.offsets[j + 1]
+    return BatchItem(j, t, lo + t, t == hi - lo - 1)
 
 
-def backward_items(traj):
-    return [item_for(traj, t) for t in range(traj.length - 1, -1, -1)]
+def backward_items(ds, j=0):
+    length = ds.offsets[j + 1] - ds.offsets[j]
+    return [item_for(ds, t, j) for t in range(length - 1, -1, -1)]
 
 
-def reward_trajectory(rewards, terminal=True, traj_id=0):
+def reward_dataset(rewards, terminal=True):
+    """One trajectory over states 0, 1, ... with the given rewards."""
     last = len(rewards) - 1
     transitions = tuple(
         Transition(t, 0, float(r), t + 1, terminal and t == last)
         for t, r in enumerate(rewards)
     )
-    return Trajectory(traj_id, transitions, timeout_truncated=not terminal)
+    traj = Trajectory(0, transitions, timeout_truncated=not terminal)
+    return OfflineDataset((traj,), state_count=len(rewards) + 1, action_count=1)
 
 
 def constant_q(value):
     return lambda s, a: value
 
 
-def standard_target(item, q_bar, policy, gamma):
-    return compute_target(item, STANDARD, TargetCache(), q_bar, policy, gamma)
+def standard_target(ds, item, q_bar, policy, gamma):
+    return compute_target(item, ds, STANDARD, TargetCache(), q_bar, policy, gamma)
 
 
-def sarsa_target(item, cache, q_bar, policy, gamma):
-    return compute_target(item, SARSA, cache, q_bar, policy, gamma)
+def sarsa_target(ds, item, cache, q_bar, policy, gamma):
+    return compute_target(item, ds, SARSA, cache, q_bar, policy, gamma)
 
 
-def weighted_target(item, cache, q_bar, policy, gamma, beta):
-    return compute_target(item, TargetKind("weighted", beta), cache, q_bar, policy, gamma)
+def weighted_target(ds, item, cache, q_bar, policy, gamma, beta):
+    return compute_target(item, ds, TargetKind("weighted", beta), cache, q_bar, policy, gamma)
 
 
 def returns_to_go(rewards, gamma):
@@ -70,47 +75,47 @@ def test_bootstrap_weight_per_kind():
 
 
 def test_standard_target_terminal_skips_bootstrap():
-    traj = reward_trajectory([5.0])
+    ds = reward_dataset([5.0])
     calls = []
 
     def q_bar(s, a):
         calls.append((s, a))
         return 99.0
 
-    assert standard_target(item_for(traj, 0), q_bar, lambda s: 0, 0.99) == 5.0
+    assert standard_target(ds, item_for(ds, 0), q_bar, lambda s: 0, 0.99) == 5.0
     assert calls == []
 
 
 def test_standard_target_bootstraps_nonterminal():
-    traj = reward_trajectory([1.0, 0.0])
-    target = standard_target(item_for(traj, 0), constant_q(2.0), lambda s: 0, 0.99)
+    ds = reward_dataset([1.0, 0.0])
+    target = standard_target(ds, item_for(ds, 0), constant_q(2.0), lambda s: 0, 0.99)
     assert target == pytest.approx(2.98)
 
 
 def test_standard_target_gamma_zero_is_reward():
-    traj = reward_trajectory([1.0, -3.0], terminal=False)
+    ds = reward_dataset([1.0, -3.0], terminal=False)
     for t in range(2):
-        assert standard_target(item_for(traj, t), constant_q(7.0), lambda s: 0, 0.0) == traj.transitions[t].reward
+        assert standard_target(ds, item_for(ds, t), constant_q(7.0), lambda s: 0, 0.0) == ds.rewards[t]
 
 
 def test_sarsa_backward_recursion_by_hand():
-    traj = reward_trajectory([0.0, 8.0])
+    ds = reward_dataset([0.0, 8.0])
     cache = TargetCache()
-    head = sarsa_target(item_for(traj, 1), cache, constant_q(99.0), lambda s: 0, 0.99)
+    head = sarsa_target(ds, item_for(ds, 1), cache, constant_q(99.0), lambda s: 0, 0.99)
     assert head == 8.0
-    tail = sarsa_target(item_for(traj, 0), cache, constant_q(99.0), lambda s: 0, 0.99)
+    tail = sarsa_target(ds, item_for(ds, 0), cache, constant_q(99.0), lambda s: 0, 0.99)
     assert tail == pytest.approx(7.92)
 
 
 def test_sarsa_head_of_terminal_trajectory_is_reward():
-    traj = reward_trajectory([0.0, 0.0, 3.0])
-    assert sarsa_target(item_for(traj, 2), TargetCache(), constant_q(50.0), lambda s: 0, 0.9) == 3.0
+    ds = reward_dataset([0.0, 0.0, 3.0])
+    assert sarsa_target(ds, item_for(ds, 2), TargetCache(), constant_q(50.0), lambda s: 0, 0.9) == 3.0
 
 
 def test_sarsa_timeout_head_bootstraps_policy_value():
-    traj = reward_trajectory([1.0, 1.0], terminal=False)
+    ds = reward_dataset([1.0, 1.0], terminal=False)
     cache = TargetCache()
-    head = sarsa_target(item_for(traj, 1), cache, constant_q(4.0), lambda s: 0, 0.5)
+    head = sarsa_target(ds, item_for(ds, 1), cache, constant_q(4.0), lambda s: 0, 0.5)
     assert head == pytest.approx(1.0 + 0.5 * 4.0)
 
 
@@ -119,20 +124,20 @@ def test_sarsa_full_pass_reproduces_discounted_returns():
     for _ in range(30):
         rewards = list(rng.uniform(-2, 2, int(rng.integers(1, 12))))
         gamma = float(rng.uniform(0.5, 1.0))
-        traj = reward_trajectory(rewards)
+        ds = reward_dataset(rewards)
         cache = TargetCache()
         got = {}
-        for item in backward_items(traj):
-            got[item.time_index] = sarsa_target(item, cache, constant_q(1e9), lambda s: 0, gamma)
+        for item in backward_items(ds):
+            got[item.time_index] = sarsa_target(ds, item, cache, constant_q(1e9), lambda s: 0, gamma)
         expected = returns_to_go(rewards, gamma)
         for t, value in got.items():
             assert value == pytest.approx(expected[t], abs=1e-9)
 
 
 def test_sarsa_missing_cache_entry_is_order_violation():
-    traj = reward_trajectory([0.0, 1.0, 2.0])
+    ds = reward_dataset([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="backward order"):
-        sarsa_target(item_for(traj, 0), TargetCache(), constant_q(0.0), lambda s: 0, 0.99)
+        sarsa_target(ds, item_for(ds, 0), TargetCache(), constant_q(0.0), lambda s: 0, 0.99)
 
 
 def test_weighted_beta_endpoints_match_standard_and_sarsa_exactly():
@@ -141,52 +146,52 @@ def test_weighted_beta_endpoints_match_standard_and_sarsa_exactly():
         rewards = list(rng.uniform(-2, 2, int(rng.integers(1, 10))))
         terminal = bool(rng.random() < 0.7)
         gamma = float(rng.uniform(0.5, 1.0))
-        traj = reward_trajectory(rewards, terminal=terminal)
-        q_values = rng.uniform(-1, 1, (traj.length + 1, 1))
+        ds = reward_dataset(rewards, terminal=terminal)
+        q_values = rng.uniform(-1, 1, (ds.total_transitions + 1, 1))
         q_bar = lambda s, a, q=q_values: float(q[s, a])
         policy = lambda s: 0
 
         cache_one = TargetCache()
         cache_zero = TargetCache()
         recursive = None
-        for item in backward_items(traj):
-            tr = item.transition
+        for item in backward_items(ds):
+            tr = ds.trajectories[0].transitions[item.time_index]
             bootstrap = 0.0 if tr.terminal else q_bar(tr.next_state, 0)
-            w1 = weighted_target(item, cache_one, q_bar, policy, gamma, beta=1.0)
+            w1 = weighted_target(ds, item, cache_one, q_bar, policy, gamma, beta=1.0)
             assert w1 == tr.reward + gamma * bootstrap
-            w0 = weighted_target(item, cache_zero, q_bar, policy, gamma, beta=0.0)
+            w0 = weighted_target(ds, item, cache_zero, q_bar, policy, gamma, beta=0.0)
             recursive = tr.reward + gamma * (bootstrap if item.is_trajectory_head else recursive)
             assert w0 == recursive
 
 
 def test_recursive_target_keeps_a_negative_zero():
     # w = 0 is r + gamma * cached; the blend (1 - 0) * cached + 0 * 0.0 gives +0.0
-    traj = reward_trajectory([-0.0, -0.0])
+    ds = reward_dataset([-0.0, -0.0])
     for kind in (SARSA, TargetKind("weighted", 0.0)):
         cache = TargetCache()
-        values = [compute_target(item, kind, cache, constant_q(1.0), lambda s: 0, 0.9)
-                  for item in backward_items(traj)]
+        values = [compute_target(item, ds, kind, cache, constant_q(1.0), lambda s: 0, 0.9)
+                  for item in backward_items(ds)]
         assert [v.hex() for v in values] == [(-0.0).hex()] * 2
 
 
 def test_weighted_blend_worked_example():
-    traj = reward_trajectory([0.0, 1.0, 0.0])
+    ds = reward_dataset([0.0, 1.0, 0.0])
     cache = TargetCache()
     cache.put(0, 2, 2.0)
-    value = weighted_target(item_for(traj, 1), cache, constant_q(4.0), lambda s: 0, 0.99, beta=0.25)
+    value = weighted_target(ds, item_for(ds, 1), cache, constant_q(4.0), lambda s: 0, 0.99, beta=0.25)
     assert value == pytest.approx(1.0 + 0.99 * (0.75 * 2.0 + 0.25 * 4.0))
     assert value == pytest.approx(3.475)
 
 
 def test_weighted_is_affine_in_beta():
-    traj = reward_trajectory([0.5, 0.0, 0.0])
+    ds = reward_dataset([0.5, 0.0, 0.0])
     q_bar = constant_q(4.0)
     values = []
     betas = [0.0, 0.25, 0.5, 0.75, 1.0]
     for beta in betas:
         cache = TargetCache()
         cache.put(0, 2, 2.0)
-        values.append(weighted_target(item_for(traj, 1), cache, q_bar, lambda s: 0, 0.9, beta))
+        values.append(weighted_target(ds, item_for(ds, 1), cache, q_bar, lambda s: 0, 0.9, beta))
     diffs = np.diff(values)
     assert np.allclose(diffs, diffs[0])
 
@@ -210,51 +215,51 @@ def test_cache_keeps_one_value_per_trajectory():
 
 
 def test_new_pass_head_overwrites_earlier_pass():
-    traj = reward_trajectory([1.0, 2.0], terminal=False)
+    ds = reward_dataset([1.0, 2.0], terminal=False)
     cache = TargetCache()
     for q in (10.0, 20.0):
-        values = [sarsa_target(item, cache, constant_q(q), lambda s: 0, 0.5)
-                  for item in backward_items(traj)]
+        values = [sarsa_target(ds, item, cache, constant_q(q), lambda s: 0, 0.5)
+                  for item in backward_items(ds)]
         assert values == [2.0 + 0.5 * q, 1.0 + 0.5 * (2.0 + 0.5 * q)]
 
 
 def test_cache_rejects_repeated_step():
-    traj = reward_trajectory([0.0, 1.0, 2.0])
+    ds = reward_dataset([0.0, 1.0, 2.0])
     cache = TargetCache()
-    sarsa_target(item_for(traj, 2), cache, constant_q(0.0), lambda s: 0, 0.9)
-    sarsa_target(item_for(traj, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
+    sarsa_target(ds, item_for(ds, 2), cache, constant_q(0.0), lambda s: 0, 0.9)
+    sarsa_target(ds, item_for(ds, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
     with pytest.raises(ValueError, match="backward order"):
-        sarsa_target(item_for(traj, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
+        sarsa_target(ds, item_for(ds, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
 
 
 def test_cache_rejects_skipped_step():
-    traj = reward_trajectory([0.0, 1.0, 2.0, 3.0])
+    ds = reward_dataset([0.0, 1.0, 2.0, 3.0])
     cache = TargetCache()
-    sarsa_target(item_for(traj, 3), cache, constant_q(0.0), lambda s: 0, 0.9)
+    sarsa_target(ds, item_for(ds, 3), cache, constant_q(0.0), lambda s: 0, 0.9)
     with pytest.raises(ValueError, match="backward order"):
-        sarsa_target(item_for(traj, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
+        sarsa_target(ds, item_for(ds, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
 
 
 def test_cache_rejects_new_pass_that_skips_its_head():
-    traj = reward_trajectory([0.0, 1.0, 2.0])
+    ds = reward_dataset([0.0, 1.0, 2.0])
     cache = TargetCache()
-    for item in backward_items(traj):
-        sarsa_target(item, cache, constant_q(0.0), lambda s: 0, 0.9)
+    for item in backward_items(ds):
+        sarsa_target(ds, item, cache, constant_q(0.0), lambda s: 0, 0.9)
     # The finished pass left its t=0 value; a new pass starting below the
     # head must not read it as target(t+1).
     for t in (1, 0):
         with pytest.raises(ValueError, match="backward order"):
-            sarsa_target(item_for(traj, t), cache, constant_q(0.0), lambda s: 0, 0.9)
+            sarsa_target(ds, item_for(ds, t), cache, constant_q(0.0), lambda s: 0, 0.9)
 
 
 def test_compute_target_dispatch():
-    traj = reward_trajectory([0.0, 8.0])
+    ds = reward_dataset([0.0, 8.0])
     gamma = 0.99
     cache = TargetCache()
-    for item in backward_items(traj):
-        s = compute_target(item, TargetKind("sarsa"), cache, constant_q(0.0), lambda s: 0, gamma)
+    for item in backward_items(ds):
+        s = compute_target(item, ds, TargetKind("sarsa"), cache, constant_q(0.0), lambda s: 0, gamma)
     assert s == pytest.approx(7.92)
-    std = compute_target(item_for(traj, 0), TargetKind("standard"), TargetCache(), constant_q(8.0), lambda s: 0, gamma)
+    std = compute_target(item_for(ds, 0), ds, TargetKind("standard"), TargetCache(), constant_q(8.0), lambda s: 0, gamma)
     assert std == pytest.approx(7.92)
 
 
@@ -268,6 +273,6 @@ def test_sarsa_never_reads_q_bar_on_terminal_dataset():
 
     cache = TargetCache()
     for traj in ds.trajectories:
-        for item in backward_items(traj):
-            sarsa_target(item, cache, q_bar, lambda s: 0, 0.99)
+        for item in backward_items(ds, traj.id):
+            sarsa_target(ds, item, cache, q_bar, lambda s: 0, 0.99)
     assert reads == []

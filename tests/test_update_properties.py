@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajreplay.dataset import Transition
 from trajreplay.learner import EnsembleQ
-from trajreplay.replay import BatchItem
 
 
-def item(state, action):
-    return BatchItem(0, 0, Transition(state, action, 0.0, 0, True), True)
+def columns(pairs):
+    """The (state, action) pairs as the update's two index columns."""
+    return [s for s, _ in pairs], [a for _, a in pairs]
 
 
 def ensemble(k, state_count, action_count, eta, sync, seed):
@@ -62,7 +61,7 @@ def test_update_matches_item_by_item_reference(batch):
     ens = ensemble(k, state_count, action_count, eta, sync, seed)
     start_means = column_means(ens.tables)
     want_tables, want_td = reference_update(ens.tables, eta, pairs, targets)
-    got_td = ens.update([item(s, a) for s, a in pairs], targets)
+    got_td = ens.update(*columns(pairs), targets)
     assert np.array_equal(ens.tables, want_tables)
     assert type(got_td) is list and all(type(td) is float for td in got_td)
     assert np.array_equal(np.array(got_td), np.array(want_td))
@@ -78,10 +77,10 @@ def test_update_matches_item_by_item_reference(batch):
 def test_repeated_pair_equals_two_single_updates(k, eta, t1, t2, seed):
     batched = ensemble(k, 3, 2, eta, 100, seed)
     serial = ensemble(k, 3, 2, eta, 100, seed)
-    batched.update([item(1, 0), item(2, 1), item(1, 0)], [t1, 0.5, t2])
-    serial.update([item(1, 0)], [t1])
-    serial.update([item(2, 1)], [0.5])
-    serial.update([item(1, 0)], [t2])
+    batched.update([1, 2, 1], [0, 1, 0], [t1, 0.5, t2])
+    serial.update([1], [0], [t1])
+    serial.update([2], [1], [0.5])
+    serial.update([1], [0], [t2])
     assert np.array_equal(batched.tables, serial.tables)
     assert np.array_equal(batched.q_mean, serial.q_mean)
 
@@ -91,7 +90,7 @@ def test_batched_update_rejects_misaligned_targets(targets):
     ens = ensemble(3, 4, 2, 0.5, 1, 0)
     before = ens.tables.copy()
     with pytest.raises(ValueError):
-        ens.update([item(0, 0), item(1, 1)], targets)
+        ens.update([0, 1], [0, 1], targets)
     assert np.array_equal(ens.tables, before)
     assert np.array_equal(ens.q_mean, column_means(before))
     assert ens.updates_applied == 0
