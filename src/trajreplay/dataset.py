@@ -1,4 +1,9 @@
-"""Trajectory-structured offline data: core types, splitting, and JSONL file I/O.
+"""Trajectory-structured offline data: a columnar store, its object view, and JSONL I/O.
+
+:class:`OfflineDataset` keeps flat per-step columns sliced by trajectory
+offsets, the layout of D4RL-style ``observations``/``actions``/``rewards``
+arrays.  :class:`Transition` and :class:`Trajectory` are the object view of
+it, for tests and analysis; the loader and the training path never build them.
 
 Two on-disk formats are supported, both JSON Lines (UTF-8, LF):
 
@@ -420,13 +425,11 @@ _INTP_MAX = np.iinfo(np.intp).max
 def _id_column(values: list) -> tuple[np.ndarray | None, int]:
     """The ids as an intp column and -1, or None and the index of the first
     value that is not a non-negative int (a bool is not one)."""
-    if set(map(type, values)) <= {int}:
+    if set(map(type, values)) <= {int} and (not values or min(values) >= 0):
         try:
-            column = np.array(values, dtype=np.intp)
+            return np.array(values, dtype=np.intp), -1
         except OverflowError:
-            column = None
-        if column is not None and (not len(column) or np.minimum.reduce(column) >= 0):
-            return column, -1
+            pass
     bad = next(i for i, v in enumerate(values)
                if type(v) is not int or not 0 <= v <= _INTP_MAX)
     return None, bad

@@ -144,13 +144,12 @@ class EnsembleQ:
         2.4, ``cols.mean(axis=0)`` of the gather and ``col.sum() / K`` both
         equal ``tables[:, s, a].mean()`` bit for bit.
         """
-        if not len(states) == len(actions) == len(targets):
-            raise ValueError(
-                f"{len(states)} states and {len(actions)} actions but {len(targets)} targets"
-            )
         tables = self.tables
         q_mean = self.q_mean
-        if len(states) > 1:
+        n = len(states)
+        if n > 1:
+            if len(actions) != n or len(targets) != n:
+                raise ValueError(f"{n} states, {len(actions)} actions and {len(targets)} targets")
             states = np.asarray(states, dtype=np.intp)
             actions = np.asarray(actions, dtype=np.intp)
             flat = np.sort(states * tables.shape[2] + actions)
@@ -163,8 +162,10 @@ class EnsembleQ:
                 q_mean[states, actions] = cols.mean(axis=0)
                 self._count_update()
                 return td_errors
+            states, actions = states.tolist(), actions.tolist()
         td_errors = [
-            target - q_mean.item(s, a) for s, a, target in zip(states, actions, targets)
+            target - q_mean.item(s, a)
+            for s, a, target in zip(states, actions, targets, strict=True)
         ]
         eta = self.eta
         k = len(tables)

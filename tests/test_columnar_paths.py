@@ -1,0 +1,130 @@
+"""Structural guards: nothing between the file and ``train`` builds per-step objects.
+
+``Transition`` and ``Trajectory`` are the object view of a dataset.  Loading
+a file, training on it with any sampler, building a priority table and
+solving the oracle must read the columns only; the guard fails the test on
+any ``Transition`` or ``Trajectory`` built, and on any read of
+``dataset.trajectories``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+
+import numpy as np
+import pytest
+
+from trajreplay.cli import main
+from trajreplay.dataset import (
+    FLAT_TRANSITIONS,
+    OfflineDataset,
+    Trajectory,
+    Transition,
+    flatten_trajectories,
+    load_dataset,
+    save_dataset,
+)
+from trajreplay.learner import EnsembleQ, TrainConfig, train, value_iteration_oracle
+from trajreplay.priority import build_priority_table
+from trajreplay.scenarios import make_random_chain
+from trajreplay.targets import TargetKind
+
+
+@pytest.fixture
+def files(tmp_path):
+    """One dataset written in both formats."""
+    ds = make_random_chain(12, 1, 6, np.random.default_rng(4), action_count=3,
+                           terminal_prob=0.6)
+    traj_path, flat_path = tmp_path / "traj.jsonl", tmp_path / "flat.jsonl"
+    save_dataset(ds, traj_path)
+    header = {"state_count": ds.state_count, "action_count": ds.action_count}
+    flat_path.write_text("".join(
+        json.dumps(record) + "\n" for record in [header] + [
+            {"state": tr.state, "action": tr.action, "reward": tr.reward,
+             "next_state": tr.next_state, "terminal": tr.terminal, "timeout": timeout}
+            for tr, timeout in flatten_trajectories(ds.trajectories)
+        ]
+    ))
+    return ds, traj_path, flat_path
+
+
+@pytest.fixture
+def no_objects(monkeypatch):
+    """A context in which building a Transition or Trajectory, or reading
+    ``dataset.trajectories``, fails the test."""
+
+    def refuse(self, *args):
+        raise AssertionError(f"built a {type(self).__name__} on a columnar path")
+
+    def unread(self):
+        raise AssertionError("read dataset.trajectories on a columnar path")
+
+    @contextlib.contextmanager
+    def guard():
+        with monkeypatch.context() as m:
+            m.setattr(Transition, "__post_init__", refuse)
+            m.setattr(Trajectory, "__post_init__", refuse)
+            m.setattr(OfflineDataset, "trajectories", property(unread))
+            yield
+
+    return guard
+
+
+def test_guard_catches_the_object_view(files, no_objects):
+    _, traj_path, _ = files
+    loaded = load_dataset(traj_path)
+    with no_objects(), pytest.raises(AssertionError, match="dataset.trajectories"):
+        loaded.trajectories
+    with no_objects(), pytest.raises(AssertionError, match="Transition"):
+        Transition(0, 0, 0.0, 1, True)
+
+
+def test_loading_builds_no_transition(files, no_objects):
+    ds, traj_path, flat_path = files
+    with no_objects():
+        loaded = [load_dataset(traj_path), load_dataset(flat_path, FLAT_TRANSITIONS)]
+    for got in loaded:
+        assert got == ds
+
+
+TRAIN_VARIANTS = [
+    ("uni_state", "uniform", "standard"),
+    ("prio_state", "uniform", "standard"),
+    ("uni_traj", "uniform", "sarsa"),
+    ("prio_traj", "return", "weighted"),
+    ("prio_traj", "lower_mean_unc", "sarsa"),
+]
+
+
+@pytest.mark.parametrize(("sampler", "metric", "kind"), TRAIN_VARIANTS)
+def test_train_reads_columns_only(files, no_objects, sampler, metric, kind):
+    ds, traj_path, _ = files
+    loaded = load_dataset(traj_path)
+    config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
+                         ensemble_size=3, batch_size=4, total_steps=60, seed=1)
+    with no_objects():
+        curve = train(loaded, config).curve
+    assert np.array_equal(curve, train(ds, config).curve)
+
+
+def test_priority_table_and_oracle_read_columns_only(files, no_objects):
+    ds, traj_path, _ = files
+    loaded = load_dataset(traj_path)
+    ensemble = EnsembleQ(ds.state_count, ds.action_count, 3, rng=np.random.default_rng(2))
+    with no_objects():
+        tables = [build_priority_table(loaded, kind, 0.7, ensemble)
+                  for kind in ("return", "uqm_reward", "uniform", "lower_mean_unc")]
+        oracle = value_iteration_oracle(loaded, 0.9)
+    assert tables == [build_priority_table(ds, kind, 0.7, ensemble)
+                      for kind in ("return", "uqm_reward", "uniform", "lower_mean_unc")]
+    assert np.array_equal(oracle, value_iteration_oracle(ds, 0.9))
+
+
+def test_analyze_reads_columns_only(files, no_objects, tmp_path):
+    _, traj_path, _ = files
+    out = tmp_path / "table.csv"
+    with no_objects():
+        assert main(["analyze", "--dataset", str(traj_path), "--metrics",
+                     "return,min_reward", "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 13
