@@ -103,7 +103,7 @@ class Trajectory:
 
 
 # The per-step and per-trajectory columns, in constructor order.
-COLUMNS = ("states", "actions", "rewards", "next_states", "terminal", "timeout")
+_COLUMNS = ("states", "actions", "rewards", "next_states", "terminal", "timeout")
 
 
 class OfflineDataset:
@@ -126,7 +126,7 @@ class OfflineDataset:
     makes a per-step object.
     """
 
-    __slots__ = (*COLUMNS, "offsets", "state_count", "action_count", "discount",
+    __slots__ = (*_COLUMNS, "offsets", "state_count", "action_count", "discount",
                  "_trajectories")
 
     def __init__(
@@ -183,7 +183,7 @@ class OfflineDataset:
         if not 0.0 < discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {discount}")
         columns = (states, actions, rewards, next_states, terminal, timeout)
-        for name, column in zip(COLUMNS, columns):
+        for name, column in zip(_COLUMNS, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "offsets", offsets)
@@ -220,7 +220,7 @@ class OfflineDataset:
         raise AttributeError(f"OfflineDataset is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        columns = tuple(getattr(self, name) for name in COLUMNS)
+        columns = tuple(getattr(self, name) for name in _COLUMNS)
         counts = (self.offsets, self.state_count, self.action_count, self.discount)
         return type(self)._from_columns, columns + counts
 
@@ -230,7 +230,7 @@ class OfflineDataset:
         return (
             (self.offsets, self.state_count, self.action_count, self.discount)
             == (other.offsets, other.state_count, other.action_count, other.discount)
-            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in COLUMNS)
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
         )
 
     def __hash__(self) -> int:
@@ -250,7 +250,7 @@ class OfflineDataset:
         A loaded dataset builds it from the columns on first read and keeps it.
         """
         if self._trajectories is None:
-            rows = zip(*(getattr(self, name).tolist() for name in COLUMNS[:-1]))
+            rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS[:-1]))
             steps = [Transition(*row) for row in rows]
             bounds = zip(self.offsets, self.offsets[1:], self.timeout.tolist())
             object.__setattr__(self, "_trajectories", tuple(
@@ -559,7 +559,7 @@ class _Records:
             # the columns of the records before it, which the chain check reads
             bad_record = bad_step if self.flat else bisect_right(self.ends, bad_step)
             stop = self.start(bad_record)
-            values, _ = _value_columns(*(values[:stop] for values in lists))
+            values, _ = _value_columns(*(column[:stop] for column in lists))
         states, actions, rewards, next_states = values
         n = len(states)
         if self.flat:

@@ -319,3 +319,12 @@ def test_format_detection_matches_explicit(tmp_path):
     }
     path.write_text(json.dumps(record) + "\n")
     assert load_dataset(path) == load_dataset(path, TRAJECTORY_JSONL)
+
+
+def test_load_rejects_ids_too_large_for_the_columns(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    record = {"states": [0, 1], "actions": [0, 0], "rewards": [0.0, 1.0],
+              "next_states": [1, 2**70], "terminal": True, "timeout": False}
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=r"line 1: id larger than"):
+        load_dataset(path)
