@@ -442,20 +442,23 @@ def _reward_column(values: list) -> tuple[np.ndarray | None, int]:
         column = np.array(values)
     except (TypeError, ValueError, OverflowError):
         column = None
-    if column is None or column.ndim != 1 or column.dtype.kind not in "biuf":
-        # strings, nulls, nested arrays: convert one at a time, as float() does
-        converted = []
-        for i, value in enumerate(values):
-            try:
-                converted.append(float(value))
-            except (TypeError, ValueError, OverflowError):
-                return None, i
-        column = np.array(converted, dtype=np.float64)
-    column = column.astype(np.float64, copy=False)
-    finite = np.isfinite(column)
-    if np.logical_and.reduce(finite):
-        return column, -1
-    return None, int(finite.argmin())
+    if column is not None and column.ndim == 1 and column.dtype.kind in "biuf":
+        column = column.astype(np.float64, copy=False)
+        finite = np.isfinite(column)
+        if np.logical_and.reduce(finite):
+            return column, -1
+        return None, int(finite.argmin())
+    # strings, nulls, nested arrays: convert one at a time, as float() does
+    converted = []
+    for i, value in enumerate(values):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            return None, i
+        if not math.isfinite(number):
+            return None, i
+        converted.append(number)
+    return np.array(converted, dtype=np.float64), -1
 
 
 def _value_columns(states: list, actions: list, rewards: list, next_states: list):

@@ -328,3 +328,16 @@ def test_load_rejects_ids_too_large_for_the_columns(tmp_path):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(ValueError, match=r"line 1: id larger than"):
         load_dataset(path)
+
+
+def test_load_reports_a_non_finite_reward_before_a_later_unconvertible_one(tmp_path):
+    path = tmp_path / "rewards.jsonl"
+    records = [
+        {"states": [0, 1], "actions": [0, 0], "rewards": ["nan", 0.0], "next_states": [1, 2],
+         "terminal": False, "timeout": True},
+        {"states": [0, 1], "actions": [0, 0], "rewards": [None, 0.0], "next_states": [1, 2],
+         "terminal": False, "timeout": True},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError, match=r"^line 1: reward must be finite, got nan$"):
+        load_dataset(path)
