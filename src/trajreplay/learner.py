@@ -48,8 +48,11 @@ class EnsembleQ:
     non-degenerate before any learning.  Two (S, A) tables are kept beside
     them: ``q_mean``, the ensemble mean of the members, rewritten entry by
     entry as updates touch them, and ``target_mean``, the mean as of the last
-    sync, refreshed by full copy every ``target_sync_period`` updates.  Every
-    entry of both is the column mean ``tables[:, s, a].mean()`` bit for bit.
+    sync, which every ``target_sync_period`` updates is made equal to
+    ``q_mean``.  When the previous update also ended in a sync (always, at a
+    period of 1), only the entries this update wrote can differ, so the sync
+    copies just those; otherwise it copies the whole table.  Every entry of
+    both is the column mean ``tables[:, s, a].mean()`` bit for bit.
     """
 
     def __init__(
@@ -90,6 +93,8 @@ class EnsembleQ:
         self.tables = tables
         self.q_mean = column_means(tables)
         self.target_mean = self.q_mean.copy()
+        # True while target_mean equals q_mean at every entry.
+        self._target_current = True
         self.updates_applied = 0
 
     def target_value(self, state: int, action: int) -> float:
@@ -160,7 +165,7 @@ class EnsembleQ:
                 cols += self.eta * (goal - cols)
                 tables[:, states, actions] = cols
                 q_mean[states, actions] = cols.mean(axis=0)
-                self._count_update()
+                self._count_update(states, actions)
                 return td_errors
             states, actions = states.tolist(), actions.tolist()
         td_errors = [
@@ -173,13 +178,22 @@ class EnsembleQ:
             col = tables[:, s, a]
             col += eta * (target - col)
             q_mean[s, a] = col.sum() / k
-        self._count_update()
+        self._count_update(states, actions)
         return td_errors
 
-    def _count_update(self) -> None:
+    def _count_update(self, states: Sequence[int], actions: Sequence[int]) -> None:
+        """Count the update that wrote ``zip(states, actions)`` and sync if due."""
         self.updates_applied += 1
-        if self.updates_applied % self.target_sync_period == 0:
+        if self.updates_applied % self.target_sync_period:
+            self._target_current = False
+        elif not self._target_current:
             self.target_mean[:] = self.q_mean
+            self._target_current = True
+        elif len(states) == 1:
+            s, a = states[0], actions[0]
+            self.target_mean[s, a] = self.q_mean[s, a]
+        else:
+            self.target_mean[states, actions] = self.q_mean[states, actions]
 
     def save(self, path: str | Path) -> None:
         np.savez(
@@ -203,6 +217,8 @@ class EnsembleQ:
                 ens.target_mean[:] = data["target_mean"]
             else:
                 ens.target_mean[:] = column_means(data["target_tables"])
+            # the stored target may lag the members: the next sync copies all
+            ens._target_current = False
             ens.updates_applied = int(data["updates_applied"])
         return ens
 

@@ -16,6 +16,7 @@ Three families live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -184,55 +185,91 @@ class UniformTransitionSampler:
 class SumTree:
     """Complete binary tree whose internal nodes hold the sum of their children.
 
-    Leaves store non-negative sampling weights; prefix-sum descent gives
-    O(log n) categorical draws and O(log n) single-leaf updates.
+    Leaves store finite, non-negative sampling weights.  The ``2 * capacity -
+    1`` nodes live in a Python list of floats in heap order: node ``i`` has
+    children ``2i + 1`` and ``2i + 2``, and leaf ``j`` is node ``capacity - 1
+    + j``.  Python floats are IEEE doubles, so every sum equals the one a
+    float64 array gives.  The descent lays the leaves' mass intervals out left
+    subtree first: in leaf order for a power-of-two capacity, rotated
+    otherwise (capacity 3 visits leaves 1, 2, 0), so draws stay proportional.
+    :meth:`find_prefixes` and :meth:`update_many` take a whole batch in one
+    loop; :meth:`find_prefix` and :meth:`update` are their one-element cases.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, value: float = 0.0) -> None:
+        """A tree with every leaf at ``value``, summed bottom-up in O(n).
+
+        For a whole-number ``value`` (0.0 and 1.0 are) every sum is exact, so
+        the tree equals one that writes the leaves one at a time.
+        """
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        _check_weight(value)
         self.capacity = capacity
-        self._nodes = np.zeros(2 * capacity - 1)
+        nodes = [0.0] * (capacity - 1) + [float(value)] * capacity
+        for i in range(capacity - 2, -1, -1):
+            nodes[i] = nodes[2 * i + 1] + nodes[2 * i + 2]
+        self._nodes = nodes
 
     @property
     def total(self) -> float:
-        return float(self._nodes[0])
+        return self._nodes[0]
 
     def leaf_value(self, leaf: int) -> float:
-        return float(self._nodes[self.capacity - 1 + leaf])
+        return self._nodes[self.capacity - 1 + leaf]
 
     def update(self, leaf: int, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"leaf priorities must be non-negative, got {value}")
-        idx = self.capacity - 1 + leaf
+        self.update_many((leaf,), (value,))
+
+    def update_many(self, leaves: Sequence[int], values: Sequence[float]) -> None:
+        """Write ``values`` to ``leaves`` in batch order, each as :meth:`update`
+        would: a repeated leaf's change is taken against its earlier write.
+
+        Every pair is checked before any is written, so a bad one writes none.
+        """
+        capacity = self.capacity
+        for leaf, value in zip(leaves, values, strict=True):
+            if not 0 <= leaf < capacity:
+                raise ValueError(f"leaf must be in [0, {capacity}), got {leaf}")
+            _check_weight(value)
         nodes = self._nodes
-        change = value - nodes[idx]
-        nodes[idx] = value
-        while idx:
-            idx = (idx - 1) // 2
-            nodes[idx] += change
+        first_leaf = capacity - 1
+        for leaf, value in zip(leaves, values):
+            idx = first_leaf + leaf
+            value = float(value)
+            change = value - nodes[idx]
+            nodes[idx] = value
+            while idx:
+                idx = (idx - 1) >> 1
+                nodes[idx] += change
 
     def find_prefix(self, prefix: float) -> int:
-        """Return the leaf whose mass interval contains ``prefix``.
+        """Return the leaf whose mass interval contains ``prefix``."""
+        return self.find_prefixes((prefix,))[0]
 
-        Leaves sit in heap order, and the descent lays their intervals out left
-        subtree first: in index order for a power-of-two capacity, rotated
-        otherwise (capacity 3 visits leaves 1, 2, 0).  Draws stay proportional.
-        """
+    def find_prefixes(self, prefixes: Sequence[float]) -> list[int]:
+        """The leaf whose mass interval contains each prefix, in order."""
         nodes = self._nodes
-        size = len(nodes)
-        idx = 0
-        while True:
-            left = 2 * idx + 1
-            if left >= size:
-                return idx - (self.capacity - 1)
-            right = left + 1
-            # The right guard only matters on exact float boundaries.
-            if prefix < nodes[left] or nodes[right] == 0.0:
-                idx = left
-            else:
-                prefix -= nodes[left]
-                idx = right
+        first_leaf = self.capacity - 1
+        leaves = []
+        for prefix in prefixes:
+            idx = 0
+            while idx < first_leaf:
+                left = 2 * idx + 1
+                mass = nodes[left]
+                # The right guard only matters on exact float boundaries.
+                if prefix < mass or nodes[left + 1] == 0.0:
+                    idx = left
+                else:
+                    prefix -= mass
+                    idx = left + 1
+            leaves.append(idx - first_leaf)
+        return leaves
+
+
+def _check_weight(value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"leaf priorities must be finite and non-negative, got {value}")
 
 
 def per_priority(td_error: float, epsilon: float) -> float:
@@ -260,22 +297,19 @@ class PerTransitionSampler:
         self.alpha = alpha
         self.epsilon = epsilon
         self._items = flat_items(dataset)
-        self.tree = SumTree(len(self._items))
-        for leaf in range(len(self._items)):
-            self.tree.update(leaf, 1.0)
+        self.tree = SumTree(len(self._items), 1.0)
 
     def sample(
         self, batch_size: int, rng: np.random.Generator
-    ) -> tuple[list[BatchItem], np.ndarray]:
+    ) -> tuple[list[BatchItem], list[int]]:
         """Draw a batch; returns (items, leaf indices for priority write-back)."""
         prefixes = rng.random(batch_size) * self.tree.total
-        leaves = np.fromiter(
-            (self.tree.find_prefix(p) for p in prefixes), dtype=np.int64, count=batch_size
-        )
-        return [self._items[leaf] for leaf in leaves], leaves
+        leaves = self.tree.find_prefixes(prefixes.tolist())
+        items = self._items
+        return [items[leaf] for leaf in leaves], leaves
 
     def update_priorities(self, leaves: Sequence[int], td_errors: Sequence[float]) -> None:
         if len(leaves) != len(td_errors):
             raise ValueError("leaves and td_errors must have equal lengths")
-        for leaf, td in zip(leaves, td_errors):
-            self.tree.update(int(leaf), per_priority(td, self.epsilon) ** self.alpha)
+        epsilon, alpha = self.epsilon, self.alpha
+        self.tree.update_many(leaves, [per_priority(td, epsilon) ** alpha for td in td_errors])

@@ -161,6 +161,23 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert target_values(loaded) == member_means(loaded)
 
 
+def test_first_sync_after_load_copies_the_whole_table(tmp_path):
+    ens = EnsembleQ(3, 2, ensemble_size=2, target_sync_period=1,
+                    rng=np.random.default_rng(20))
+    stale = ens.target_mean.copy()
+    ens.update([0], [1], [4.0])
+    path = tmp_path / "lagging.npz"
+    np.savez(path, tables=ens.tables, target_mean=stale, eta=ens.eta,
+             target_sync_period=1, updates_applied=1)
+    loaded = EnsembleQ.load(path)
+    assert target_values(loaded)[0][1] != member_means(loaded)[0][1]
+    # the update writes (2, 0) only, yet the sync also brings (0, 1) up to date
+    loaded.update([2], [0], [1.0])
+    assert target_values(loaded) == member_means(loaded)
+    loaded.update([1, 2], [1, 1], [3.0, 2.0])
+    assert np.array_equal(loaded.target_mean, loaded.q_mean)
+
+
 def test_ensemble_load_reads_file_with_target_member_tables(tmp_path):
     rng = np.random.default_rng(17)
     tables, target_tables = rng.uniform(size=(2, 16, 3, 2))

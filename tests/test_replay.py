@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -251,6 +252,51 @@ def test_sum_tree_rejects_negative():
     tree = SumTree(4)
     with pytest.raises(ValueError, match="non-negative"):
         tree.update(0, -1.0)
+
+
+def ones_tree(capacity):
+    tree = SumTree(capacity)
+    for leaf in range(capacity):
+        tree.update(leaf, 1.0)
+    return tree
+
+
+def test_sum_tree_rejects_a_leaf_outside_its_range():
+    tree = ones_tree(4)
+    for leaf in (-1, 4):
+        with pytest.raises(ValueError, match="leaf"):
+            tree.update(leaf, 5.0)
+    # -1 once wrote internal node 2 and made the root 7.0
+    assert tree.total == 4.0
+    assert [tree.leaf_value(leaf) for leaf in range(4)] == [1.0] * 4
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300])
+def test_sum_tree_rejects_a_weight_that_is_not_finite_or_is_negative(value):
+    tree = ones_tree(4)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        tree.update(2, value)
+    assert tree.total == 4.0 and tree.leaf_value(2) == 1.0
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SumTree(4, value)
+
+
+def test_sum_tree_batch_with_a_bad_pair_writes_nothing():
+    tree = ones_tree(4)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        tree.update_many([0, 1, 2], [3.0, 2.0, math.nan])
+    with pytest.raises(ValueError, match="leaf"):
+        tree.update_many([0, 1, 4], [3.0, 2.0, 1.0])
+    assert tree.total == 4.0
+    assert [tree.leaf_value(leaf) for leaf in range(4)] == [1.0] * 4
+
+
+def test_per_write_back_rejects_a_nan_td_error():
+    sampler = PerTransitionSampler(chain_dataset([3]), alpha=1.0, epsilon=0.01)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        sampler.update_priorities([0, 1], [0.5, math.nan])
+    # a NaN total would send every later draw down the right edge
+    assert sampler.tree.total == 3.0
 
 
 def test_sum_tree_matches_naive_categorical():

@@ -1,16 +1,26 @@
-"""Property tests for ``SumTree.find_prefix`` against a cumulative-sum search.
+"""Property tests for ``SumTree``.
 
-Integer leaf weights keep every node sum exact, so the descent must land on
-exactly the leaf ``np.searchsorted(np.cumsum(w), prefix, side="right")``
-names, and never on a zero-weight leaf.  The tree stores its leaves in heap
-order: for a capacity that is not a power of two, descending left to right
-visits them in a rotated order (capacity 3 visits leaves 1, 2, 0), so the
-general check searches the weights in that order.
+``find_prefix`` against a cumulative-sum search: integer leaf weights keep
+every node sum exact, so the descent must land on exactly the leaf
+``np.searchsorted(np.cumsum(w), prefix, side="right")`` names, and never on a
+zero-weight leaf.  The tree stores its leaves in heap order: for a capacity
+that is not a power of two, descending left to right visits them in a rotated
+order (capacity 3 visits leaves 1, 2, 0), so the general check searches the
+weights in that order.
+
+The batched loops against their one-at-a-time forms and against a float64
+array reference, node for node (``float.hex``) with arbitrary float weights:
+``update_many`` equals single ``update`` calls in batch order, repeated
+leaves and zero weights included; every node and every descent equals the
+array tree's; ``find_prefixes`` equals ``find_prefix`` per prefix, exact
+interval boundaries included; and the O(n) bottom-up build equals writing
+the leaves one at a time.  Each holds for power-of-two and other capacities.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +85,133 @@ def test_find_prefix_is_cumsum_search_in_descent_order(case):
         leaf = tree.find_prefix(prefix)
         assert leaf == order[np.searchsorted(cumulative, prefix, side="right")]
         assert weights[leaf] > 0
+
+
+class ArrayTree:
+    """Reference: the float64-array sum tree with one-leaf writes and a
+    one-prefix descent, as the list-backed tree's arithmetic must match."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.nodes = np.zeros(2 * capacity - 1)
+
+    def update(self, leaf: int, value: float) -> None:
+        idx = self.capacity - 1 + leaf
+        nodes = self.nodes
+        change = value - nodes[idx]
+        nodes[idx] = value
+        while idx:
+            idx = (idx - 1) // 2
+            nodes[idx] += change
+
+    def find_prefix(self, prefix: float) -> int:
+        nodes = self.nodes
+        size = len(nodes)
+        idx = 0
+        while True:
+            left = 2 * idx + 1
+            if left >= size:
+                return idx - (self.capacity - 1)
+            right = left + 1
+            if prefix < nodes[left] or nodes[right] == 0.0:
+                idx = left
+            else:
+                prefix -= nodes[left]
+                idx = right
+
+
+def node_hex(tree) -> list[str]:
+    nodes = tree.nodes if isinstance(tree, ArrayTree) else tree._nodes
+    return [float(x).hex() for x in nodes]
+
+
+def capacities(power_of_two: bool):
+    if power_of_two:
+        return st.integers(0, 7).map(lambda e: 1 << e)
+    return st.integers(1, 100).filter(lambda n: n & (n - 1))
+
+
+leaf_weights = st.just(0.0) | st.floats(0.0, 1e3) | st.integers(0, 5).map(float)
+
+
+@st.composite
+def write_batches(draw, capacity: int, max_batches: int = 4):
+    """Batches of (leaf, weight) pairs, some with a leaf written twice."""
+    out = []
+    for _ in range(draw(st.integers(1, max_batches))):
+        size = draw(st.integers(1, 40))
+        leaves = draw(st.lists(st.integers(0, capacity - 1), min_size=size, max_size=size))
+        if size > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+            leaves[j] = leaves[i]
+        values = draw(st.lists(leaf_weights, min_size=size, max_size=size))
+        out.append((leaves, values))
+    return out
+
+
+def prefixes_for(draw, total: float, cumulative: list[float]) -> list[float]:
+    """Random prefixes in [0, total) plus the exact interval boundaries."""
+    uniform = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30))
+    edges = [c for c in cumulative if c < total]
+    return [u * total for u in uniform] + edges
+
+
+@pytest.mark.parametrize("power_of_two", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_write_equals_single_writes_node_for_node(power_of_two, data):
+    capacity = data.draw(capacities(power_of_two))
+    batched, single = SumTree(capacity), SumTree(capacity)
+    for leaves, values in data.draw(write_batches(capacity)):
+        batched.update_many(leaves, values)
+        for leaf, value in zip(leaves, values):
+            single.update(leaf, value)
+        assert node_hex(batched) == node_hex(single)
+
+
+@pytest.mark.parametrize("power_of_two", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tree_equals_float64_array_reference(power_of_two, data):
+    capacity = data.draw(capacities(power_of_two))
+    tree, reference = SumTree(capacity), ArrayTree(capacity)
+    for leaves, values in data.draw(write_batches(capacity)):
+        tree.update_many(leaves, values)
+        for leaf, value in zip(leaves, values):
+            reference.update(leaf, value)
+        assert node_hex(tree) == node_hex(reference)
+        assert float(tree.total).hex() == float(reference.nodes[0]).hex()
+        if tree.total > 0:
+            # prefixes drawn the way the sampler draws them, as float64
+            prefixes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(30)
+            prefixes *= tree.total
+            want = [reference.find_prefix(p) for p in prefixes]
+            assert tree.find_prefixes(prefixes.tolist()) == want
+
+
+@pytest.mark.parametrize("power_of_two", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_descent_equals_per_prefix_descent(power_of_two, data):
+    capacity = data.draw(capacities(power_of_two))
+    tree = SumTree(capacity)
+    for leaves, values in data.draw(write_batches(capacity)):
+        tree.update_many(leaves, values)
+    order = descent_order(capacity)
+    cumulative = np.cumsum([tree.leaf_value(leaf) for leaf in order]).tolist()
+    prefixes = prefixes_for(data.draw, tree.total, cumulative)
+    got = tree.find_prefixes(prefixes)
+    assert got == [tree.find_prefix(p) for p in prefixes]
+    assert all(0 <= leaf < capacity for leaf in got)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, 3.0])
+@given(capacity=st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_bottom_up_build_equals_sequential_writes(value, capacity):
+    built = SumTree(capacity, value)
+    sequential, reference = SumTree(capacity), ArrayTree(capacity)
+    for leaf in range(capacity):
+        sequential.update(leaf, value)
+        reference.update(leaf, value)
+    assert node_hex(built) == node_hex(sequential) == node_hex(reference)

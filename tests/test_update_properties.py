@@ -1,6 +1,9 @@
-"""Property tests for ``EnsembleQ.update``: the batched path equals the item loop."""
+"""Property tests for ``EnsembleQ.update``: the batched path equals the item
+loop, and the target sync equals a full copy of ``q_mean`` at every sync."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 import pytest
@@ -94,3 +97,51 @@ def test_batched_update_rejects_misaligned_targets(targets):
     assert np.array_equal(ens.tables, before)
     assert np.array_equal(ens.q_mean, column_means(before))
     assert ens.updates_applied == 0
+
+
+@st.composite
+def update_runs(draw):
+    """An ensemble, a sequence of batches of 1-8 pairs (some with a pair
+    repeated), and the position, if any, of a save and reload whose stored
+    target lags the members."""
+    k = draw(st.integers(1, 10))
+    state_count = draw(st.integers(1, 5))
+    action_count = draw(st.integers(1, 3))
+    pair = st.tuples(st.integers(0, state_count - 1), st.integers(0, action_count - 1))
+    run = []
+    for _ in range(draw(st.integers(1, 12))):
+        size = draw(st.integers(1, 8))
+        pairs = draw(st.lists(pair, min_size=size, max_size=size))
+        if size > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+            pairs[j] = pairs[i]
+        targets = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+        run.append((pairs, targets))
+    reload_at = draw(st.none() | st.integers(1, len(run)))
+    eta = draw(st.floats(0.01, 1.0))
+    sync = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, state_count, action_count, run, reload_at, eta, sync, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_runs())
+def test_target_mean_equals_a_full_copy_at_every_sync(case):
+    k, state_count, action_count, run, reload_at, eta, sync, seed = case
+    ens = ensemble(k, state_count, action_count, eta, sync, seed)
+    stale = ens.q_mean.copy()
+    want = stale.copy()
+    for step, (pairs, targets) in enumerate(run, start=1):
+        ens.update(*columns(pairs), targets)
+        if ens.updates_applied % sync == 0:
+            want = ens.q_mean.copy()
+        assert np.array_equal(ens.target_mean, want)
+        if step == reload_at:
+            # a file whose target is the members' mean before any update
+            file = io.BytesIO()
+            np.savez(file, tables=ens.tables, target_mean=stale, eta=eta,
+                     target_sync_period=sync, updates_applied=ens.updates_applied)
+            file.seek(0)
+            ens = EnsembleQ.load(file)
+            want = stale.copy()
+            assert np.array_equal(ens.target_mean, want)
