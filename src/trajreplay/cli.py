@@ -305,6 +305,10 @@ def cmd_analyze(args) -> int:
         if metric not in ALL_KINDS:
             raise ValueError(f"unknown metric name {metric!r}")
     ensemble = EnsembleQ.load(args.ensemble) if args.ensemble else None
+    shape = (dataset.state_count, dataset.action_count)
+    if ensemble is not None and ensemble.tables.shape[1:] != shape:
+        raise ValueError(f"ensemble tables are (S, A) = {ensemble.tables.shape[1:]}, "
+                         f"but the dataset needs {shape}")
     available = []
     for metric in metrics:
         if metric in UNCERTAINTY_KINDS and ensemble is None:

@@ -3,7 +3,9 @@
 :class:`OfflineDataset` keeps flat per-step columns sliced by trajectory
 offsets, the layout of D4RL-style ``observations``/``actions``/``rewards``
 arrays.  :class:`Transition` and :class:`Trajectory` are the object view of
-it, for tests and analysis; the loader and the training path never build them.
+it, for tests and analysis; the training path never builds them, and
+:func:`load_dataset` builds them only to word the fault of a file it could
+not read as clean columns.
 
 Two on-disk formats are supported, both JSON Lines (UTF-8, LF):
 
@@ -37,6 +39,9 @@ FORMATS = (TRAJECTORY_JSONL, FLAT_TRANSITIONS)
 
 DEFAULT_DISCOUNT = 0.99
 
+# The largest id a column holds.
+_INTP_MAX = np.iinfo(np.intp).max
+
 
 @dataclass(frozen=True, slots=True)
 class Transition:
@@ -57,6 +62,8 @@ class Transition:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            if value > _INTP_MAX:
+                raise ValueError(f"id larger than {_INTP_MAX}: {name} {value}")
         if not math.isfinite(self.reward):
             raise ValueError(f"reward must be finite, got {self.reward!r}")
 
@@ -106,6 +113,20 @@ class Trajectory:
 _COLUMNS = ("states", "actions", "rewards", "next_states", "terminal", "timeout")
 
 
+def _object_columns(trajectories: Sequence[Trajectory]) -> tuple:
+    """The columns of :data:`_COLUMNS` and the offsets of some trajectories."""
+    steps = [tr for traj in trajectories for tr in traj.transitions]
+    return (
+        np.array([tr.state for tr in steps], dtype=np.intp),
+        np.array([tr.action for tr in steps], dtype=np.intp),
+        np.array([tr.reward for tr in steps], dtype=np.float64),
+        np.array([tr.next_state for tr in steps], dtype=np.intp),
+        np.array([tr.terminal for tr in steps], dtype=bool),
+        np.array([traj.timeout_truncated for traj in trajectories], dtype=bool),
+        tuple(accumulate((traj.length for traj in trajectories), initial=0)),
+    )
+
+
 class OfflineDataset:
     """Immutable columnar store of every trajectory plus the MDP bookkeeping counts.
 
@@ -139,20 +160,8 @@ class OfflineDataset:
         trajectories = tuple(trajectories)
         if len(trajectories) < 1:
             raise ValueError("dataset must contain at least one trajectory")
-        steps = [tr for traj in trajectories for tr in traj.transitions]
-        self._adopt(
-            np.array([tr.state for tr in steps], dtype=np.intp),
-            np.array([tr.action for tr in steps], dtype=np.intp),
-            np.array([tr.reward for tr in steps], dtype=np.float64),
-            np.array([tr.next_state for tr in steps], dtype=np.intp),
-            np.array([tr.terminal for tr in steps], dtype=bool),
-            np.array([traj.timeout_truncated for traj in trajectories], dtype=bool),
-            tuple(accumulate((traj.length for traj in trajectories), initial=0)),
-            state_count,
-            action_count,
-            discount,
-            ids=[traj.id for traj in trajectories],
-        )
+        self._adopt(*_object_columns(trajectories), state_count, action_count, discount,
+                    ids=[traj.id for traj in trajectories])
         object.__setattr__(self, "_trajectories", trajectories)
 
     @classmethod
@@ -359,9 +368,7 @@ def _iter_records(path: Path) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
-def _record_arrays(record: dict, line_no: int) -> tuple[list, list, list, list, bool, bool]:
-    """A trajectory record's four parallel arrays and two flags, checked for
-    shape but not for values."""
+def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Trajectory:
     states = _require(record, "states", line_no)
     actions = _require(record, "actions", line_no)
     rewards = _require(record, "rewards", line_no)
@@ -377,12 +384,6 @@ def _record_arrays(record: dict, line_no: int) -> tuple[list, list, list, list, 
     timeout = _as_bool(_require(record, "timeout", line_no), "timeout", line_no)
     if terminal and timeout:
         raise ValueError(f"line {line_no}: terminal and timeout are mutually exclusive")
-    return states, actions, rewards, next_states, terminal, timeout
-
-
-def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Trajectory:
-    """The record as objects; the loader calls it only to word a fault."""
-    states, actions, rewards, next_states, terminal, timeout = _record_arrays(record, line_no)
     last = len(states) - 1
     try:
         transitions = tuple(
@@ -395,7 +396,6 @@ def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Traject
 
 
 def _transition_from_record(record: dict, line_no: int) -> tuple[Transition, bool]:
-    """The record as objects; the loader calls it only to word a fault."""
     terminal = _as_bool(_require(record, "terminal", line_no), "terminal", line_no)
     timeout = _as_bool(_require(record, "timeout", line_no), "timeout", line_no)
     try:
@@ -411,199 +411,155 @@ def _transition_from_record(record: dict, line_no: int) -> tuple[Transition, boo
     return tr, timeout
 
 
-def _detect_format(line_no: int, record: dict) -> str:
+def _detect_format(record: dict) -> str | None:
+    """The format of a first data record, or None if it names neither."""
     if "states" in record:
         return TRAJECTORY_JSONL
     if "state" in record:
         return FLAT_TRANSITIONS
-    raise ValueError(f"line {line_no}: cannot detect record format")
+    return None
 
 
-_INTP_MAX = np.iinfo(np.intp).max
+def _dataset(header: dict, *columns) -> OfflineDataset:
+    """A dataset over checked columns and offsets, with the header's counts
+    and discount; a count the header lacks comes from the largest id."""
+    states, actions, _, next_states = columns[:4]
+    if "state_count" in header:
+        state_count = int(header["state_count"])
+    else:
+        state_count = 1 + int(max(np.maximum.reduce(states), np.maximum.reduce(next_states)))
+    if "action_count" in header:
+        action_count = int(header["action_count"])
+    else:
+        action_count = 1 + int(np.maximum.reduce(actions))
+    return OfflineDataset._from_columns(
+        *columns, state_count, action_count, float(header.get("discount", DEFAULT_DISCOUNT))
+    )
 
 
-def _id_column(values: list) -> tuple[np.ndarray | None, int]:
-    """The ids as an intp column and -1, or None and the index of the first
-    value that is not a non-negative int (a bool is not one)."""
-    if set(map(type, values)) <= {int} and (not values or min(values) >= 0):
+class _Unclean(Exception):
+    """The columnar pass met something it does not take as clean."""
+
+
+def _id_column(values: list) -> np.ndarray:
+    """The ids as an intp column, if each is a non-negative int (not a bool)
+    that fits one."""
+    if set(map(type, values)) == {int}:
         try:
-            return np.array(values, dtype=np.intp), -1
+            column = np.array(values, dtype=np.intp)
         except OverflowError:
-            pass
-    bad = next(i for i, v in enumerate(values)
-               if type(v) is not int or not 0 <= v <= _INTP_MAX)
-    return None, bad
+            raise _Unclean from None
+        if np.minimum.reduce(column) >= 0:
+            return column
+    raise _Unclean
 
 
-def _reward_column(values: list) -> tuple[np.ndarray | None, int]:
-    """The rewards as a float64 column and -1, or None and the index of the
-    first value that ``float`` rejects or that is not finite."""
+def _reward_column(values: list) -> np.ndarray:
+    """The rewards as a float64 column, if they are numbers and all finite."""
     try:
         column = np.array(values)
     except (TypeError, ValueError, OverflowError):
-        column = None
-    if column is not None and column.ndim == 1 and column.dtype.kind in "biuf":
-        column = column.astype(np.float64, copy=False)
-        finite = np.isfinite(column)
-        if np.logical_and.reduce(finite):
-            return column, -1
-        return None, int(finite.argmin())
-    # strings, nulls, nested arrays: convert one at a time, as float() does
-    converted = []
-    for i, value in enumerate(values):
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            return None, i
-        if not math.isfinite(number):
-            return None, i
-        converted.append(number)
-    return np.array(converted, dtype=np.float64), -1
+        raise _Unclean from None
+    if column.ndim != 1 or column.dtype.kind not in "biuf":
+        raise _Unclean
+    column = column.astype(np.float64, copy=False)
+    if not np.logical_and.reduce(np.isfinite(column)):
+        raise _Unclean
+    return column
 
 
-def _value_columns(states: list, actions: list, rewards: list, next_states: list):
-    """The four value lists as columns and -1, or None and the first step
-    whose values a :class:`Transition` rejects."""
-    results = (_id_column(states), _id_column(actions), _reward_column(rewards),
-               _id_column(next_states))
-    bad = min((i for _, i in results if i >= 0), default=-1)
-    if bad >= 0:
-        return None, bad
-    return tuple(column for column, _ in results), -1
+def _load_columns(path: Path, format: str | None) -> OfflineDataset:
+    """The columnar pass: stream the records onto flat lists, then convert and
+    check them in array operations.  Raises :class:`_Unclean`, never wording
+    a fault, at anything a clean file does not have."""
+    records = _iter_records(path)
+    header: dict = {}
+    first = next(records, None)
+    if first is not None and "state_count" in first[1]:
+        header, first = first[1], next(records, None)
+    if first is None:
+        raise _Unclean
+    if format is None:
+        format = _detect_format(first[1])
+    if format not in FORMATS:
+        raise _Unclean
+    flat = format == FLAT_TRANSITIONS
+    states, actions, rewards, next_states, terminal, timeout = ([] for _ in range(6))
+    ends: list[int] = []
+    try:
+        for _, record in chain((first,), records):
+            if flat:
+                states.append(record["state"])
+                actions.append(record["action"])
+                rewards.append(record["reward"])
+                next_states.append(record["next_state"])
+            else:
+                arrays = (record["states"], record["actions"], record["rewards"],
+                          record["next_states"])
+                if (not all(type(a) is list for a in arrays)
+                        or len(set(map(len, arrays))) != 1 or not arrays[0]):
+                    raise _Unclean
+                states += arrays[0]
+                actions += arrays[1]
+                rewards += arrays[2]
+                next_states += arrays[3]
+                ends.append(len(states))
+            terminal.append(record["terminal"])
+            timeout.append(record["timeout"])
+    except KeyError:
+        raise _Unclean from None
+    if set(map(type, terminal)) != {bool} or set(map(type, timeout)) != {bool}:
+        raise _Unclean
+    states, actions, next_states = map(_id_column, (states, actions, next_states))
+    rewards = _reward_column(rewards)
+    n = len(states)
+    terminal = np.array(terminal, dtype=bool)
+    timeout = np.array(timeout, dtype=bool)
+    if flat:
+        ended = terminal | timeout
+        ended[-1] = True  # an untagged tail is kept, as a timeout-truncated trajectory
+        ends = np.flatnonzero(ended) + 1
+        timeout = ~terminal[ends - 1]
+    else:
+        if np.logical_or.reduce(terminal & timeout):
+            raise _Unclean
+        ends = np.array(ends, dtype=np.intp)
+        terminal, terminal_ends = np.zeros(n, dtype=bool), ends[terminal]
+        terminal[terminal_ends - 1] = True
+    # a chain break: a step's state is not the next state of the step before,
+    # unless that step ends a trajectory
+    breaks = next_states[:-1] != states[1:]
+    breaks[ends[:-1] - 1] = False
+    if np.logical_or.reduce(breaks):
+        raise _Unclean
+    return _dataset(header, states, actions, rewards, next_states, terminal, timeout,
+                    (0, *ends.tolist()))
 
 
-class _Records:
-    """A file's data records streamed onto flat lists of their parsed values.
-
-    One entry of ``line_nos`` per record taken: a trajectory for
-    ``trajectory-jsonl`` (``ends``, ``terminal`` and ``timeout`` per record
-    too), a step for ``flat-transitions`` (flags per step).
-    """
-
-    def __init__(self, flat: bool) -> None:
-        self.flat = flat
-        self.states: list = []
-        self.actions: list = []
-        self.rewards: list = []
-        self.next_states: list = []
-        self.terminal: list[bool] = []
-        self.timeout: list[bool] = []
-        self.ends: list[int] = []
-        self.line_nos: list[int] = []
-
-    def add(self, record: dict, line_no: int) -> None:
-        """Take one record, or raise the fault in its shape or flags."""
-        if self.flat:
-            try:
-                values = (record["state"], record["action"], record["reward"],
-                          record["next_state"])
-                terminal, timeout = record["terminal"], record["timeout"]
-            except KeyError:
-                terminal = timeout = None
-            if type(terminal) is not bool or type(timeout) is not bool:
-                _transition_from_record(record, line_no)  # raises the fault
-            self.states.append(values[0])
-            self.actions.append(values[1])
-            self.rewards.append(values[2])
-            self.next_states.append(values[3])
-        else:
-            states, actions, rewards, next_states, terminal, timeout = _record_arrays(
-                record, line_no
-            )
-            self.states += states
-            self.actions += actions
-            self.rewards += rewards
-            self.next_states += next_states
-            self.ends.append(len(self.states))
-        self.terminal.append(terminal)
-        self.timeout.append(timeout)
-        self.line_nos.append(line_no)
-
-    def start(self, record: int) -> int:
-        """Flat position of a record's first step."""
-        if self.flat:
-            return record
-        return self.ends[record - 1] if record else 0
-
-    def raise_fault(self, record: int) -> None:
-        """Raise the message the object constructors give for one taken record."""
-        lo = self.start(record)
-        line_no = self.line_nos[record]
-        if self.flat:
-            _transition_from_record({
-                "state": self.states[lo], "action": self.actions[lo],
-                "reward": self.rewards[lo], "next_state": self.next_states[lo],
-                "terminal": self.terminal[lo], "timeout": self.timeout[lo],
-            }, line_no)
-        else:
-            hi = self.ends[record]
-            _trajectory_from_record({
-                "states": self.states[lo:hi], "actions": self.actions[lo:hi],
-                "rewards": self.rewards[lo:hi], "next_states": self.next_states[lo:hi],
-                "terminal": self.terminal[record], "timeout": self.timeout[record],
-            }, line_no, record)
-        # only ids too large for the columns get here; no object rejects them
-        raise ValueError(f"line {line_no}: id larger than {_INTP_MAX}")
-
-    def columns(self, fault: ValueError | None):
-        """The checked columns, or raise the file's first fault.
-
-        Records count in file order, as the object constructors met them:
-        within a record its shape and flags first, then its steps' values,
-        then (for a trajectory record) its chain.  A ``flat-transitions``
-        log is split only after every record, so its chain breaks come after
-        every record fault.  ``fault`` is the shape or flag fault that stopped
-        the stream, at the record after the last one taken.
-        """
-        bad_record = len(self.line_nos)
-        lists = (self.states, self.actions, self.rewards, self.next_states)
-        values, bad_step = _value_columns(*lists)
-        if values is None:
-            # the columns of the records before it, which the chain check reads
-            bad_record = bad_step if self.flat else bisect_right(self.ends, bad_step)
-            stop = self.start(bad_record)
-            values, _ = _value_columns(*(column[:stop] for column in lists))
-        states, actions, rewards, next_states = values
-        n = len(states)
-        if self.flat:
-            if bad_record < len(self.line_nos):
-                self.raise_fault(bad_record)
-            if fault is not None:
-                raise fault
-            terminal = np.array(self.terminal, dtype=bool)
-            timeout = np.array(self.timeout, dtype=bool)
-            flagged = terminal | timeout
-            breaks = (next_states[:-1] != states[1:]) & ~flagged[:-1]
-            if np.logical_or.reduce(breaks):
-                i = int(breaks.argmax()) + 1
-                raise ValueError(
-                    f"chain break at step index {i} "
-                    f"(next_state {next_states[i - 1]} != state {states[i]})"
-                )
-            ends = np.flatnonzero(flagged) + 1
-            timeout = timeout[ends - 1] & ~terminal[ends - 1]
-            ends = ends.tolist()
-            if not flagged[-1]:
-                # Truncated tail: keep it, marked as a timeout trajectory.
-                ends.append(n)
-                timeout = np.append(timeout, True)
-        else:
-            ends = self.ends[:bad_record]
-            if n > 1:
-                breaks = next_states[:-1] != states[1:]
-                breaks[np.array(ends[:-1], dtype=np.intp) - 1] = False
-                if np.logical_or.reduce(breaks):
-                    bad_record = bisect_right(ends, int(breaks.argmax()))
-            if bad_record < len(self.line_nos):
-                self.raise_fault(bad_record)
-            if fault is not None:
-                raise fault
-            ends_at = np.array(ends, dtype=np.intp)
-            terminal = np.zeros(n, dtype=bool)
-            terminal[ends_at[np.array(self.terminal, dtype=bool)] - 1] = True
-            timeout = np.array(self.timeout, dtype=bool)
-        offsets = (0, *ends)
-        return states, actions, rewards, next_states, terminal, timeout, offsets
+def _load_objects(path: Path, format: str | None) -> OfflineDataset:
+    """The object pass: parse every line, then build the records' objects in
+    file order, so that the first fault is raised by the constructors."""
+    records = list(_iter_records(path))
+    header: dict = {}
+    if records and "state_count" in records[0][1]:
+        header, records = records[0][1], records[1:]
+    if not records:
+        raise ValueError(f"{path}: file contains no data records")
+    if format is None:
+        line_no, first = records[0]
+        format = _detect_format(first)
+        if format is None:
+            raise ValueError(f"line {line_no}: cannot detect record format")
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    if format == TRAJECTORY_JSONL:
+        trajectories = [_trajectory_from_record(record, line_no, j)
+                        for j, (line_no, record) in enumerate(records)]
+    else:
+        trajectories = split_flat_transitions(
+            [_transition_from_record(record, line_no) for line_no, record in records]
+        )
+    return _dataset(header, *_object_columns(trajectories))
 
 
 def load_dataset(path: str | Path, format: str | None = None) -> OfflineDataset:
@@ -614,50 +570,20 @@ def load_dataset(path: str | Path, format: str | None = None) -> OfflineDataset:
     come from the optional metadata header, otherwise counts are inferred from
     the data and the discount defaults to 0.99.
 
-    Records stream onto flat columns, which are then checked in a few array
-    operations; no per-step object is built.  A file with faults raises the
-    message of the first one in file order, worded as the :class:`Transition`
-    and :class:`Trajectory` constructors word it.  A malformed JSON line
-    reports before any other fault.
+    A clean file is read in one columnar pass: records stream onto flat
+    lists, which are converted and checked in a few array operations, and no
+    per-step object is built.  Any other file is read again, every line
+    parsed first, and its records built into :class:`Transition` and
+    :class:`Trajectory` objects in file order.  So a malformed JSON line
+    reports first, then the first fault the constructors raise, then the
+    header's counts and discount and the id bounds.  Ids above the
+    platform's ``intp`` range are rejected.
     """
     path = Path(path)
-    records = _iter_records(path)
-    header: dict = {}
-    first = next(records, None)
-    if first is not None and "state_count" in first[1]:
-        header, first = first[1], next(records, None)
-    if first is None:
-        raise ValueError(f"{path}: file contains no data records")
-    fault: ValueError | None = None
     try:
-        if format is None:
-            format = _detect_format(*first)
-        if format not in FORMATS:
-            raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    except ValueError as exc:
-        fault = exc
-    data = _Records(format == FLAT_TRANSITIONS)
-    for line_no, record in chain((first,), records):
-        # after a fault keep parsing: a malformed later line still reports first
-        if fault is None:
-            try:
-                data.add(record, line_no)
-            except ValueError as exc:
-                fault = exc
-    states, actions, rewards, next_states, terminal, timeout, offsets = data.columns(fault)
-
-    if "state_count" in header:
-        state_count = int(header["state_count"])
-    else:
-        state_count = 1 + int(max(np.maximum.reduce(states), np.maximum.reduce(next_states)))
-    if "action_count" in header:
-        action_count = int(header["action_count"])
-    else:
-        action_count = 1 + int(np.maximum.reduce(actions))
-    return OfflineDataset._from_columns(
-        states, actions, rewards, next_states, terminal, timeout, offsets,
-        state_count, action_count, float(header.get("discount", DEFAULT_DISCOUNT)),
-    )
+        return _load_columns(path, format)
+    except _Unclean:
+        return _load_objects(path, format)
 
 
 def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:

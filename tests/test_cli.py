@@ -377,3 +377,20 @@ def test_analyze_with_saved_ensemble_for_uncertainty(tmp_path):
     assert lines[0] == "id,length,lower_mean_unc,lower_mean_unc_rank"
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("shape", [(136, 2), (16, 2), (5, 3)])
+def test_analyze_rejects_an_ensemble_of_another_shape(tmp_path, capsys, shape):
+    from trajreplay.learner import EnsembleQ
+
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    ensemble_path = tmp_path / "other.npz"
+    EnsembleQ(*shape, 5, rng=np.random.default_rng(0)).save(ensemble_path)
+    capsys.readouterr()
+    assert main(["analyze", "--dataset", str(dataset_path), "--metrics", "lower_mean_unc",
+                 "--ensemble", str(ensemble_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: ensemble tables are (S, A) = {shape}, "
+                            "but the dataset needs (16, 3)\n")

@@ -10,6 +10,7 @@ any ``Transition`` or ``Trajectory`` built, and on any read of
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from trajreplay.dataset import (
     flatten_trajectories,
     load_dataset,
     save_dataset,
+    split_flat_transitions,
 )
 from trajreplay.learner import EnsembleQ, TrainConfig, train, value_iteration_oracle
 from trajreplay.priority import build_priority_table
@@ -80,12 +82,29 @@ def test_guard_catches_the_object_view(files, no_objects):
         Transition(0, 0, 0.0, 1, True)
 
 
-def test_loading_builds_no_transition(files, no_objects):
+def test_loading_builds_no_transition(files, no_objects, tmp_path):
+    """Clean files load on the columnar pass, including a flat log whose last
+    step has neither flag and a file without a header."""
     ds, traj_path, flat_path = files
+    records = [json.loads(line) for line in flat_path.read_text().splitlines()]
+    records[-1].update(terminal=False, timeout=False)
+    untagged_path, headless_path = tmp_path / "untagged.jsonl", tmp_path / "headless.jsonl"
+    untagged_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    headless_path.write_text(traj_path.read_text().split("\n", 1)[1])
+    *head, (tail, _) = flatten_trajectories(ds.trajectories)
+    untagged = OfflineDataset(
+        split_flat_transitions([*head, (dataclasses.replace(tail, terminal=False), False)]),
+        ds.state_count, ds.action_count,
+    )
+    headless = OfflineDataset(
+        ds.trajectories, 1 + int(max(ds.states.max(), ds.next_states.max())),
+        1 + int(ds.actions.max()),
+    )
     with no_objects():
-        loaded = [load_dataset(traj_path), load_dataset(flat_path, FLAT_TRANSITIONS)]
-    for got in loaded:
-        assert got == ds
+        loaded = [load_dataset(traj_path), load_dataset(flat_path, FLAT_TRANSITIONS),
+                  load_dataset(untagged_path), load_dataset(headless_path)]
+    assert loaded == [ds, ds, untagged, headless]
+    assert untagged.timeout[-1] and not untagged.terminal[-1]
 
 
 TRAIN_VARIANTS = [

@@ -38,6 +38,8 @@ def test_transition_rejects_negative_ids():
         Transition(-1, 0, 0.0, 1, False)
     with pytest.raises(ValueError, match="action"):
         Transition(0, -2, 0.0, 1, False)
+    with pytest.raises(ValueError, match="^id larger than .*: next_state"):
+        Transition(0, 0, 0.0, 2**70, False)
 
 
 def test_transition_rejects_nonfinite_reward():

@@ -149,7 +149,7 @@ def outcome(load, path, format):
 
 # ---------------------------------------------------------------- files
 
-bad_ids = st.sampled_from([-1, True, False, 1.5, "3", None, [1]])
+bad_ids = st.sampled_from([-1, True, False, 1.5, "3", None, [1], 2**70])
 bad_rewards = st.sampled_from(
     [None, "abc", "1.5", "nan", math.nan, math.inf, -math.inf, True, [1.0], {}, 2]
 )
