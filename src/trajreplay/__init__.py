@@ -3,7 +3,7 @@
 Stores offline data as whole trajectories, emits each active trajectory's
 transitions in backward time order, selects new trajectories by rank-based
 priority metrics (reward quality or ensemble uncertainty), and supports
-cached recursive / weighted critic targets.  A tabular TD learner and CLI
+recursive / weighted critic targets.  A tabular TD learner and CLI
 verify the machinery at desk scale.
 """
 
@@ -55,7 +55,6 @@ from .replay import (
 )
 from .scenarios import make_figure1, make_random_chain
 from .targets import (
-    TargetCache,
     TargetKind,
     compute_target,
 )

@@ -161,6 +161,9 @@ class ExperimentSpec:
             raise ValueError("seed list is empty")
         if not self.variants:
             raise ValueError("no variants configured")
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
+            raise ValueError(f"seeds {repeated} are repeated; each seed runs once")
 
 
 def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) -> Path:
@@ -309,20 +312,13 @@ def cmd_analyze(args) -> int:
     if ensemble is not None and ensemble.tables.shape[1:] != shape:
         raise ValueError(f"ensemble tables are (S, A) = {ensemble.tables.shape[1:]}, "
                          f"but the dataset needs {shape}")
-    available = []
-    for metric in metrics:
-        if metric in UNCERTAINTY_KINDS and ensemble is None:
-            print(f"metric {metric!r} unavailable without --ensemble", file=sys.stderr)
-            available.append(False)
-        else:
-            available.append(True)
-
     n = dataset.n_trajectories
     header = ["id", "length"]
     columns: list[list[str]] = []
-    for metric, ok in zip(metrics, available):
+    for metric in metrics:
         header += [metric, f"{metric}_rank"]
-        if not ok:
+        if metric in UNCERTAINTY_KINDS and ensemble is None:
+            print(f"metric {metric!r} unavailable without --ensemble", file=sys.stderr)
             columns.append(["unavailable"] * n)
             columns.append(["unavailable"] * n)
             continue

@@ -32,7 +32,7 @@ from .replay import (
     UniformSelector,
     UniformTransitionSampler,
 )
-from .targets import STANDARD, TargetCache, TargetKind, compute_target
+from .targets import STANDARD, TargetKind, compute_target
 
 UNI_STATE = "uni_state"
 PRIO_STATE = "prio_state"
@@ -213,10 +213,12 @@ class EnsembleQ:
             ens = cls.from_tables(
                 data["tables"], float(data["eta"]), int(data["target_sync_period"])
             )
-            if "target_mean" in data:
-                ens.target_mean[:] = data["target_mean"]
-            else:
-                ens.target_mean[:] = column_means(data["target_tables"])
+            old = "target_mean" not in data  # older files hold the target member tables
+            target = data["target_tables" if old else "target_mean"]
+            if target.shape[int(old):] != ens.tables.shape[1:]:
+                raise ValueError(f"target table shape {target.shape} does not fit "
+                                 f"member tables of shape {ens.tables.shape}")
+            ens.target_mean[:] = column_means(target) if old else target
             # the stored target may lag the members: the next sync copies all
             ens._target_current = False
             ens.updates_applied = int(data["updates_applied"])
@@ -326,7 +328,6 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     s0 = dataset.start_state
     q_bar = ensemble.target_value
     policy = ensemble.greedy_action
-    cache = TargetCache()
 
     uniform_sampler = None
     per_sampler = None
@@ -347,6 +348,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     kind = config.target
     gamma = config.gamma
     state_column, action_column = dataset.states, dataset.actions
+    targets = [None] * config.batch_size
     for step in range(config.total_steps):
         if uniform_sampler is not None:
             items = uniform_sampler.sample(config.batch_size, rng)
@@ -356,7 +358,9 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         else:
             items = replay.next_batch()
             leaves = None
-        targets = [compute_target(it, dataset, kind, cache, q_bar, policy, gamma) for it in items]
+        # a replay slot's previous target is its trajectory's target(t+1)
+        targets = [compute_target(it, dataset, kind, later, q_bar, policy, gamma)
+                   for it, later in zip(items, targets, strict=True)]
         if len(items) == 1:
             # two scalar reads; a one-element gather costs more than the update
             i = items[0].index

@@ -40,7 +40,7 @@ from trajreplay.replay import (
     UniformSelector,
 )
 from trajreplay.scenarios import make_figure1, make_random_chain
-from trajreplay.targets import TargetCache, TargetKind, compute_target
+from trajreplay.targets import TargetKind, compute_target
 
 STANDARD = TargetKind("standard")
 SARSA = TargetKind("sarsa")
@@ -197,16 +197,18 @@ def test_criterion_4_weighted_target_endpoints():
         q_bar = lambda s, a, q=q_table: float(q[s, a])
         policy = lambda s, g=greedy: int(g[s])
         gamma = float(rng.uniform(0.5, 1.0))
-        def target(item, kind, cache):
-            return compute_target(item, dataset, kind, cache, q_bar, policy, gamma)
+        def target(item, kind, later):
+            return compute_target(item, dataset, kind, later, q_bar, policy, gamma)
 
         for traj in dataset.trajectories:
-            caches = {kind: TargetCache() for kind in (WEIGHTED_ONE, WEIGHTED_ZERO, SARSA)}
+            # each kind's target for t+1, carried down the backward pass
+            later = {kind: None for kind in (WEIGHTED_ONE, WEIGHTED_ZERO, SARSA)}
             for item in backward_items(dataset, traj.id):
-                w1 = target(item, WEIGHTED_ONE, caches[WEIGHTED_ONE])
-                assert w1 == target(item, STANDARD, TargetCache())
-                w0 = target(item, WEIGHTED_ZERO, caches[WEIGHTED_ZERO])
-                assert w0 == target(item, SARSA, caches[SARSA])
+                w1 = later[WEIGHTED_ONE] = target(item, WEIGHTED_ONE, later[WEIGHTED_ONE])
+                assert w1 == target(item, STANDARD, None)
+                w0 = later[WEIGHTED_ZERO] = target(item, WEIGHTED_ZERO, later[WEIGHTED_ZERO])
+                later[SARSA] = target(item, SARSA, later[SARSA])
+                assert w0 == later[SARSA]
                 transitions_checked += 1
     print(
         f"\n[acceptance] criterion 4 (weighted-target endpoints): PASS — "
@@ -232,11 +234,11 @@ def test_criterion_5_sarsa_support_constraint():
 
         gamma = dataset.discount
         for traj in dataset.trajectories:
-            cache = TargetCache()
             got = {}
+            later = None
             for item in backward_items(dataset, traj.id):
-                got[item.time_index] = compute_target(
-                    item, dataset, SARSA, cache, q_bar, lambda s: 0, gamma
+                later = got[item.time_index] = compute_target(
+                    item, dataset, SARSA, later, q_bar, lambda s: 0, gamma
                 )
             acc = 0.0
             for t in range(traj.length - 1, -1, -1):

@@ -146,6 +146,21 @@ def test_train_seed_env_fallback(tmp_path, monkeypatch):
     assert (out / "uni_traj__seed11.csv").exists()
 
 
+@pytest.mark.parametrize("seeds_flag, config_seeds", [("1,1", ""), (None, "seed = 3, 1, 3, 1\n")])
+def test_train_rejects_repeated_seeds(tmp_path, capsys, seeds_flag, config_seeds):
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    config = write_config(tmp_path / "c.cfg", "sampler = uni_traj\ntotal_steps = 5\n" + config_seeds)
+    out = tmp_path / "out"
+    argv = ["train", "--dataset", str(dataset_path), "--config", str(config), "--out", str(out)]
+    if seeds_flag is not None:
+        argv += ["--seeds", seeds_flag]
+    assert main(argv) == 1
+    repeated = "[1]" if seeds_flag else "[1, 3]"
+    assert f"error: seeds {repeated} are repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_over_scalars_keeps_every_run_and_its_own_oracle(tmp_path):
     dataset_path = tmp_path / "ds.jsonl"
     main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])

@@ -193,6 +193,19 @@ def test_ensemble_load_reads_file_with_target_member_tables(tmp_path):
     assert (loaded.eta, loaded.target_sync_period, loaded.updates_applied) == (0.5, 3, 7)
 
 
+@pytest.mark.parametrize("key, shape", [
+    ("target_mean", (3,)), ("target_mean", ()), ("target_mean", (2, 4, 3)),
+    ("target_tables", (2, 4, 1)), ("target_tables", (2, 3, 3)), ("target_tables", (4, 3)),
+])
+def test_ensemble_load_rejects_a_target_table_of_another_shape(tmp_path, key, shape):
+    path = tmp_path / "bad.npz"
+    np.savez(path, tables=np.zeros((2, 4, 3)), eta=0.5, target_sync_period=1,
+             updates_applied=0, **{key: np.ones(shape)})
+    with pytest.raises(ValueError) as excinfo:
+        EnsembleQ.load(path)
+    assert str(shape) in str(excinfo.value) and "(2, 4, 3)" in str(excinfo.value)
+
+
 def test_from_tables_copies_and_validates():
     tables = np.zeros((2, 1, 2))
     ens = EnsembleQ.from_tables(tables, eta=0.5, target_sync_period=4)
@@ -346,7 +359,7 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
 
     # re-run the target computation path with an instrumented value function
     from trajreplay.replay import TrajectoryReplay, UniformSelector
-    from trajreplay.targets import TargetCache, compute_target
+    from trajreplay.targets import compute_target
 
     class CompletionRecorder(UniformSelector):
         def __init__(self):
@@ -359,7 +372,7 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
     rng = np.random.default_rng(1)
     selector = CompletionRecorder()
     replay = TrajectoryReplay(ds, 1, selector, rng)
-    cache = TargetCache()
+    later = None  # the one slot's previous target: its trajectory's target(t+1)
     sarsa = TargetKind("sarsa")
 
     def q_bar(s, a):
@@ -367,12 +380,44 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
         return 0.0
 
     for _ in range(300):
-        for item in replay.next_batch():
-            compute_target(item, ds, sarsa, cache, q_bar, lambda s: 0, 0.99)
+        (item,) = replay.next_batch()
+        later = compute_target(item, ds, sarsa, later, q_bar, lambda s: 0, 0.99)
     assert [pair for pair in reads if pair not in seen_pairs] == []
     # 300 single-slot steps cover many whole passes, each signalled once
     assert len(selector.completed) >= 300 // max(t.length for t in ds.trajectories)
     assert reads == []  # terminal-ended data never consults the bootstrap at all
+
+
+@pytest.mark.parametrize("sampler, metric", [("uni_traj", "uniform"), ("prio_traj", "return")])
+@pytest.mark.parametrize("kind", [TargetKind("sarsa"), TargetKind("weighted", 0.5)])
+def test_train_carries_each_slots_target_to_its_next_step(monkeypatch, sampler, metric, kind):
+    import trajreplay.learner as learner
+
+    # uneven lengths, so the B = 8 slots finish and refill at different steps
+    ds = make_random_chain(20, 1, 9, np.random.default_rng(31), terminal_prob=0.5)
+    real = learner.compute_target
+    calls = []
+
+    def recorder(item, dataset, kind, later, q_bar, policy, gamma):
+        value = real(item, dataset, kind, later, q_bar, policy, gamma)
+        calls.append((item.trajectory_id, item.time_index, item.is_trajectory_head, later, value))
+        return value
+
+    monkeypatch.setattr(learner, "compute_target", recorder)
+    config = TrainConfig(sampler=sampler, metric=metric, target=kind, batch_size=8,
+                         total_steps=80, ensemble_size=2, target_sync_period=1, seed=4)
+    train(ds, config)
+    assert len(calls) == 8 * 80
+    latest = {}  # (j, t) -> its target in the pass that emitted it last
+    heads = 0
+    for j, t, head, later, value in calls:
+        if head:
+            heads += 1
+        else:
+            # the current pass emitted (j, t + 1) before (j, t)
+            assert later is not None and later.hex() == latest[(j, t + 1)].hex(), (j, t)
+        latest[(j, t)] = value
+    assert heads > 2 * ds.n_trajectories  # several epochs of refills
 
 
 def test_train_records_the_start_state(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.replay import BatchItem
-from trajreplay.targets import TargetCache, TargetKind, compute_target
+from trajreplay.targets import TargetKind, compute_target
 
 ACTIONS = 3
 values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -23,8 +23,8 @@ values = st.floats(-10.0, 10.0, allow_nan=False)
 @st.composite
 def passes(draw):
     """A one-trajectory dataset, its backward pass, a gamma, and Q / policy
-    tables over its states.  The items carry a drawn trajectory id, the key
-    of the target cache, and index the dataset's columns."""
+    tables over its states.  The items carry a drawn trajectory id and index
+    the dataset's columns."""
     length = draw(st.integers(1, 10))
     rewards = draw(st.lists(values, min_size=length, max_size=length))
     terminal = draw(st.booleans())
@@ -77,12 +77,11 @@ def policy_bootstrap(ds, item, gamma, q, policy):
 def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
     ds, items, gamma, q, policy = case
     recorder = Recorder(q, policy)
-    cache = TargetCache()
     kind = TargetKind("weighted", 0.0)
-    want = None
+    got = want = None
     for item in items:
         recorder.head = item.is_trajectory_head
-        got = compute_target(item, ds, kind, cache, recorder.q_bar, recorder.policy, gamma)
+        got = compute_target(item, ds, kind, got, recorder.q_bar, recorder.policy, gamma)
         if item.is_trajectory_head:
             want = policy_bootstrap(ds, item, gamma, q, policy)
         else:
@@ -97,8 +96,8 @@ def test_weighted_at_beta_one_is_standard_on_every_item(case):
     ds, items, gamma, q, policy = case
     q_bar = lambda s, a: q[s][a]
     pi = policy.__getitem__
-    cache = TargetCache()
     kind = TargetKind("weighted", 1.0)
+    got = None
     for item in items:
-        got = compute_target(item, ds, kind, cache, q_bar, pi, gamma)
+        got = compute_target(item, ds, kind, got, q_bar, pi, gamma)
         assert got.hex() == policy_bootstrap(ds, item, gamma, q, policy).hex()

@@ -5,7 +5,7 @@ import pytest
 
 from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.replay import BatchItem
-from trajreplay.targets import TargetCache, TargetKind, compute_target
+from trajreplay.targets import TargetKind, compute_target
 from trajreplay.scenarios import make_random_chain
 
 STANDARD = TargetKind("standard")
@@ -39,15 +39,25 @@ def constant_q(value):
 
 
 def standard_target(ds, item, q_bar, policy, gamma):
-    return compute_target(item, ds, STANDARD, TargetCache(), q_bar, policy, gamma)
+    return compute_target(item, ds, STANDARD, None, q_bar, policy, gamma)
 
 
-def sarsa_target(ds, item, cache, q_bar, policy, gamma):
-    return compute_target(item, ds, SARSA, cache, q_bar, policy, gamma)
+def sarsa_target(ds, item, later, q_bar, policy, gamma):
+    return compute_target(item, ds, SARSA, later, q_bar, policy, gamma)
 
 
-def weighted_target(ds, item, cache, q_bar, policy, gamma, beta):
-    return compute_target(item, ds, TargetKind("weighted", beta), cache, q_bar, policy, gamma)
+def weighted_target(ds, item, later, q_bar, policy, gamma, beta):
+    return compute_target(item, ds, TargetKind("weighted", beta), later, q_bar, policy, gamma)
+
+
+def backward_pass(ds, kind, q_bar, policy, gamma, j=0, later=None):
+    """Trajectory j's targets in emission order, each step's value passed on
+    as the next step's ``later``, the way one replay slot carries it."""
+    values = []
+    for item in backward_items(ds, j):
+        later = compute_target(item, ds, kind, later, q_bar, policy, gamma)
+        values.append(later)
+    return values
 
 
 def returns_to_go(rewards, gamma):
@@ -100,22 +110,20 @@ def test_standard_target_gamma_zero_is_reward():
 
 def test_sarsa_backward_recursion_by_hand():
     ds = reward_dataset([0.0, 8.0])
-    cache = TargetCache()
-    head = sarsa_target(ds, item_for(ds, 1), cache, constant_q(99.0), lambda s: 0, 0.99)
+    head = sarsa_target(ds, item_for(ds, 1), None, constant_q(99.0), lambda s: 0, 0.99)
     assert head == 8.0
-    tail = sarsa_target(ds, item_for(ds, 0), cache, constant_q(99.0), lambda s: 0, 0.99)
+    tail = sarsa_target(ds, item_for(ds, 0), head, constant_q(99.0), lambda s: 0, 0.99)
     assert tail == pytest.approx(7.92)
 
 
 def test_sarsa_head_of_terminal_trajectory_is_reward():
     ds = reward_dataset([0.0, 0.0, 3.0])
-    assert sarsa_target(ds, item_for(ds, 2), TargetCache(), constant_q(50.0), lambda s: 0, 0.9) == 3.0
+    assert sarsa_target(ds, item_for(ds, 2), None, constant_q(50.0), lambda s: 0, 0.9) == 3.0
 
 
 def test_sarsa_timeout_head_bootstraps_policy_value():
     ds = reward_dataset([1.0, 1.0], terminal=False)
-    cache = TargetCache()
-    head = sarsa_target(ds, item_for(ds, 1), cache, constant_q(4.0), lambda s: 0, 0.5)
+    head = sarsa_target(ds, item_for(ds, 1), None, constant_q(4.0), lambda s: 0, 0.5)
     assert head == pytest.approx(1.0 + 0.5 * 4.0)
 
 
@@ -125,19 +133,16 @@ def test_sarsa_full_pass_reproduces_discounted_returns():
         rewards = list(rng.uniform(-2, 2, int(rng.integers(1, 12))))
         gamma = float(rng.uniform(0.5, 1.0))
         ds = reward_dataset(rewards)
-        cache = TargetCache()
-        got = {}
-        for item in backward_items(ds):
-            got[item.time_index] = sarsa_target(ds, item, cache, constant_q(1e9), lambda s: 0, gamma)
-        expected = returns_to_go(rewards, gamma)
-        for t, value in got.items():
-            assert value == pytest.approx(expected[t], abs=1e-9)
+        got = backward_pass(ds, SARSA, constant_q(1e9), lambda s: 0, gamma)
+        expected = returns_to_go(rewards, gamma)[::-1]
+        for value, want in zip(got, expected, strict=True):
+            assert value == pytest.approx(want, abs=1e-9)
 
 
-def test_sarsa_missing_cache_entry_is_order_violation():
+def test_sarsa_without_later_target_is_order_violation():
     ds = reward_dataset([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="backward order"):
-        sarsa_target(ds, item_for(ds, 0), TargetCache(), constant_q(0.0), lambda s: 0, 0.99)
+        sarsa_target(ds, item_for(ds, 0), None, constant_q(0.0), lambda s: 0, 0.99)
 
 
 def test_weighted_beta_endpoints_match_standard_and_sarsa_exactly():
@@ -151,34 +156,28 @@ def test_weighted_beta_endpoints_match_standard_and_sarsa_exactly():
         q_bar = lambda s, a, q=q_values: float(q[s, a])
         policy = lambda s: 0
 
-        cache_one = TargetCache()
-        cache_zero = TargetCache()
-        recursive = None
+        w1 = w0 = recursive = None
         for item in backward_items(ds):
             tr = ds.trajectories[0].transitions[item.time_index]
             bootstrap = 0.0 if tr.terminal else q_bar(tr.next_state, 0)
-            w1 = weighted_target(ds, item, cache_one, q_bar, policy, gamma, beta=1.0)
+            w1 = weighted_target(ds, item, w1, q_bar, policy, gamma, beta=1.0)
             assert w1 == tr.reward + gamma * bootstrap
-            w0 = weighted_target(ds, item, cache_zero, q_bar, policy, gamma, beta=0.0)
+            w0 = weighted_target(ds, item, w0, q_bar, policy, gamma, beta=0.0)
             recursive = tr.reward + gamma * (bootstrap if item.is_trajectory_head else recursive)
             assert w0 == recursive
 
 
 def test_recursive_target_keeps_a_negative_zero():
-    # w = 0 is r + gamma * cached; the blend (1 - 0) * cached + 0 * 0.0 gives +0.0
+    # w = 0 is r + gamma * later; the blend (1 - 0) * later + 0 * 0.0 gives +0.0
     ds = reward_dataset([-0.0, -0.0])
     for kind in (SARSA, TargetKind("weighted", 0.0)):
-        cache = TargetCache()
-        values = [compute_target(item, ds, kind, cache, constant_q(1.0), lambda s: 0, 0.9)
-                  for item in backward_items(ds)]
+        values = backward_pass(ds, kind, constant_q(1.0), lambda s: 0, 0.9)
         assert [v.hex() for v in values] == [(-0.0).hex()] * 2
 
 
 def test_weighted_blend_worked_example():
     ds = reward_dataset([0.0, 1.0, 0.0])
-    cache = TargetCache()
-    cache.put(0, 2, 2.0)
-    value = weighted_target(ds, item_for(ds, 1), cache, constant_q(4.0), lambda s: 0, 0.99, beta=0.25)
+    value = weighted_target(ds, item_for(ds, 1), 2.0, constant_q(4.0), lambda s: 0, 0.99, beta=0.25)
     assert value == pytest.approx(1.0 + 0.99 * (0.75 * 2.0 + 0.25 * 4.0))
     assert value == pytest.approx(3.475)
 
@@ -189,9 +188,7 @@ def test_weighted_is_affine_in_beta():
     values = []
     betas = [0.0, 0.25, 0.5, 0.75, 1.0]
     for beta in betas:
-        cache = TargetCache()
-        cache.put(0, 2, 2.0)
-        values.append(weighted_target(ds, item_for(ds, 1), cache, q_bar, lambda s: 0, 0.9, beta))
+        values.append(weighted_target(ds, item_for(ds, 1), 2.0, q_bar, lambda s: 0, 0.9, beta))
     diffs = np.diff(values)
     assert np.allclose(diffs, diffs[0])
 
@@ -201,65 +198,33 @@ def test_weighted_rejects_beta_outside_unit_interval():
         TargetKind("weighted", beta=-0.1)
 
 
-def test_cache_keeps_one_value_per_trajectory():
-    cache = TargetCache()
-    cache.put(3, 1, 2.0)
-    cache.put(3, 0, 1.0)
-    cache.put(4, 0, 9.0)
-    assert cache.get(3, 0) == 1.0
-    assert cache.get(4, 0) == 9.0
-    with pytest.raises(ValueError, match="no cached target"):
-        cache.get(3, 1)  # replaced by the pass's next step
-    with pytest.raises(ValueError, match="no cached target"):
-        cache.get(5, 0)
-
-
-def test_new_pass_head_overwrites_earlier_pass():
+def test_new_pass_head_ignores_the_earlier_pass():
+    # one slot's carry runs across passes; a head is the base case and never reads it
     ds = reward_dataset([1.0, 2.0], terminal=False)
-    cache = TargetCache()
+    later = None
     for q in (10.0, 20.0):
-        values = [sarsa_target(ds, item, cache, constant_q(q), lambda s: 0, 0.5)
-                  for item in backward_items(ds)]
+        values = backward_pass(ds, SARSA, constant_q(q), lambda s: 0, 0.5, later=later)
         assert values == [2.0 + 0.5 * q, 1.0 + 0.5 * (2.0 + 0.5 * q)]
+        later = values[-1]
 
 
-def test_cache_rejects_repeated_step():
-    ds = reward_dataset([0.0, 1.0, 2.0])
-    cache = TargetCache()
-    sarsa_target(ds, item_for(ds, 2), cache, constant_q(0.0), lambda s: 0, 0.9)
-    sarsa_target(ds, item_for(ds, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
-    with pytest.raises(ValueError, match="backward order"):
-        sarsa_target(ds, item_for(ds, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
-
-
-def test_cache_rejects_skipped_step():
+@pytest.mark.parametrize("kind", [SARSA, TargetKind("weighted", 0.0), TargetKind("weighted", 0.25)])
+def test_every_non_head_without_later_target_is_order_violation(kind):
     ds = reward_dataset([0.0, 1.0, 2.0, 3.0])
-    cache = TargetCache()
-    sarsa_target(ds, item_for(ds, 3), cache, constant_q(0.0), lambda s: 0, 0.9)
-    with pytest.raises(ValueError, match="backward order"):
-        sarsa_target(ds, item_for(ds, 1), cache, constant_q(0.0), lambda s: 0, 0.9)
-
-
-def test_cache_rejects_new_pass_that_skips_its_head():
-    ds = reward_dataset([0.0, 1.0, 2.0])
-    cache = TargetCache()
-    for item in backward_items(ds):
-        sarsa_target(ds, item, cache, constant_q(0.0), lambda s: 0, 0.9)
-    # The finished pass left its t=0 value; a new pass starting below the
-    # head must not read it as target(t+1).
-    for t in (1, 0):
+    for t in (2, 1, 0):
         with pytest.raises(ValueError, match="backward order"):
-            sarsa_target(ds, item_for(ds, t), cache, constant_q(0.0), lambda s: 0, 0.9)
+            compute_target(item_for(ds, t), ds, kind, None, constant_q(0.0), lambda s: 0, 0.9)
+    # a head needs no later target, and ignores one it is given
+    for later in (None, 123.0):
+        assert compute_target(item_for(ds, 3), ds, kind, later, constant_q(0.0), lambda s: 0, 0.9) == 3.0
 
 
 def test_compute_target_dispatch():
     ds = reward_dataset([0.0, 8.0])
     gamma = 0.99
-    cache = TargetCache()
-    for item in backward_items(ds):
-        s = compute_target(item, ds, TargetKind("sarsa"), cache, constant_q(0.0), lambda s: 0, gamma)
+    s = backward_pass(ds, TargetKind("sarsa"), constant_q(0.0), lambda s: 0, gamma)[-1]
     assert s == pytest.approx(7.92)
-    std = compute_target(item_for(ds, 0), ds, TargetKind("standard"), TargetCache(), constant_q(8.0), lambda s: 0, gamma)
+    std = compute_target(item_for(ds, 0), ds, TargetKind("standard"), None, constant_q(8.0), lambda s: 0, gamma)
     assert std == pytest.approx(7.92)
 
 
@@ -271,8 +236,6 @@ def test_sarsa_never_reads_q_bar_on_terminal_dataset():
         reads.append((s, a))
         return 0.0
 
-    cache = TargetCache()
     for traj in ds.trajectories:
-        for item in backward_items(ds, traj.id):
-            sarsa_target(ds, item, cache, q_bar, lambda s: 0, 0.99)
+        backward_pass(ds, SARSA, q_bar, lambda s: 0, 0.99, j=traj.id)
     assert reads == []
