@@ -18,12 +18,13 @@ summary JSON only, keeping the CSVs byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .learner import (
     PRIO_TRAJ,
     EnsembleQ,
     TrainConfig,
-    TrainResult,
     steps_to_threshold,
     train,
     value_iteration_oracle,
@@ -50,7 +50,7 @@ from .scenarios import (
     make_figure1,
     make_random_chain,
 )
-from .targets import STANDARD, TargetKind
+from .targets import STANDARD, WEIGHTED, TargetKind
 
 SEED_ENV_VAR = "TRAJ_REPLAY_SEED"
 
@@ -76,52 +76,39 @@ def parse_config_file(path: str | Path) -> dict[str, list[str]]:
     return values
 
 
-_SCALAR_KEYS = {
-    "gamma": float,
-    "alpha": float,
-    "epsilon": float,
-    "eta": float,
-    "beta": float,
-    "ensemble_size": int,
-    "batch_size": int,
-    "total_steps": int,
-    "target_sync_period": int,
-}
-# TrainConfig's scalar fields: every key above but beta, which lives in TargetKind
-_CONFIG_SCALARS = tuple(key for key in _SCALAR_KEYS if key != "beta")
+def _field_types(cls) -> dict[str, type]:
+    return {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+
+
+# A sweep key names a TrainConfig field and is read as that field's type,
+# except that ``target`` and ``beta`` set the fields of its TargetKind and
+# ``seed`` lists the seeds every variant runs with.
+_CONFIG_TYPES = _field_types(TrainConfig)
+_TARGET_TYPES = _field_types(TargetKind)
+_TARGET_KEYS = {"target": "kind", "beta": "beta"}
+# the fields a label names by value when they differ within a sweep
+_SCALARS = [name for name, t in _CONFIG_TYPES.items() if t in (int, float) and name != "seed"]
 
 
 def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
     """Cross-product of all list-valued keys into normalized TrainConfigs.
 
-    Non-prioritized samplers ignore the metric axis (TrainConfig normalizes it
-    to uniform), so duplicates created by the product are dropped.
+    TrainConfig and TargetKind reset the values a run ignores (the metric of
+    a non-prioritized sampler, the beta of a non-weighted target), so
+    duplicates created by the product are dropped.  A value either rejects
+    fails the whole sweep here, before any run.
     """
-    known = {"sampler", "metric", "target", "seed"} | set(_SCALAR_KEYS)
     for key in raw:
-        if key not in known:
+        if key not in _CONFIG_TYPES and key not in _TARGET_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    pending: list[dict] = [{}]
-    for key, entries in raw.items():
-        if key == "seed":
-            continue
-        pending = [dict(combo, **{key: entry}) for combo in pending for entry in entries]
+    keys = [key for key in raw if key != "seed"]
     configs: list[TrainConfig] = []
-    for combo in pending:
-        kwargs: dict = {}
-        if "sampler" in combo:
-            kwargs["sampler"] = combo["sampler"]
-        if "metric" in combo:
-            kwargs["metric"] = combo["metric"]
-        target_kind = combo.get("target", STANDARD)
-        # beta only differentiates weighted targets; pin it elsewhere so a
-        # beta sweep cannot mint duplicate standard/sarsa variants
-        beta = float(combo.get("beta", 0.5)) if target_kind == "weighted" else 0.5
-        kwargs["target"] = TargetKind(target_kind, beta)
-        for key in _CONFIG_SCALARS:
-            if key in combo:
-                kwargs[key] = _SCALAR_KEYS[key](combo[key])
-        config = TrainConfig(**kwargs)
+    for values in itertools.product(*(raw[key] for key in keys)):
+        combo = dict(zip(keys, values))
+        target = {name: _TARGET_TYPES[name](combo.pop(key))
+                  for key, name in _TARGET_KEYS.items() if key in combo}
+        config = TrainConfig(target=TargetKind(**target),
+                             **{key: _CONFIG_TYPES[key](value) for key, value in combo.items()})
         # every config keeps the default seed, so equality is the variant's identity
         if config not in configs:
             configs.append(config)
@@ -137,9 +124,9 @@ def variant_label(config: TrainConfig, variants: Sequence[TrainConfig] = ()) -> 
         parts.append(config.metric)
     if config.target.kind != STANDARD:
         parts.append(config.target.kind)
-        if config.target.kind == "weighted":
+        if config.target.kind == WEIGHTED:
             parts.append(f"beta{config.target.beta:g}")
-    for name in _CONFIG_SCALARS:
+    for name in _SCALARS:
         if len({getattr(v, name) for v in variants}) > 1:
             parts.append(f"{name}{getattr(config, name)}")
     return "-".join(parts)
@@ -186,15 +173,18 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
         for gamma in sorted({config.gamma for config in spec.variants})
     }
 
-    def run_one(config: TrainConfig, label: str, seed: int) -> TrainResult:
+    # a run keeps its curve and wall time, and its ensemble only to save it
+    def run_one(config: TrainConfig, label: str, seed: int) -> tuple:
         try:
-            return train(dataset, config.with_seed(seed))
+            result = train(dataset, config.with_seed(seed))
         except Exception as exc:
             raise RuntimeError(
                 f"run failed for (variant, seed) = ({label}, {seed}): {exc}"
             ) from exc
+        ensemble = result.ensemble if spec.save_ensembles else None
+        return result.curve, result.wall_ms_per_1000, ensemble
 
-    results = {
+    runs = {
         (label, seed): run_one(config, label, seed)
         for config, label in zip(spec.variants, labels)
         for seed in spec.seeds
@@ -214,13 +204,13 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
         finals = []
         wall = []
         for seed in spec.seeds:
-            result = results[(label, seed)]
-            write_curve_csv(spec.out_dir / f"{label}__seed{seed}.csv", result)
-            if spec.save_ensembles:
-                result.ensemble.save(spec.out_dir / f"{label}__seed{seed}.npz")
-            steps_to.append(steps_to_threshold(result.curve, oracle_s0, spec.eps_rel))
-            finals.append(float(result.curve[-1]))
-            wall.append(result.wall_ms_per_1000)
+            curve, wall_ms, ensemble = runs[(label, seed)]
+            write_curve_csv(spec.out_dir / f"{label}__seed{seed}.csv", curve)
+            if ensemble is not None:
+                ensemble.save(spec.out_dir / f"{label}__seed{seed}.npz")
+            steps_to.append(steps_to_threshold(curve, oracle_s0, spec.eps_rel))
+            finals.append(float(curve[-1]))
+            wall.append(wall_ms)
         censored = [np.inf if s is None else s for s in steps_to]
         median = float(np.median(censored))
         summary["variants"][label] = {
@@ -250,10 +240,10 @@ def _resolve_seeds(args, raw_config: dict[str, list[str]]) -> list[int]:
     return [0]
 
 
-def write_curve_csv(path: Path, result: TrainResult) -> None:
+def write_curve_csv(path: Path, curve: np.ndarray) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,max_q_s0\n")
-        for step, value in enumerate(result.curve, start=1):
+        for step, value in enumerate(curve, start=1):
             fh.write(f"{step},{_fmt(value)}\n")
 
 

@@ -420,21 +420,26 @@ def _detect_format(record: dict) -> str | None:
     return None
 
 
+def _header_count(header: dict, key: str, ids: tuple) -> int:
+    """The header's non-negative int count, else one more than the largest id."""
+    if key not in header:
+        return 1 + int(max(map(np.maximum.reduce, ids)))
+    count = header[key]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"header field {key!r} must be a non-negative integer, got {count!r}")
+    return count
+
+
 def _dataset(header: dict, *columns) -> OfflineDataset:
     """A dataset over checked columns and offsets, with the header's counts
-    and discount; a count the header lacks comes from the largest id."""
+    and discount, which must be a number (not a bool)."""
     states, actions, _, next_states = columns[:4]
-    if "state_count" in header:
-        state_count = int(header["state_count"])
-    else:
-        state_count = 1 + int(max(np.maximum.reduce(states), np.maximum.reduce(next_states)))
-    if "action_count" in header:
-        action_count = int(header["action_count"])
-    else:
-        action_count = 1 + int(np.maximum.reduce(actions))
-    return OfflineDataset._from_columns(
-        *columns, state_count, action_count, float(header.get("discount", DEFAULT_DISCOUNT))
-    )
+    state_count = _header_count(header, "state_count", (states, next_states))
+    action_count = _header_count(header, "action_count", (actions,))
+    discount = header.get("discount", DEFAULT_DISCOUNT)
+    if isinstance(discount, bool) or not isinstance(discount, (int, float)):
+        raise ValueError(f"header field 'discount' must be a number, got {discount!r}")
+    return OfflineDataset._from_columns(*columns, state_count, action_count, float(discount))
 
 
 class _Unclean(Exception):
@@ -455,15 +460,13 @@ def _id_column(values: list) -> np.ndarray:
 
 
 def _reward_column(values: list) -> np.ndarray:
-    """The rewards as a float64 column, if they are numbers and all finite."""
+    """The rewards as a float64 column, if each converts as ``float()`` does
+    (numbers and numeric strings) and all are finite."""
     try:
-        column = np.array(values)
+        column = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise _Unclean from None
-    if column.ndim != 1 or column.dtype.kind not in "biuf":
-        raise _Unclean
-    column = column.astype(np.float64, copy=False)
-    if not np.logical_and.reduce(np.isfinite(column)):
+    if column.ndim != 1 or not np.logical_and.reduce(np.isfinite(column)):
         raise _Unclean
     return column
 

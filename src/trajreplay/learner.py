@@ -40,6 +40,8 @@ UNI_TRAJ = "uni_traj"
 PRIO_TRAJ = "prio_traj"
 SAMPLERS = (UNI_STATE, PRIO_STATE, UNI_TRAJ, PRIO_TRAJ)
 
+ENSEMBLE_FILE_KEYS = ("tables", "target_mean", "eta", "target_sync_period", "updates_applied")
+
 
 class EnsembleQ:
     """K tabular Q functions over a discrete state/action grid.
@@ -196,29 +198,24 @@ class EnsembleQ:
             self.target_mean[states, actions] = self.q_mean[states, actions]
 
     def save(self, path: str | Path) -> None:
-        np.savez(
-            path,
-            tables=self.tables,
-            target_mean=self.target_mean,
-            eta=self.eta,
-            target_sync_period=self.target_sync_period,
-            updates_applied=self.updates_applied,
-        )
+        """Write the arrays of :data:`ENSEMBLE_FILE_KEYS` to an ``.npz`` file."""
+        np.savez(path, **{key: getattr(self, key) for key in ENSEMBLE_FILE_KEYS})
 
     @classmethod
     def load(cls, path: str | Path) -> "EnsembleQ":
-        """Read a file written by :meth:`save`, or by a version that stored the
-        full target member tables (``target_tables``) instead of their mean."""
+        """Read a file written by :meth:`save`."""
         with np.load(path) as data:
+            missing = [key for key in ENSEMBLE_FILE_KEYS if key not in data]
+            if missing:
+                raise ValueError(f"{path} lacks the ensemble arrays {missing}")
             ens = cls.from_tables(
                 data["tables"], float(data["eta"]), int(data["target_sync_period"])
             )
-            old = "target_mean" not in data  # older files hold the target member tables
-            target = data["target_tables" if old else "target_mean"]
-            if target.shape[int(old):] != ens.tables.shape[1:]:
+            target = data["target_mean"]
+            if target.shape != ens.tables.shape[1:]:
                 raise ValueError(f"target table shape {target.shape} does not fit "
                                  f"member tables of shape {ens.tables.shape}")
-            ens.target_mean[:] = column_means(target) if old else target
+            ens.target_mean[:] = target
             # the stored target may lag the members: the next sync copies all
             ens._target_current = False
             ens.updates_applied = int(data["updates_applied"])
@@ -246,6 +243,11 @@ def column_means(tables: np.ndarray) -> np.ndarray:
         block = tables[:, lo:lo + step].transpose(1, 2, 0)
         means[lo:lo + step] = np.ascontiguousarray(block).mean(axis=2)
     return means
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
 
 
 @dataclass
@@ -280,16 +282,17 @@ class TrainConfig:
                 f"target kind {self.target.kind!r} needs backward trajectory order; "
                 "use uni_traj or prio_traj"
             )
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        # EnsembleQ checks these too; here a bad sweep fails before any run
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        for name in ("ensemble_size", "batch_size", "total_steps", "target_sync_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
@@ -401,6 +404,7 @@ def value_iteration_oracle(
         raise ValueError(f"tol must be positive, got {tol}")
     if gamma is None:
         gamma = dataset.discount
+    _check_gamma(gamma)
     outcomes: dict[tuple[int, int], tuple[float, int, bool]] = {}
     by_state: dict[int, list[tuple[float, int, bool]]] = {}
     steps = zip(*(getattr(dataset, name).tolist()

@@ -27,7 +27,7 @@ PolicyFn = Callable[[int], int]
 
 @dataclass(frozen=True, slots=True)
 class TargetKind:
-    """Which target rule a run uses; ``beta`` only matters for ``weighted``."""
+    """Which target rule a run uses; ``beta`` is 0.5 for every kind but ``weighted``."""
 
     kind: str = STANDARD
     beta: float = 0.5
@@ -37,6 +37,8 @@ class TargetKind:
             raise ValueError(f"unknown target kind {self.kind!r}, expected one of {TARGET_KINDS}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        if self.kind != WEIGHTED:
+            object.__setattr__(self, "beta", 0.5)
 
     @property
     def bootstrap_weight(self) -> float:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from trajreplay.cli import expand_variants, main, parse_config_file, variant_label
 from trajreplay.dataset import flatten_trajectories, load_dataset
 from trajreplay.learner import TrainConfig
+from trajreplay.scenarios import make_figure1
 from trajreplay.targets import TargetKind
 
 
@@ -85,6 +89,79 @@ def test_expand_variants_beta_sweep_only_forks_weighted_targets():
         "uni_traj-weighted-beta0.25",
         "uni_traj-weighted-beta0.75",
     ]
+
+
+def test_every_config_field_is_a_sweep_key_and_every_scalar_labels_its_variants():
+    """The grammar is TrainConfig's fields: each but target and seed is set
+    from a sweep, and each scalar that differs within a sweep names it."""
+    base = {"sampler": ["prio_traj"], "metric": ["return"]}
+    default = TrainConfig(sampler="prio_traj", metric="return")
+    others = {"sampler": "uni_traj", "metric": "avg_reward"}
+    for field in dataclasses.fields(TrainConfig):
+        if field.name in ("target", "seed"):
+            continue
+        value = getattr(default, field.name)
+        if field.name in others:
+            other = others[field.name]
+        else:
+            other = value * 2 if type(value) is int else value / 2
+        variants = expand_variants(dict(base, **{field.name: [str(value), str(other)]}))
+        assert [getattr(v, field.name) for v in variants] == [value, other], field.name
+        if field.name not in others:
+            assert [variant_label(v, variants) for v in variants] == [
+                f"prio_traj-return-{field.name}{value}", f"prio_traj-return-{field.name}{other}"]
+    # a value the ensemble would reject fails the sweep, not its run
+    for name in ("eta", "ensemble_size", "target_sync_period"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            expand_variants(dict(base, **{name: ["1", "0"]}))
+
+
+def test_expand_variants_checks_beta_off_a_weighted_target():
+    """beta is range-checked before a non-weighted kind resets it."""
+    with pytest.raises(ValueError, match=r"beta must be in \[0, 1\], got 2.0"):
+        expand_variants({"target": ["standard"], "beta": ["0.5", "2"]})
+    assert expand_variants({"target": ["sarsa"], "sampler": ["uni_traj"], "beta": ["0.1"]}) == [
+        TrainConfig(target=TargetKind("sarsa"))]
+
+
+def test_a_bad_sweep_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    import trajreplay.cli as cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a sweep that has a bad variant")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    config = write_config(tmp_path / "c.cfg", "sampler = uni_traj\neta = 0.5, 0\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert "error: eta must be in (0, 1], got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("save", [False, True])
+def test_sweep_holds_an_earlier_runs_ensemble_only_to_save_it(tmp_path, monkeypatch, save):
+    import trajreplay.cli as cli
+
+    inner, ensembles, alive = cli.train, [], []
+
+    def tracking_train(dataset, config):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in ensembles))
+        result = inner(dataset, config)
+        ensembles.append(weakref.ref(result.ensemble))
+        return result
+
+    monkeypatch.setattr(cli, "train", tracking_train)
+    variants = expand_variants({"sampler": ["uni_traj", "prio_traj"], "metric": ["return"],
+                                "total_steps": ["20"]})
+    spec = cli.ExperimentSpec(tmp_path / "fig1.jsonl", variants, [0, 1], tmp_path / "out",
+                              save_ensembles=save)
+    cli.run_experiment(spec, make_figure1("sparse"))
+    assert alive == ([0, 1, 2, 3] if save else [0, 0, 0, 0])
+    assert len(list((tmp_path / "out").glob("*.npz"))) == (4 if save else 0)
 
 
 def test_variant_label_includes_target_and_beta():

@@ -107,6 +107,22 @@ def test_loading_builds_no_transition(files, no_objects, tmp_path):
     assert untagged.timeout[-1] and not untagged.terminal[-1]
 
 
+def test_rewards_that_float_converts_load_on_the_columnar_pass(files, no_objects, tmp_path):
+    """A numeric-string reward and an int above the int64 range convert as
+    ``float()`` converts them, without the object pass."""
+    ds, traj_path, _ = files
+    header, *records = map(json.loads, traj_path.read_text().splitlines())
+    records[0]["rewards"][0], records[-1]["rewards"][-1] = "1.5", 2**70
+    path = tmp_path / "rewards.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+    with no_objects():
+        loaded = load_dataset(path)
+    rewards = ds.rewards.copy()
+    rewards[0], rewards[-1] = 1.5, float(2**70)
+    assert np.array_equal(loaded.rewards, rewards)
+    assert np.array_equal(loaded.states, ds.states)
+
+
 TRAIN_VARIANTS = [
     ("uni_state", "uniform", "standard"),
     ("prio_state", "uniform", "standard"),

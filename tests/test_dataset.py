@@ -228,6 +228,30 @@ def test_load_takes_header_state_count_and_infers_missing_action_count(tmp_path)
     assert ds.discount == 0.99
 
 
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("state_count", 3.7, "'state_count' must be a non-negative integer, got 3.7"),
+    ("state_count", True, "'state_count' must be a non-negative integer, got True"),
+    ("action_count", "3", "'action_count' must be a non-negative integer, got '3'"),
+    ("action_count", -1, "'action_count' must be a non-negative integer, got -1"),
+    ("discount", True, "'discount' must be a number, got True"),
+    ("discount", "0.9", "'discount' must be a number, got '0.9'"),
+])
+def test_load_rejects_a_header_value_of_the_wrong_type(tmp_path, field, value, message):
+    """A clean file fails on its header; the same header with a bad reward
+    fails on the reward, since record faults report first."""
+    record = {"states": [0, 1], "actions": [0, 1], "rewards": [0.0, 1.0],
+              "next_states": [1, 2], "terminal": True, "timeout": False}
+    header = dict({"state_count": 3, "action_count": 2, "discount": 0.9}, **{field: value})
+    path = tmp_path / "header.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+    bad_reward = dict(record, rewards=[0.0, "x"])
+    path.write_text(json.dumps(header) + "\n" + json.dumps(bad_reward) + "\n")
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        load_dataset(path)
+
+
 def test_load_flat_transitions_splits_on_terminals(tmp_path):
     path = tmp_path / "flat.jsonl"
     lines = []

@@ -178,24 +178,18 @@ def test_first_sync_after_load_copies_the_whole_table(tmp_path):
     assert np.array_equal(loaded.target_mean, loaded.q_mean)
 
 
-def test_ensemble_load_reads_file_with_target_member_tables(tmp_path):
-    rng = np.random.default_rng(17)
-    tables, target_tables = rng.uniform(size=(2, 16, 3, 2))
+def test_ensemble_load_rejects_a_file_without_target_mean(tmp_path):
+    """A file that stores the target member tables instead of their mean is
+    not an ensemble file; the error names the missing array."""
     path = tmp_path / "old.npz"
-    np.savez(path, tables=tables, target_tables=target_tables, eta=0.5,
+    np.savez(path, tables=np.zeros((2, 4, 3)), target_tables=np.zeros((2, 4, 3)), eta=0.5,
              target_sync_period=3, updates_applied=7)
-    loaded = EnsembleQ.load(path)
-    assert np.array_equal(loaded.tables, tables)
-    for s in range(3):
-        for a in range(2):
-            assert loaded.target_value(s, a) == target_tables[:, s, a].mean()
-            assert loaded.q_mean[s, a] == tables[:, s, a].mean()
-    assert (loaded.eta, loaded.target_sync_period, loaded.updates_applied) == (0.5, 3, 7)
+    with pytest.raises(ValueError, match=r"lacks the ensemble arrays \['target_mean'\]"):
+        EnsembleQ.load(path)
 
 
 @pytest.mark.parametrize("key, shape", [
     ("target_mean", (3,)), ("target_mean", ()), ("target_mean", (2, 4, 3)),
-    ("target_tables", (2, 4, 1)), ("target_tables", (2, 3, 3)), ("target_tables", (4, 3)),
 ])
 def test_ensemble_load_rejects_a_target_table_of_another_shape(tmp_path, key, shape):
     path = tmp_path / "bad.npz"
@@ -249,6 +243,17 @@ def test_config_normalizes_metric_for_uniform_samplers():
     assert config.metric == "uniform"
     with pytest.raises(ValueError, match="non-uniform metric"):
         TrainConfig(sampler="prio_traj", metric="uniform")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eta", 0.0, r"eta must be in \(0, 1\], got 0.0"),
+    ("eta", 1.5, r"eta must be in \(0, 1\], got 1.5"),
+    ("ensemble_size", 0, "ensemble_size must be >= 1, got 0"),
+    ("target_sync_period", 0, "target_sync_period must be >= 1, got 0"),
+])
+def test_config_rejects_what_the_ensemble_rejects(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
 
 
 def test_config_rejects_recursive_targets_with_transition_samplers():
@@ -314,6 +319,13 @@ def test_oracle_rejects_cycle_without_finite_value_at_gamma_one():
     with pytest.raises(ValueError, match="gamma = 1"):
         value_iteration_oracle(ds, gamma=1.0)
     assert value_iteration_oracle(two_state_cycle(0.0), gamma=1.0).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("gamma", [1.5, 0.0, -0.5])
+def test_oracle_rejects_a_discount_outside_the_unit_interval(gamma):
+    ds = make_figure1("sparse")
+    with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\]"):
+        value_iteration_oracle(ds, gamma)
 
 
 def test_oracle_figure1_values():

@@ -128,16 +128,22 @@ def reference_load(path, format=None):
             [_reference_step(record, line_no) for line_no, record in records]
         )
     steps = [tr for traj in trajectories for tr in traj.transitions]
-    if "state_count" in header:
-        state_count = int(header["state_count"])
-    else:
-        state_count = 1 + max(max(tr.state, tr.next_state) for tr in steps)
-    if "action_count" in header:
-        action_count = int(header["action_count"])
-    else:
-        action_count = 1 + max(tr.action for tr in steps)
-    return OfflineDataset(trajectories, state_count, action_count,
-                          float(header.get("discount", DEFAULT_DISCOUNT)))
+    counts = {
+        "state_count": 1 + max(max(tr.state, tr.next_state) for tr in steps),
+        "action_count": 1 + max(tr.action for tr in steps),
+    }
+    for key in counts:
+        if key in header:
+            count = header[key]
+            if type(count) is not int or count < 0:
+                raise ValueError(
+                    f"header field {key!r} must be a non-negative integer, got {count!r}")
+            counts[key] = count
+    discount = header.get("discount", DEFAULT_DISCOUNT)
+    if type(discount) not in (int, float):
+        raise ValueError(f"header field 'discount' must be a number, got {discount!r}")
+    return OfflineDataset(trajectories, counts["state_count"], counts["action_count"],
+                          float(discount))
 
 
 def outcome(load, path, format):
@@ -260,12 +266,13 @@ def fault_files(draw):
     if header != "none":
         meta = {"state_count": state_count + draw(st.integers(0, 2)), "action_count": 3}
         if header == "discount":
-            meta["discount"] = draw(st.sampled_from([0.9, 0.0, 1.5, 1]))
+            meta["discount"] = draw(st.sampled_from([0.9, 0.0, 1.5, 1, True, "0.9", None]))
         elif header == "small":
             # ids past these counts fail the bounds check
             meta.update(state_count=draw(st.integers(1, 4)), action_count=draw(st.integers(1, 2)))
         elif header == "bad":
-            meta["state_count"] = draw(st.sampled_from(["abc", None, 7.9, "12"]))
+            key = draw(st.sampled_from(["state_count", "action_count"]))
+            meta[key] = draw(st.sampled_from(["abc", None, 7.9, 3.0, "12", True, -1]))
         lines.insert(0, json.dumps(meta))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), "")

@@ -74,6 +74,11 @@ def test_target_kind_validation():
         TargetKind("q_lambda")
     with pytest.raises(ValueError, match="beta"):
         TargetKind("weighted", beta=1.5)
+    # beta is range-checked for every kind, then reset off the weighted one
+    with pytest.raises(ValueError, match="beta"):
+        TargetKind("standard", beta=2.0)
+    assert TargetKind("sarsa", 0.9) == TargetKind("sarsa") and TargetKind("sarsa", 0.9).beta == 0.5
+    assert TargetKind("weighted", 0.9).beta == 0.9
 
 
 def test_bootstrap_weight_per_kind():
