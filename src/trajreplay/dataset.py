@@ -391,7 +391,7 @@ def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Traject
             for t in range(len(states))
         )
         return Trajectory(traj_id, transitions, timeout)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {line_no}: {exc}") from exc
 
 
@@ -406,7 +406,7 @@ def _transition_from_record(record: dict, line_no: int) -> tuple[Transition, boo
             _require(record, "next_state", line_no),
             terminal,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {line_no}: {exc}") from exc
     return tr, timeout
 
@@ -439,7 +439,9 @@ def _dataset(header: dict, *columns) -> OfflineDataset:
     discount = header.get("discount", DEFAULT_DISCOUNT)
     if isinstance(discount, bool) or not isinstance(discount, (int, float)):
         raise ValueError(f"header field 'discount' must be a number, got {discount!r}")
-    return OfflineDataset._from_columns(*columns, state_count, action_count, float(discount))
+    # an int out of range fails the dataset's check before float() overflows
+    discount = float(discount) if 0 < discount <= 1 else discount
+    return OfflineDataset._from_columns(*columns, state_count, action_count, discount)
 
 
 class _Unclean(Exception):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +32,8 @@ from .replay import (
     TrajectoryReplay,
     UniformSelector,
     UniformTransitionSampler,
+    check_alpha,
+    check_epsilon,
 )
 from .targets import STANDARD, TargetKind, compute_target
 
@@ -51,10 +54,10 @@ class EnsembleQ:
     them: ``q_mean``, the ensemble mean of the members, rewritten entry by
     entry as updates touch them, and ``target_mean``, the mean as of the last
     sync, which every ``target_sync_period`` updates is made equal to
-    ``q_mean``.  When the previous update also ended in a sync (always, at a
-    period of 1), only the entries this update wrote can differ, so the sync
-    copies just those; otherwise it copies the whole table.  Every entry of
-    both is the column mean ``tables[:, s, a].mean()`` bit for bit.
+    ``q_mean``.  At a period of 1 the first update makes ``target_mean`` the
+    ``q_mean`` table itself; at a longer period a sync copies the whole
+    table.  Every entry of both is the column mean ``tables[:, s, a].mean()``
+    bit for bit.
     """
 
     def __init__(
@@ -94,9 +97,8 @@ class EnsembleQ:
         self.target_sync_period = target_sync_period
         self.tables = tables
         self.q_mean = column_means(tables)
+        # its own copy, so load can write a target that lags the members
         self.target_mean = self.q_mean.copy()
-        # True while target_mean equals q_mean at every entry.
-        self._target_current = True
         self.updates_applied = 0
 
     def target_value(self, state: int, action: int) -> float:
@@ -167,7 +169,7 @@ class EnsembleQ:
                 cols += self.eta * (goal - cols)
                 tables[:, states, actions] = cols
                 q_mean[states, actions] = cols.mean(axis=0)
-                self._count_update(states, actions)
+                self._count_update()
                 return td_errors
             states, actions = states.tolist(), actions.tolist()
         td_errors = [
@@ -180,22 +182,17 @@ class EnsembleQ:
             col = tables[:, s, a]
             col += eta * (target - col)
             q_mean[s, a] = col.sum() / k
-        self._count_update(states, actions)
+        self._count_update()
         return td_errors
 
-    def _count_update(self, states: Sequence[int], actions: Sequence[int]) -> None:
-        """Count the update that wrote ``zip(states, actions)`` and sync if due."""
+    def _count_update(self) -> None:
+        """Count an update and sync the target mean if one is due."""
         self.updates_applied += 1
-        if self.updates_applied % self.target_sync_period:
-            self._target_current = False
-        elif not self._target_current:
+        if self.target_sync_period == 1:
+            # synced after every update: the target is the mean table itself
+            self.target_mean = self.q_mean
+        elif not self.updates_applied % self.target_sync_period:
             self.target_mean[:] = self.q_mean
-            self._target_current = True
-        elif len(states) == 1:
-            s, a = states[0], actions[0]
-            self.target_mean[s, a] = self.q_mean[s, a]
-        else:
-            self.target_mean[states, actions] = self.q_mean[states, actions]
 
     def save(self, path: str | Path) -> None:
         """Write the arrays of :data:`ENSEMBLE_FILE_KEYS` to an ``.npz`` file."""
@@ -208,6 +205,9 @@ class EnsembleQ:
             missing = [key for key in ENSEMBLE_FILE_KEYS if key not in data]
             if missing:
                 raise ValueError(f"{path} lacks the ensemble arrays {missing}")
+            for key in ENSEMBLE_FILE_KEYS[2:]:  # the scalars
+                if data[key].ndim:
+                    raise ValueError(f"{key} must be a scalar, got shape {data[key].shape}")
             ens = cls.from_tables(
                 data["tables"], float(data["eta"]), int(data["target_sync_period"])
             )
@@ -216,8 +216,6 @@ class EnsembleQ:
                 raise ValueError(f"target table shape {target.shape} does not fit "
                                  f"member tables of shape {ens.tables.shape}")
             ens.target_mean[:] = target
-            # the stored target may lag the members: the next sync copies all
-            ens._target_current = False
             ens.updates_applied = int(data["updates_applied"])
         return ens
 
@@ -283,10 +281,12 @@ class TrainConfig:
                 "use uni_traj or prio_traj"
             )
         _check_gamma(self.gamma)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_alpha(self.alpha)
+        check_epsilon(self.epsilon)
+        if self.sampler in (UNI_STATE, UNI_TRAJ):  # reset, as for the metric
+            self.alpha = TrainConfig.alpha
+        if self.sampler != PRIO_STATE:  # only PER adds epsilon
+            self.epsilon = TrainConfig.epsilon
         # EnsembleQ checks these too; here a bad sweep fails before any run
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
@@ -332,20 +332,19 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     q_bar = ensemble.target_value
     policy = ensemble.greedy_action
 
-    uniform_sampler = None
     per_sampler = None
-    replay = None
     if config.sampler == UNI_STATE:
-        uniform_sampler = UniformTransitionSampler(dataset)
+        draw = partial(UniformTransitionSampler(dataset).sample, config.batch_size, rng)
     elif config.sampler == PRIO_STATE:
         per_sampler = PerTransitionSampler(dataset, config.alpha, config.epsilon)
+        draw = partial(per_sampler.sample, config.batch_size, rng)
     else:
         if config.metric == UNIFORM_KIND:
             selector = UniformSelector()
         else:
             table = build_priority_table(dataset, config.metric, config.alpha, ensemble)
             selector = PrioritizedSelector(table, dataset, ensemble)
-        replay = TrajectoryReplay(dataset, config.batch_size, selector, rng)
+        draw = TrajectoryReplay(dataset, config.batch_size, selector, rng).next_batch
 
     curve = np.empty(config.total_steps)
     kind = config.target
@@ -353,27 +352,21 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     state_column, action_column = dataset.states, dataset.actions
     targets = [None] * config.batch_size
     for step in range(config.total_steps):
-        if uniform_sampler is not None:
-            items = uniform_sampler.sample(config.batch_size, rng)
-            leaves = None
-        elif per_sampler is not None:
-            items, leaves = per_sampler.sample(config.batch_size, rng)
-        else:
-            items = replay.next_batch()
-            leaves = None
+        items = draw()
         # a replay slot's previous target is its trajectory's target(t+1)
         targets = [compute_target(it, dataset, kind, later, q_bar, policy, gamma)
                    for it, later in zip(items, targets, strict=True)]
         if len(items) == 1:
             # two scalar reads; a one-element gather costs more than the update
             i = items[0].index
+            index = (i,)
             states, actions = (state_column.item(i),), (action_column.item(i),)
         else:
             index = [it.index for it in items]
             states, actions = state_column[index], action_column[index]
         td_errors = ensemble.update(states, actions, targets)
         if per_sampler is not None:
-            per_sampler.update_priorities(leaves, td_errors)
+            per_sampler.update_priorities(index, td_errors)
         curve[step] = ensemble.max_mean_q(s0)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(curve, ensemble, elapsed_ms * 1000.0 / config.total_steps)
@@ -400,8 +393,8 @@ def value_iteration_oracle(
     values that have one settle within |S| sweeps (the Bellman-Ford bound),
     so a sweep still moving after |S| + 1 of them raises instead of looping.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if gamma is None:
         gamma = dataset.discount
     _check_gamma(gamma)

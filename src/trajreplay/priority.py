@@ -18,6 +18,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .dataset import OfflineDataset
+from .replay import check_alpha
 
 QUALITY_KINDS = (
     "return",
@@ -141,8 +142,7 @@ class PriorityTable:
     kind: str = UNIFORM_KIND
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         for j, value in self.values.items():

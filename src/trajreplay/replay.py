@@ -272,10 +272,19 @@ def _check_weight(value: float) -> None:
         raise ValueError(f"leaf priorities must be finite and non-negative, got {value}")
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def per_priority(td_error: float, epsilon: float) -> float:
     """Proportional replay priority: |TD error| plus a positive floor."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     return abs(td_error) + epsilon
 
 
@@ -284,32 +293,27 @@ class PerTransitionSampler:
 
     Every transition starts at priority 1.0 (max-priority convention) so each
     is visited before TD errors differentiate them; the learner writes new
-    priorities back through the leaf indices returned by :meth:`sample`.
+    priorities back by the sampled items' flat ``index``, which is their leaf.
     """
 
     def __init__(
         self, dataset: OfflineDataset, alpha: float = 1.0, epsilon: float = 0.01
     ) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_alpha(alpha)
+        check_epsilon(epsilon)
         self.alpha = alpha
         self.epsilon = epsilon
         self._items = flat_items(dataset)
         self.tree = SumTree(len(self._items), 1.0)
 
-    def sample(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> tuple[list[BatchItem], list[int]]:
-        """Draw a batch; returns (items, leaf indices for priority write-back)."""
+    def sample(self, batch_size: int, rng: np.random.Generator) -> list[BatchItem]:
         prefixes = rng.random(batch_size) * self.tree.total
-        leaves = self.tree.find_prefixes(prefixes.tolist())
         items = self._items
-        return [items[leaf] for leaf in leaves], leaves
+        return [items[leaf] for leaf in self.tree.find_prefixes(prefixes.tolist())]
 
-    def update_priorities(self, leaves: Sequence[int], td_errors: Sequence[float]) -> None:
-        if len(leaves) != len(td_errors):
-            raise ValueError("leaves and td_errors must have equal lengths")
+    def update_priorities(self, indices: Sequence[int], td_errors: Sequence[float]) -> None:
+        """Write the priorities of the transitions at these flat indices."""
+        if len(indices) != len(td_errors):
+            raise ValueError("indices and td_errors must have equal lengths")
         epsilon, alpha = self.epsilon, self.alpha
-        self.tree.update_many(leaves, [per_priority(td, epsilon) ** alpha for td in td_errors])
+        self.tree.update_many(indices, [per_priority(td, epsilon) ** alpha for td in td_errors])

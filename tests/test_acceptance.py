@@ -405,8 +405,7 @@ def test_criterion_8_per_consistency():
     # equal priorities reproduce uniform sampling
     dataset = make_random_chain(2, 2, 2, np.random.default_rng(1), terminal_prob=1.0)
     sampler = PerTransitionSampler(dataset, alpha=1.0, epsilon=0.01)
-    items, leaves = sampler.sample(draws, rng)
-    counts = Counter(int(leaf) for leaf in leaves)
+    counts = Counter(item.index for item in sampler.sample(draws, rng))
     for leaf in range(4):
         assert within_3_sigma(counts[leaf], draws, 0.25), leaf
 
@@ -414,8 +413,7 @@ def test_criterion_8_per_consistency():
     before = counts[3] / draws
     sampler.update_priorities([0, 1, 2, 3], [0.0, 0.0, 0.0, 9.99])
     expected_high = 10.0 / (10.0 + 3 * 0.01)
-    _, leaves_after = sampler.sample(draws, rng)
-    counts_after = Counter(int(leaf) for leaf in leaves_after)
+    counts_after = Counter(item.index for item in sampler.sample(draws, rng))
     after = counts_after[3] / draws
     assert after > before
     assert within_3_sigma(counts_after[3], draws, expected_high)

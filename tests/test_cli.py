@@ -94,12 +94,14 @@ def test_expand_variants_beta_sweep_only_forks_weighted_targets():
 def test_every_config_field_is_a_sweep_key_and_every_scalar_labels_its_variants():
     """The grammar is TrainConfig's fields: each but target and seed is set
     from a sweep, and each scalar that differs within a sweep names it."""
-    base = {"sampler": ["prio_traj"], "metric": ["return"]}
     default = TrainConfig(sampler="prio_traj", metric="return")
     others = {"sampler": "uni_traj", "metric": "avg_reward"}
     for field in dataclasses.fields(TrainConfig):
         if field.name in ("target", "seed"):
             continue
+        # only prio_state reads epsilon; every other sampler resets it
+        base, prefix = (({"sampler": ["prio_state"]}, "prio_state") if field.name == "epsilon"
+                        else ({"sampler": ["prio_traj"], "metric": ["return"]}, "prio_traj-return"))
         value = getattr(default, field.name)
         if field.name in others:
             other = others[field.name]
@@ -109,11 +111,42 @@ def test_every_config_field_is_a_sweep_key_and_every_scalar_labels_its_variants(
         assert [getattr(v, field.name) for v in variants] == [value, other], field.name
         if field.name not in others:
             assert [variant_label(v, variants) for v in variants] == [
-                f"prio_traj-return-{field.name}{value}", f"prio_traj-return-{field.name}{other}"]
+                f"{prefix}-{field.name}{value}", f"{prefix}-{field.name}{other}"]
     # a value the ensemble would reject fails the sweep, not its run
+    base = {"sampler": ["prio_traj"], "metric": ["return"]}
     for name in ("eta", "ensemble_size", "target_sync_period"):
         with pytest.raises(ValueError, match=f"{name} must be"):
             expand_variants(dict(base, **{name: ["1", "0"]}))
+
+
+def test_alpha_and_epsilon_fork_only_the_samplers_that_read_them():
+    raw = {"sampler": ["uni_state", "uni_traj", "prio_traj", "prio_state"],
+           "metric": ["return"], "alpha": ["0.5", "2"], "epsilon": ["0.01", "0.1"]}
+    variants = expand_variants(raw)
+    assert [variant_label(v, variants) for v in variants] == [
+        "uni_state-alpha1.0-epsilon0.01",
+        "uni_traj-alpha1.0-epsilon0.01",
+        "prio_traj-return-alpha0.5-epsilon0.01",
+        "prio_traj-return-alpha2.0-epsilon0.01",
+        "prio_state-alpha0.5-epsilon0.01",
+        "prio_state-alpha0.5-epsilon0.1",
+        "prio_state-alpha2.0-epsilon0.01",
+        "prio_state-alpha2.0-epsilon0.1",
+    ]
+
+
+@pytest.mark.parametrize("record", [
+    '{"states": [0], "actions": [0], "rewards": [1%s], "next_states": [1], '
+    '"terminal": true, "timeout": false}' % ("0" * 400),
+    '{"state_count": 2, "action_count": 1, "discount": 1%s}\n'
+    '{"states": [0], "actions": [0], "rewards": [1.0], "next_states": [1], '
+    '"terminal": true, "timeout": false}' % ("0" * 400),
+], ids=["reward", "discount"])
+def test_analyze_reports_a_number_too_large_for_a_float(tmp_path, capsys, record):
+    dataset_path = tmp_path / "huge.jsonl"
+    dataset_path.write_text(record + "\n", encoding="utf-8")
+    assert main(["analyze", "--dataset", str(dataset_path), "--metrics", "return"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_expand_variants_checks_beta_off_a_weighted_target():

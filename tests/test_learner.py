@@ -188,6 +188,30 @@ def test_ensemble_load_rejects_a_file_without_target_mean(tmp_path):
         EnsembleQ.load(path)
 
 
+@pytest.mark.parametrize("key", ["eta", "target_sync_period", "updates_applied"])
+def test_ensemble_load_rejects_a_scalar_entry_that_is_not_a_scalar(tmp_path, key):
+    path = tmp_path / "bad.npz"
+    arrays = dict(tables=np.zeros((2, 4, 3)), target_mean=np.zeros((4, 3)), eta=0.5,
+                  target_sync_period=1, updates_applied=0)
+    arrays[key] = np.array([arrays[key]] * 2)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=rf"{key} must be a scalar, got shape \(2,\)"):
+        EnsembleQ.load(path)
+
+
+def test_target_mean_is_the_mean_table_at_sync_period_one():
+    ens = EnsembleQ(3, 2, ensemble_size=2, target_sync_period=1,
+                    rng=np.random.default_rng(21))
+    ens.update([0], [1], [4.0])
+    assert ens.target_mean is ens.q_mean
+    ens = EnsembleQ(3, 2, ensemble_size=2, target_sync_period=2,
+                    rng=np.random.default_rng(21))
+    ens.update([0], [1], [4.0])
+    ens.update([1], [1], [4.0])
+    assert ens.target_mean is not ens.q_mean
+    assert np.array_equal(ens.target_mean, ens.q_mean)
+
+
 @pytest.mark.parametrize("key, shape", [
     ("target_mean", (3,)), ("target_mean", ()), ("target_mean", (2, 4, 3)),
 ])
@@ -254,6 +278,19 @@ def test_config_normalizes_metric_for_uniform_samplers():
 def test_config_rejects_what_the_ensemble_rejects(field, value, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", np.nan, "alpha must be finite and >= 0, got nan"),
+    ("alpha", np.inf, "alpha must be finite and >= 0, got inf"),
+    ("epsilon", np.nan, "epsilon must be finite and positive, got nan"),
+    ("epsilon", np.inf, "epsilon must be finite and positive, got inf"),
+])
+def test_config_rejects_a_priority_exponent_or_floor_that_is_not_finite(field, value, message):
+    for sampler, metric in [("uni_state", "uniform"), ("prio_state", "uniform"),
+                            ("uni_traj", "uniform"), ("prio_traj", "return")]:
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(sampler=sampler, metric=metric, **{field: value})
 
 
 def test_config_rejects_recursive_targets_with_transition_samplers():
@@ -326,6 +363,12 @@ def test_oracle_rejects_a_discount_outside_the_unit_interval(gamma):
     ds = make_figure1("sparse")
     with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\]"):
         value_iteration_oracle(ds, gamma)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_oracle_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        value_iteration_oracle(make_figure1("sparse"), 1.0, tol=tol)
 
 
 def test_oracle_figure1_values():

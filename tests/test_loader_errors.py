@@ -70,7 +70,7 @@ def _reference_trajectory(record, line_no, traj_id):
                        terminal and t == last)
             for t in range(len(states))
         ), timeout)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {line_no}: {exc}") from exc
 
 
@@ -85,7 +85,7 @@ def _reference_step(record, line_no):
             _require(record, "next_state", line_no),
             terminal,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {line_no}: {exc}") from exc
     return tr, timeout
 
@@ -142,8 +142,9 @@ def reference_load(path, format=None):
     discount = header.get("discount", DEFAULT_DISCOUNT)
     if type(discount) not in (int, float):
         raise ValueError(f"header field 'discount' must be a number, got {discount!r}")
-    return OfflineDataset(trajectories, counts["state_count"], counts["action_count"],
-                          float(discount))
+    # an int out of range fails the dataset's check before float() overflows
+    discount = float(discount) if 0 < discount <= 1 else discount
+    return OfflineDataset(trajectories, counts["state_count"], counts["action_count"], discount)
 
 
 def outcome(load, path, format):
@@ -157,7 +158,7 @@ def outcome(load, path, format):
 
 bad_ids = st.sampled_from([-1, True, False, 1.5, "3", None, [1], 2**70])
 bad_rewards = st.sampled_from(
-    [None, "abc", "1.5", "nan", math.nan, math.inf, -math.inf, True, [1.0], {}, 2]
+    [None, "abc", "1.5", "nan", math.nan, math.inf, -math.inf, True, [1.0], {}, 2, 10**400]
 )
 bad_flags = st.sampled_from([0, 1, "true", None, [], True, False])
 bad_lines = st.sampled_from(["{not json", "[1, 2]", "3", '"text"', "{}", '{"foo": 1}'])
@@ -266,7 +267,7 @@ def fault_files(draw):
     if header != "none":
         meta = {"state_count": state_count + draw(st.integers(0, 2)), "action_count": 3}
         if header == "discount":
-            meta["discount"] = draw(st.sampled_from([0.9, 0.0, 1.5, 1, True, "0.9", None]))
+            meta["discount"] = draw(st.sampled_from([0.9, 0.0, 1.5, 1, True, "0.9", None, 10**400]))
         elif header == "small":
             # ids past these counts fail the bounds check
             meta.update(state_count=draw(st.integers(1, 4)), action_count=draw(st.integers(1, 2)))

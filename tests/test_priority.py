@@ -143,6 +143,12 @@ def test_rank_distribution_worked_example():
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+def test_priority_table_rejects_an_alpha_that_is_not_finite_and_non_negative(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        PriorityTable({0: 1.0}, alpha=alpha, kind="return")
+
+
 def test_rank_distribution_alpha_zero_is_uniform():
     table = PriorityTable({0: 9.0, 1: 1.0, 2: 4.0}, alpha=0.0, kind="return")
     dist = rank_distribution(table, [0, 1, 2])

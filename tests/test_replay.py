@@ -196,13 +196,27 @@ def test_per_sampler_rejects_negative_alpha():
         PerTransitionSampler(ds, alpha=-0.1)
 
 
+@pytest.mark.parametrize("alpha, epsilon, message", [
+    (math.nan, 0.01, "alpha must be finite and >= 0, got nan"),
+    (math.inf, 0.01, "alpha must be finite and >= 0, got inf"),
+    (1.0, math.nan, "epsilon must be finite and positive, got nan"),
+    (1.0, math.inf, "epsilon must be finite and positive, got inf"),
+])
+def test_per_sampler_rejects_a_non_finite_alpha_or_epsilon(alpha, epsilon, message):
+    with pytest.raises(ValueError, match=message):
+        PerTransitionSampler(chain_dataset([2]), alpha=alpha, epsilon=epsilon)
+    if alpha == 1.0:
+        with pytest.raises(ValueError, match=message):
+            per_priority(0.5, epsilon)
+
+
 def test_per_equal_priorities_sample_uniformly():
     ds = chain_dataset([2, 2])
     sampler = PerTransitionSampler(ds, alpha=1.0)
     rng = np.random.default_rng(10)
     draws = 100_000
     counts = Counter()
-    items, leaves = sampler.sample(draws, rng)
+    items = sampler.sample(draws, rng)
     for item in items:
         counts[(item.trajectory_id, item.time_index)] += 1
     for key in counts:
@@ -218,9 +232,8 @@ def test_per_two_priorities_sample_proportionally():
     rng = np.random.default_rng(11)
     draws = 100_000
     counts = Counter()
-    items, leaves = sampler.sample(draws, rng)
-    for leaf in leaves:
-        counts[int(leaf)] += 1
+    for item in sampler.sample(draws, rng):
+        counts[item.index] += 1
     for leaf, p in expected.items():
         assert within_3_sigma(counts[leaf], draws, p), leaf
 
@@ -229,7 +242,7 @@ def test_per_write_back_via_returned_leaves_changes_distribution():
     ds = chain_dataset([3])
     sampler = PerTransitionSampler(ds, alpha=1.0, epsilon=0.01)
     rng = np.random.default_rng(12)
-    items, leaves = sampler.sample(3, rng)
+    leaves = [item.index for item in sampler.sample(3, rng)]
     sampler.update_priorities(leaves, [0.0, 0.0, 0.0])
     # every sampled leaf now carries the epsilon floor
     for leaf in leaves:
