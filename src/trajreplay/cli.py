@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -52,28 +51,39 @@ from .scenarios import (
 )
 from .targets import STANDARD, WEIGHTED, TargetKind
 
-SEED_ENV_VAR = "TRAJ_REPLAY_SEED"
-
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
 def parse_config_file(path: str | Path) -> dict[str, list[str]]:
-    """Read flat key = value lines; comma-separated values become lists."""
+    """Read flat key = value lines, one per key; comma-separated values become lists."""
     values: dict[str, list[str]] = {}
+    key_lines: dict[str, int] = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
         entries = [v.strip() for v in value.split(",") if v.strip()]
         if not entries:
-            raise ValueError(f"{path}:{line_no}: no value given for {key.strip()!r}")
-        values[key.strip()] = entries
+            raise ValueError(f"{path}:{line_no}: no value given for {key!r}")
+        if key in key_lines:
+            raise ValueError(f"{path}:{line_no}: {key!r} is already given on line {key_lines[key]}")
+        key_lines[key] = line_no
+        values[key] = entries
     return values
+
+
+def _read(key: str, kind: type, value: str):
+    """A config value as its key's type; a value that does not convert names the key."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: cannot read {value!r} as {kind.__name__}") from None
 
 
 def _field_types(cls) -> dict[str, type]:
@@ -105,10 +115,11 @@ def expand_variants(raw: dict[str, list[str]]) -> list[TrainConfig]:
     configs: list[TrainConfig] = []
     for values in itertools.product(*(raw[key] for key in keys)):
         combo = dict(zip(keys, values))
-        target = {name: _TARGET_TYPES[name](combo.pop(key))
+        target = {name: _read(key, _TARGET_TYPES[name], combo.pop(key))
                   for key, name in _TARGET_KEYS.items() if key in combo}
         config = TrainConfig(target=TargetKind(**target),
-                             **{key: _CONFIG_TYPES[key](value) for key, value in combo.items()})
+                             **{key: _read(key, _CONFIG_TYPES[key], value)
+                                for key, value in combo.items()})
         # every config keeps the default seed, so equality is the variant's identity
         if config not in configs:
             configs.append(config)
@@ -151,10 +162,14 @@ class ExperimentSpec:
         repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
         if repeated:
             raise ValueError(f"seeds {repeated} are repeated; each seed runs once")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seed {min(self.seeds)} is negative; a seed must be >= 0")
+        if not 0.0 < self.eps_rel < np.inf:
+            raise ValueError(f"eps_rel must be finite and positive, got {self.eps_rel}")
 
 
-def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) -> Path:
-    """Execute every (variant, seed) run and write CSVs plus summary.json.
+def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset) -> Path:
+    """Execute every (variant, seed) run on ``dataset`` and write CSVs plus summary.json.
 
     Every run trains before any file is written, so a failed run leaves no
     partial output.  Each variant's steps-to-eps is measured against the
@@ -164,8 +179,6 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ValueError(f"sweep variants share the labels {repeated}; each run needs its own")
-    if dataset is None:
-        dataset = load_dataset(spec.dataset_path)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     s0 = dataset.start_state
     oracles = {
@@ -230,14 +243,10 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset | None = None) 
 
 
 def _resolve_seeds(args, raw_config: dict[str, list[str]]) -> list[int]:
+    """The seeds of ``--seeds``, else of the config's ``seed`` key, else seed 0."""
     if args.seeds:
         return [int(s) for s in args.seeds.split(",")]
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return [int(env)]
-    if "seed" in raw_config:
-        return [int(s) for s in raw_config["seed"]]
-    return [0]
+    return [_read("seed", int, s) for s in raw_config.get("seed", ["0"])]
 
 
 def write_curve_csv(path: Path, curve: np.ndarray) -> None:
@@ -292,7 +301,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    dataset = load_dataset(args.dataset, args.format)
+    dataset = load_dataset(args.dataset)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()] if args.metrics else []
     for metric in metrics:
         if metric not in ALL_KINDS:
@@ -361,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="per-trajectory metric table as CSV")
     an.add_argument("--dataset", required=True)
-    an.add_argument("--format", default=None, choices=("trajectory-jsonl", "flat-transitions"))
     an.add_argument("--metrics", default="", help="comma-separated metric names")
     an.add_argument("--ensemble", default=None, help="saved ensemble .npz for uncertainty metrics")
     an.add_argument("--out", default=None)

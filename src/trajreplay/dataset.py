@@ -7,7 +7,9 @@ it, for tests and analysis; the training path never builds them, and
 :func:`load_dataset` builds them only to word the fault of a file it could
 not read as clean columns.
 
-Two on-disk formats are supported, both JSON Lines (UTF-8, LF):
+Two on-disk formats are supported, both JSON Lines (UTF-8, LF).  The first
+data record tells them apart: ``states`` marks the first, ``state`` the
+second.
 
 * ``trajectory-jsonl`` -- one trajectory object per line with parallel arrays
   ``states``, ``actions``, ``rewards``, ``next_states`` plus ``terminal`` and
@@ -16,9 +18,10 @@ Two on-disk formats are supported, both JSON Lines (UTF-8, LF):
   ``action``, ``reward``, ``next_state``, ``terminal``, ``timeout``; episode
   boundaries are recovered by :func:`split_flat_transitions`.
 
-Either file may start with an optional metadata line carrying ``state_count``,
-``action_count`` and ``discount``; ``save_dataset`` always writes it so that a
-save/load round trip reproduces the dataset field for field.
+Either file may start with an optional metadata line carrying any of
+``state_count``, ``action_count`` and ``discount``; ``save_dataset`` always
+writes all three so that a save/load round trip reproduces the dataset field
+for field.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import numpy as np
 
 TRAJECTORY_JSONL = "trajectory-jsonl"
 FLAT_TRANSITIONS = "flat-transitions"
-FORMATS = (TRAJECTORY_JSONL, FLAT_TRANSITIONS)
+# the keys that mark a first line as the metadata header
+_HEADER_KEYS = frozenset(("state_count", "action_count", "discount"))
 
 DEFAULT_DISCOUNT = 0.99
 
@@ -411,15 +415,6 @@ def _transition_from_record(record: dict, line_no: int) -> tuple[Transition, boo
     return tr, timeout
 
 
-def _detect_format(record: dict) -> str | None:
-    """The format of a first data record, or None if it names neither."""
-    if "states" in record:
-        return TRAJECTORY_JSONL
-    if "state" in record:
-        return FLAT_TRANSITIONS
-    return None
-
-
 def _header_count(header: dict, key: str, ids: tuple) -> int:
     """The header's non-negative int count, else one more than the largest id."""
     if key not in header:
@@ -473,22 +468,19 @@ def _reward_column(values: list) -> np.ndarray:
     return column
 
 
-def _load_columns(path: Path, format: str | None) -> OfflineDataset:
+def _load_columns(path: Path) -> OfflineDataset:
     """The columnar pass: stream the records onto flat lists, then convert and
     check them in array operations.  Raises :class:`_Unclean`, never wording
     a fault, at anything a clean file does not have."""
     records = _iter_records(path)
     header: dict = {}
     first = next(records, None)
-    if first is not None and "state_count" in first[1]:
+    if first is not None and not _HEADER_KEYS.isdisjoint(first[1]):
         header, first = first[1], next(records, None)
     if first is None:
         raise _Unclean
-    if format is None:
-        format = _detect_format(first[1])
-    if format not in FORMATS:
-        raise _Unclean
-    flat = format == FLAT_TRANSITIONS
+    # a first record with neither "states" nor "state" fails on record["state"]
+    flat = "states" not in first[1]
     states, actions, rewards, next_states, terminal, timeout = ([] for _ in range(6))
     ends: list[int] = []
     try:
@@ -541,39 +533,36 @@ def _load_columns(path: Path, format: str | None) -> OfflineDataset:
                     (0, *ends.tolist()))
 
 
-def _load_objects(path: Path, format: str | None) -> OfflineDataset:
+def _load_objects(path: Path) -> OfflineDataset:
     """The object pass: parse every line, then build the records' objects in
     file order, so that the first fault is raised by the constructors."""
     records = list(_iter_records(path))
     header: dict = {}
-    if records and "state_count" in records[0][1]:
+    if records and not _HEADER_KEYS.isdisjoint(records[0][1]):
         header, records = records[0][1], records[1:]
     if not records:
         raise ValueError(f"{path}: file contains no data records")
-    if format is None:
-        line_no, first = records[0]
-        format = _detect_format(first)
-        if format is None:
-            raise ValueError(f"line {line_no}: cannot detect record format")
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    if format == TRAJECTORY_JSONL:
+    line_no, first = records[0]
+    if "states" in first:
         trajectories = [_trajectory_from_record(record, line_no, j)
                         for j, (line_no, record) in enumerate(records)]
-    else:
+    elif "state" in first:
         trajectories = split_flat_transitions(
             [_transition_from_record(record, line_no) for line_no, record in records]
         )
+    else:
+        raise ValueError(f"line {line_no}: cannot detect record format")
     return _dataset(header, *_object_columns(trajectories))
 
 
-def load_dataset(path: str | Path, format: str | None = None) -> OfflineDataset:
+def load_dataset(path: str | Path) -> OfflineDataset:
     """Load an :class:`OfflineDataset` from a JSONL file.
 
-    ``format`` is one of ``trajectory-jsonl`` / ``flat-transitions``; when
-    omitted it is detected from the first data record.  Counts and discount
-    come from the optional metadata header, otherwise counts are inferred from
-    the data and the discount defaults to 0.99.
+    The first line is the metadata header if it has any of ``state_count``,
+    ``action_count`` and ``discount``.  The first data record decides the format:
+    ``states`` means ``trajectory-jsonl``, else ``state`` means
+    ``flat-transitions``.  Counts and discount come from the header; a count
+    it lacks is inferred from the data, and the discount defaults to 0.99.
 
     A clean file is read in one columnar pass: records stream onto flat
     lists, which are converted and checked in a few array operations, and no
@@ -586,9 +575,9 @@ def load_dataset(path: str | Path, format: str | None = None) -> OfflineDataset:
     """
     path = Path(path)
     try:
-        return _load_columns(path, format)
+        return _load_columns(path)
     except _Unclean:
-        return _load_objects(path, format)
+        return _load_objects(path)
 
 
 def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:

@@ -67,12 +67,11 @@ class EnsembleQ:
         ensemble_size: int = 5,
         eta: float = 0.1,
         target_sync_period: int = 100,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         if ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-        if rng is None:
-            rng = np.random.default_rng()
         tables = rng.uniform(0.0, 0.1, size=(ensemble_size, state_count, action_count))
         self._adopt(tables, eta, target_sync_period)
 
@@ -206,8 +205,11 @@ class EnsembleQ:
             if missing:
                 raise ValueError(f"{path} lacks the ensemble arrays {missing}")
             for key in ENSEMBLE_FILE_KEYS[2:]:  # the scalars
-                if data[key].ndim:
-                    raise ValueError(f"{key} must be a scalar, got shape {data[key].shape}")
+                value = data[key]
+                if value.ndim:
+                    raise ValueError(f"{key} must be a scalar, got shape {value.shape}")
+                if key != "eta" and (value.dtype.kind not in "iu" or value < 0):  # a count
+                    raise ValueError(f"{key} must be an integer >= 0, got {value.item()!r}")
             ens = cls.from_tables(
                 data["tables"], float(data["eta"]), int(data["target_sync_period"])
             )
@@ -326,7 +328,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         config.ensemble_size,
         config.eta,
         config.target_sync_period,
-        rng,
+        rng=rng,
     )
     s0 = dataset.start_state
     q_bar = ensemble.target_value

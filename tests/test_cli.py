@@ -245,17 +245,6 @@ def test_train_failure_names_variant_and_seed(tmp_path, capsys):
     assert "(uni_traj, 3)" in err
 
 
-def test_train_seed_env_fallback(tmp_path, monkeypatch):
-    dataset_path = tmp_path / "ds.jsonl"
-    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
-    config = write_config(tmp_path / "c.cfg", "sampler = uni_traj\ntotal_steps = 5\n")
-    monkeypatch.setenv("TRAJ_REPLAY_SEED", "11")
-    out = tmp_path / "out"
-    assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
-                 "--out", str(out)]) == 0
-    assert (out / "uni_traj__seed11.csv").exists()
-
-
 @pytest.mark.parametrize("seeds_flag, config_seeds", [("1,1", ""), (None, "seed = 3, 1, 3, 1\n")])
 def test_train_rejects_repeated_seeds(tmp_path, capsys, seeds_flag, config_seeds):
     dataset_path = tmp_path / "ds.jsonl"
@@ -268,6 +257,50 @@ def test_train_rejects_repeated_seeds(tmp_path, capsys, seeds_flag, config_seeds
     assert main(argv) == 1
     repeated = "[1]" if seeds_flag else "[1, 3]"
     assert f"error: seeds {repeated} are repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("seed = 1\nsampler = uni_traj\nseed = 2\n", "c.cfg:3: 'seed' is already given on line 1"),
+    ("total_steps = 1e3\n", "config key 'total_steps': cannot read '1e3' as int"),
+    ("target = weighted\nbeta = half\n", "config key 'beta': cannot read 'half' as float"),
+    ("seed = 0, one\n", "config key 'seed': cannot read 'one' as int"),
+], ids=["key-twice", "int", "float", "seed"])
+def test_a_bad_sweep_line_names_its_key(tmp_path, capsys, text, message):
+    """A key given twice names both lines, so no run of the first is dropped
+    silently, and a value that does not convert names its key."""
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    config = write_config(tmp_path / "c.cfg", text)
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("flags", "config_seeds", "message"), [
+    (["--seeds", "0,-1"], "", "seed -1 is negative"),
+    ([], "seed = 2, -3\n", "seed -3 is negative"),
+    (["--eps-rel", "nan"], "", "eps_rel must be finite and positive, got nan"),
+    (["--eps-rel=-0.05"], "", "eps_rel must be finite and positive, got -0.05"),
+    (["--eps-rel", "inf"], "", "eps_rel must be finite and positive, got inf"),
+], ids=["seeds-flag", "seed-key", "eps-nan", "eps-negative", "eps-inf"])
+def test_sweep_seeds_and_eps_rel_are_checked_before_any_run(tmp_path, capsys, monkeypatch,
+                                                            flags, config_seeds, message):
+    import trajreplay.cli as cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a sweep with a bad seed or eps_rel")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    config = write_config(tmp_path / "c.cfg", "sampler = uni_traj\n" + config_seeds)
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
+                 "--out", str(out), *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -338,7 +371,7 @@ def test_duplicate_labels_rejected_before_training(tmp_path, monkeypatch):
     config = TrainConfig(sampler="uni_traj", total_steps=5)
     spec = cli.ExperimentSpec(tmp_path / "missing.jsonl", [config, config], [0], tmp_path / "out")
     with pytest.raises(ValueError, match="share the labels"):
-        cli.run_experiment(spec)
+        cli.run_experiment(spec, make_figure1("sparse"))
     assert not (tmp_path / "out").exists()
 
 
@@ -433,7 +466,7 @@ def test_analyze_flat_input_matches_trajectory_input(tmp_path):
     out_traj, out_flat = tmp_path / "t.csv", tmp_path / "f.csv"
     main(["analyze", "--dataset", str(dataset_path), "--metrics",
           "return,uqm_reward,min_reward", "--out", str(out_traj)])
-    main(["analyze", "--dataset", str(flat_path), "--format", "flat-transitions",
+    main(["analyze", "--dataset", str(flat_path),
           "--metrics", "return,uqm_reward,min_reward", "--out", str(out_flat)])
     assert out_traj.read_bytes() == out_flat.read_bytes()
 

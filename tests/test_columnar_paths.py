@@ -18,7 +18,6 @@ import pytest
 
 from trajreplay.cli import main
 from trajreplay.dataset import (
-    FLAT_TRANSITIONS,
     OfflineDataset,
     Trajectory,
     Transition,
@@ -101,7 +100,7 @@ def test_loading_builds_no_transition(files, no_objects, tmp_path):
         1 + int(ds.actions.max()),
     )
     with no_objects():
-        loaded = [load_dataset(traj_path), load_dataset(flat_path, FLAT_TRANSITIONS),
+        loaded = [load_dataset(traj_path), load_dataset(flat_path),
                   load_dataset(untagged_path), load_dataset(headless_path)]
     assert loaded == [ds, ds, untagged, headless]
     assert untagged.timeout[-1] and not untagged.terminal[-1]

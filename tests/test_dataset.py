@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from trajreplay.dataset import (
-    FLAT_TRANSITIONS,
-    TRAJECTORY_JSONL,
     OfflineDataset,
     Trajectory,
     Transition,
@@ -177,7 +175,7 @@ def test_columns_match_transitions_of_loaded_datasets(tmp_path):
                     "timeout": timeout}) + "\n"
         for tr, timeout in flatten_trajectories(ds.trajectories)
     ))
-    assert_columns_match_transitions(load_dataset(flat, FLAT_TRANSITIONS))
+    assert_columns_match_transitions(load_dataset(flat))
 
 
 def test_start_state_is_first_state_of_trajectory_zero():
@@ -205,7 +203,7 @@ def test_load_trajectory_jsonl_single_record(tmp_path):
         "timeout": False,
     }
     path.write_text(json.dumps(record) + "\n")
-    ds = load_dataset(path, TRAJECTORY_JSONL)
+    ds = load_dataset(path)
     assert ds.n_trajectories == 1
     assert ds.trajectories[0].length == 3
     assert not ds.trajectories[0].timeout_truncated
@@ -272,7 +270,7 @@ def test_load_flat_transitions_splits_on_terminals(tmp_path):
         )
         state += 2 if terminal else 1
     path.write_text("\n".join(lines) + "\n")
-    ds = load_dataset(path, FLAT_TRANSITIONS)
+    ds = load_dataset(path)
     assert [t.length for t in ds.trajectories] == [5, 5]
 
 
@@ -331,20 +329,6 @@ def test_save_load_round_trip_field_for_field(tmp_path):
     save_dataset(ds, path)
     loaded = load_dataset(path)
     assert loaded == ds
-
-
-def test_format_detection_matches_explicit(tmp_path):
-    path = tmp_path / "auto.jsonl"
-    record = {
-        "states": [0],
-        "actions": [0],
-        "rewards": [1.0],
-        "next_states": [1],
-        "terminal": True,
-        "timeout": False,
-    }
-    path.write_text(json.dumps(record) + "\n")
-    assert load_dataset(path) == load_dataset(path, TRAJECTORY_JSONL)
 
 
 def test_load_rejects_ids_too_large_for_the_columns(tmp_path):

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajreplay.dataset import (
-    FLAT_TRANSITIONS,
     OfflineDataset,
     Trajectory,
     Transition,
@@ -127,7 +126,7 @@ def test_flat_file_splits_like_split_flat_transitions(tmp_path_factory, steps):
                           "next_state": tr.next_state, "terminal": tr.terminal,
                           "timeout": timeout}) for tr, timeout in steps]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    loaded = load_dataset(path, FLAT_TRANSITIONS)
+    loaded = load_dataset(path)
     want = OfflineDataset(split_flat_transitions(steps), STATE_COUNT, ACTION_COUNT)
     assert loaded == want
     assert loaded.trajectories == want.trajectories

@@ -67,7 +67,7 @@ def reloaded(ds, format: str):
             write_flat(ds, path)
         else:
             save_dataset(ds, path)
-        return load_dataset(path, format)
+        return load_dataset(path)
 
 
 @functools.cache

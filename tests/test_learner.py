@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,22 @@ def test_ensemble_load_rejects_a_file_without_target_mean(tmp_path):
     np.savez(path, tables=np.zeros((2, 4, 3)), target_tables=np.zeros((2, 4, 3)), eta=0.5,
              target_sync_period=3, updates_applied=7)
     with pytest.raises(ValueError, match=r"lacks the ensemble arrays \['target_mean'\]"):
+        EnsembleQ.load(path)
+
+
+@pytest.mark.parametrize(("key", "value"), [
+    ("target_sync_period", 2.5), ("target_sync_period", True), ("target_sync_period", "3"),
+    ("updates_applied", -3), ("updates_applied", 4.0),
+])
+def test_ensemble_load_rejects_a_count_that_is_not_a_non_negative_integer(tmp_path, key, value):
+    """A period of 2.5 read as 2, or a negative update count, would move the
+    next syncs off the saved run's updates."""
+    path = tmp_path / "bad.npz"
+    arrays = dict(tables=np.zeros((2, 4, 3)), target_mean=np.zeros((4, 3)), eta=0.5,
+                  target_sync_period=2, updates_applied=0)
+    arrays[key] = value
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer >= 0, got {value!r}")):
         EnsembleQ.load(path)
 
 

@@ -19,9 +19,6 @@ from hypothesis import strategies as st
 
 from trajreplay.dataset import (
     DEFAULT_DISCOUNT,
-    FLAT_TRANSITIONS,
-    FORMATS,
-    TRAJECTORY_JSONL,
     OfflineDataset,
     Trajectory,
     Transition,
@@ -90,7 +87,7 @@ def _reference_step(record, line_no):
     return tr, timeout
 
 
-def reference_load(path, format=None):
+def reference_load(path):
     """Parse every line, then build and check the objects one record at a time."""
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -106,27 +103,20 @@ def reference_load(path, format=None):
                 raise ValueError(f"line {line_no}: record must be a JSON object")
             records.append((line_no, record))
     header = {}
-    if records and "state_count" in records[0][1]:
+    if records and {"state_count", "action_count", "discount"} & records[0][1].keys():
         header, records = records[0][1], records[1:]
     if not records:
         raise ValueError(f"{path}: file contains no data records")
-    if format is None:
-        line_no, first = records[0]
-        if "states" in first:
-            format = TRAJECTORY_JSONL
-        elif "state" in first:
-            format = FLAT_TRANSITIONS
-        else:
-            raise ValueError(f"line {line_no}: cannot detect record format")
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    if format == TRAJECTORY_JSONL:
+    line_no, first = records[0]
+    if "states" in first:
         trajectories = [_reference_trajectory(record, line_no, j)
                         for j, (line_no, record) in enumerate(records)]
-    else:
+    elif "state" in first:
         trajectories = split_flat_transitions(
             [_reference_step(record, line_no) for line_no, record in records]
         )
+    else:
+        raise ValueError(f"line {line_no}: cannot detect record format")
     steps = [tr for traj in trajectories for tr in traj.transitions]
     counts = {
         "state_count": 1 + max(max(tr.state, tr.next_state) for tr in steps),
@@ -147,9 +137,9 @@ def reference_load(path, format=None):
     return OfflineDataset(trajectories, counts["state_count"], counts["action_count"], discount)
 
 
-def outcome(load, path, format):
+def outcome(load, path):
     try:
-        return "ok", load(path, format)
+        return "ok", load(path)
     except Exception as exc:  # noqa: BLE001 - the exception itself is compared
         return type(exc).__name__, str(exc)
 
@@ -253,7 +243,7 @@ def record_fault(draw, flat):
 
 @st.composite
 def fault_files(draw):
-    """(file text, format argument) with up to two injected faults."""
+    """A file's text with up to two injected faults."""
     flat = draw(st.booleans())
     records = draw(trajectory_records())
     state_count = 1 + max(max(r["next_states"] + r["states"]) for r in records)
@@ -263,10 +253,14 @@ def fault_files(draw):
         fault = draw(record_fault(flat))
         fault(records[draw(st.integers(0, len(records) - 1))])
     lines = [json.dumps(record) for record in records]
-    header = draw(st.sampled_from(["none", "counts", "discount", "small", "bad"]))
+    header = draw(st.sampled_from(["none", "counts", "discount", "small", "bad", "partial"]))
     if header != "none":
         meta = {"state_count": state_count + draw(st.integers(0, 2)), "action_count": 3}
-        if header == "discount":
+        if header == "partial":
+            # a header with any one of its keys is still the header
+            meta = draw(st.sampled_from([{"discount": 0.9}, {"action_count": 3},
+                                         {"state_count": state_count}]))
+        elif header == "discount":
             meta["discount"] = draw(st.sampled_from([0.9, 0.0, 1.5, 1, True, "0.9", None, 10**400]))
         elif header == "small":
             # ids past these counts fail the bounds check
@@ -279,19 +273,15 @@ def fault_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), "")
     if draw(st.sampled_from([False] * 9 + [True])):
         lines[draw(st.integers(0, len(lines) - 1))] = draw(bad_lines)
-    correct = FLAT_TRANSITIONS if flat else TRAJECTORY_JSONL
-    other = TRAJECTORY_JSONL if flat else FLAT_TRANSITIONS
-    format = draw(st.sampled_from([None] * 6 + [correct] * 3 + [other, "bogus"]))
-    return "\n".join(lines) + "\n", format
+    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=2500, deadline=None)
 @given(fault_files())
-def test_loader_matches_the_object_reference(tmp_path_factory, case):
-    text, format = case
+def test_loader_matches_the_object_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("faults") / "data.jsonl"
     path.write_text(text, encoding="utf-8")
-    assert outcome(load_dataset, path, format) == outcome(reference_load, path, format)
+    assert outcome(load_dataset, path) == outcome(reference_load, path)
 
 
 def test_two_faults_report_in_file_order(tmp_path):
@@ -310,6 +300,6 @@ def test_two_faults_report_in_file_order(tmp_path):
     for records, message in cases:
         path = tmp_path / "two.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        got = outcome(load_dataset, path, None)
-        assert got == outcome(reference_load, path, None)
+        got = outcome(load_dataset, path)
+        assert got == outcome(reference_load, path)
         assert got[1].startswith(message)
