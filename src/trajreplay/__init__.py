@@ -8,8 +8,6 @@ verify the machinery at desk scale.
 """
 
 from .dataset import (
-    FLAT_TRANSITIONS,
-    TRAJECTORY_JSONL,
     OfflineDataset,
     Trajectory,
     Transition,

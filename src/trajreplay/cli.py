@@ -79,11 +79,11 @@ def parse_config_file(path: str | Path) -> dict[str, list[str]]:
 
 
 def _read(key: str, kind: type, value: str):
-    """A config value as its key's type; a value that does not convert names the key."""
+    """A config key's or flag's value as its type; one that does not convert names it."""
     try:
         return kind(value)
     except ValueError:
-        raise ValueError(f"config key {key!r}: cannot read {value!r} as {kind.__name__}") from None
+        raise ValueError(f"{key!r}: cannot read {value!r} as {kind.__name__}") from None
 
 
 def _field_types(cls) -> dict[str, type]:
@@ -245,7 +245,7 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset) -> Path:
 def _resolve_seeds(args, raw_config: dict[str, list[str]]) -> list[int]:
     """The seeds of ``--seeds``, else of the config's ``seed`` key, else seed 0."""
     if args.seeds:
-        return [int(s) for s in args.seeds.split(",")]
+        return [_read("--seeds", int, s) for s in args.seeds.split(",")]
     return [_read("seed", int, s) for s in raw_config.get("seed", ["0"])]
 
 

@@ -19,9 +19,9 @@ second.
   boundaries are recovered by :func:`split_flat_transitions`.
 
 Either file may start with an optional metadata line carrying any of
-``state_count``, ``action_count`` and ``discount``; ``save_dataset`` always
-writes all three so that a save/load round trip reproduces the dataset field
-for field.
+``state_count``, ``action_count`` and ``discount`` and no record key;
+``save_dataset`` always writes all three so that a save/load round trip
+reproduces the dataset field for field.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-TRAJECTORY_JSONL = "trajectory-jsonl"
-FLAT_TRANSITIONS = "flat-transitions"
-# the keys that mark a first line as the metadata header
 _HEADER_KEYS = frozenset(("state_count", "action_count", "discount"))
 
 DEFAULT_DISCOUNT = 0.99
@@ -373,11 +370,8 @@ def _iter_records(path: Path) -> Iterator[tuple[int, dict]]:
 
 
 def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Trajectory:
-    states = _require(record, "states", line_no)
-    actions = _require(record, "actions", line_no)
-    rewards = _require(record, "rewards", line_no)
-    next_states = _require(record, "next_states", line_no)
-    arrays = (states, actions, rewards, next_states)
+    states, actions, rewards, next_states = arrays = tuple(
+        _require(record, key, line_no) for key in ("states", "actions", "rewards", "next_states"))
     if not all(isinstance(a, list) for a in arrays):
         raise ValueError(f"line {line_no}: states/actions/rewards/next_states must be arrays")
     if len({len(a) for a in arrays}) != 1:
@@ -439,6 +433,11 @@ def _dataset(header: dict, *columns) -> OfflineDataset:
     return OfflineDataset._from_columns(*columns, state_count, action_count, discount)
 
 
+def _is_header(record: dict) -> bool:
+    """A first line is the header if it has a header key and no record key."""
+    return not _HEADER_KEYS.isdisjoint(record) and "states" not in record and "state" not in record
+
+
 class _Unclean(Exception):
     """The columnar pass met something it does not take as clean."""
 
@@ -475,7 +474,7 @@ def _load_columns(path: Path) -> OfflineDataset:
     records = _iter_records(path)
     header: dict = {}
     first = next(records, None)
-    if first is not None and not _HEADER_KEYS.isdisjoint(first[1]):
+    if first is not None and _is_header(first[1]):
         header, first = first[1], next(records, None)
     if first is None:
         raise _Unclean
@@ -538,7 +537,7 @@ def _load_objects(path: Path) -> OfflineDataset:
     file order, so that the first fault is raised by the constructors."""
     records = list(_iter_records(path))
     header: dict = {}
-    if records and not _HEADER_KEYS.isdisjoint(records[0][1]):
+    if records and _is_header(records[0][1]):
         header, records = records[0][1], records[1:]
     if not records:
         raise ValueError(f"{path}: file contains no data records")
@@ -559,10 +558,10 @@ def load_dataset(path: str | Path) -> OfflineDataset:
     """Load an :class:`OfflineDataset` from a JSONL file.
 
     The first line is the metadata header if it has any of ``state_count``,
-    ``action_count`` and ``discount``.  The first data record decides the format:
-    ``states`` means ``trajectory-jsonl``, else ``state`` means
-    ``flat-transitions``.  Counts and discount come from the header; a count
-    it lacks is inferred from the data, and the discount defaults to 0.99.
+    ``action_count`` and ``discount`` and neither ``states`` nor ``state``.
+    The first data record decides the format: ``states`` means
+    ``trajectory-jsonl``, else ``state`` means ``flat-transitions``.  A count
+    the header lacks is inferred from the data; the discount defaults to 0.99.
 
     A clean file is read in one columnar pass: records stream onto flat
     lists, which are converted and checked in a few array operations, and no

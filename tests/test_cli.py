@@ -260,21 +260,22 @@ def test_train_rejects_repeated_seeds(tmp_path, capsys, seeds_flag, config_seeds
     assert not out.exists()
 
 
-@pytest.mark.parametrize(("text", "message"), [
-    ("seed = 1\nsampler = uni_traj\nseed = 2\n", "c.cfg:3: 'seed' is already given on line 1"),
-    ("total_steps = 1e3\n", "config key 'total_steps': cannot read '1e3' as int"),
-    ("target = weighted\nbeta = half\n", "config key 'beta': cannot read 'half' as float"),
-    ("seed = 0, one\n", "config key 'seed': cannot read 'one' as int"),
-], ids=["key-twice", "int", "float", "seed"])
-def test_a_bad_sweep_line_names_its_key(tmp_path, capsys, text, message):
+@pytest.mark.parametrize(("text", "flags", "message"), [
+    ("seed = 1\nsampler = uni_traj\nseed = 2\n", [], "c.cfg:3: 'seed' is already given on line 1"),
+    ("total_steps = 1e3\n", [], "'total_steps': cannot read '1e3' as int"),
+    ("target = weighted\nbeta = half\n", [], "'beta': cannot read 'half' as float"),
+    ("seed = 0, one\n", [], "'seed': cannot read 'one' as int"),
+    ("sampler = uni_traj\n", ["--seeds", "0,abc"], "'--seeds': cannot read 'abc' as int"),
+], ids=["key-twice", "int", "float", "seed", "seeds-flag"])
+def test_a_bad_sweep_line_names_its_key(tmp_path, capsys, text, flags, message):
     """A key given twice names both lines, so no run of the first is dropped
-    silently, and a value that does not convert names its key."""
+    silently, and a value that does not convert names its key or flag."""
     dataset_path = tmp_path / "ds.jsonl"
     main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
     config = write_config(tmp_path / "c.cfg", text)
     out = tmp_path / "out"
     assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
-                 "--out", str(out)]) == 1
+                 "--out", str(out), *flags]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -226,6 +226,24 @@ def test_load_takes_header_state_count_and_infers_missing_action_count(tmp_path)
     assert ds.discount == 0.99
 
 
+@pytest.mark.parametrize("key", ["state_count", "action_count", "discount"])
+@pytest.mark.parametrize("flat", [False, True], ids=["trajectories", "flat"])
+def test_a_first_record_with_a_header_key_stays_a_record(tmp_path, key, flat):
+    """Step logs may carry a discount on every step: the first record is
+    kept, and its key is not read as the header."""
+    records = [{"states": [s, s + 1], "actions": [0, 1], "rewards": [0.0, 1.0],
+                "next_states": [s + 1, s + 2], "terminal": True, "timeout": False}
+               for s in (0, 5)]
+    if flat:
+        records = [{"state": s, "action": 0, "reward": 0.0, "next_state": s + 1,
+                    "terminal": s in (1, 6), "timeout": False} for s in (0, 1, 5, 6)]
+    path = tmp_path / "keyed.jsonl"
+    path.write_text("".join(json.dumps(dict(r, **{key: 1})) + "\n" for r in records))
+    ds = load_dataset(path)
+    assert ds.n_trajectories == 2 and ds.states.size == 4
+    assert ds.state_count == 8 and ds.discount == 0.99
+
+
 @pytest.mark.parametrize(("field", "value", "message"), [
     ("state_count", 3.7, "'state_count' must be a non-negative integer, got 3.7"),
     ("state_count", True, "'state_count' must be a non-negative integer, got True"),

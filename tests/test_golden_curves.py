@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 from trajreplay.dataset import (
-    FLAT_TRANSITIONS,
-    TRAJECTORY_JSONL,
     flatten_trajectories,
     load_dataset,
     save_dataset,
@@ -63,7 +61,7 @@ def write_flat(ds, path: Path) -> None:
 def reloaded(ds, format: str):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
-        if format == FLAT_TRANSITIONS:
+        if format == "flat-transitions":
             write_flat(ds, path)
         else:
             save_dataset(ds, path)
@@ -120,14 +118,14 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
         config = TrainConfig(sampler="prio_state", ensemble_size=5, batch_size=32,
                              total_steps=300, seed=seed)
         runs[f"chain-1000x10/prio_state/B32/K5/seed{seed}"] = ("chain-1000x10", config)
-    for format in (TRAJECTORY_JSONL, FLAT_TRANSITIONS):
+    for format in ("trajectory-jsonl", "flat-transitions"):
         scenario = f"figure1-sparse@{format}"
         for sampler, metric, kind in FIG1_VARIANTS:
             config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
                                  eta=0.5, ensemble_size=5, target_sync_period=10,
                                  total_steps=300, seed=0)
             runs[f"{scenario}/{sampler}-{metric}-{kind}/K5/seed0"] = (scenario, config)
-    scenario = f"chain-40@{TRAJECTORY_JSONL}"
+    scenario = "chain-40@trajectory-jsonl"
     for sampler, metric, kind in LOADED_CHAIN_VARIANTS:
         config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
                              ensemble_size=5, batch_size=8, total_steps=200, seed=0)

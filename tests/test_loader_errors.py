@@ -103,7 +103,8 @@ def reference_load(path):
                 raise ValueError(f"line {line_no}: record must be a JSON object")
             records.append((line_no, record))
     header = {}
-    if records and {"state_count", "action_count", "discount"} & records[0][1].keys():
+    keys = records[0][1].keys() if records else set()
+    if {"state_count", "action_count", "discount"} & keys and not {"states", "state"} & keys:
         header, records = records[0][1], records[1:]
     if not records:
         raise ValueError(f"{path}: file contains no data records")
@@ -252,6 +253,9 @@ def fault_files(draw):
     for _ in range(draw(st.sampled_from([0, 1, 1, 2, 2, 2]))):
         fault = draw(record_fault(flat))
         fault(records[draw(st.integers(0, len(records) - 1))])
+    if draw(st.sampled_from([False] * 3 + [True])):
+        # a record may carry a header key of its own, as step logs carry a discount
+        records[0][draw(st.sampled_from(["state_count", "action_count", "discount"]))] = 1
     lines = [json.dumps(record) for record in records]
     header = draw(st.sampled_from(["none", "counts", "discount", "small", "bad", "partial"]))
     if header != "none":
