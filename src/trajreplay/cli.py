@@ -191,7 +191,7 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset) -> Path:
         try:
             result = train(dataset, config.with_seed(seed))
         except Exception as exc:
-            raise RuntimeError(
+            raise ValueError(
                 f"run failed for (variant, seed) = ({label}, {seed}): {exc}"
             ) from exc
         ensemble = result.ensemble if spec.save_ensembles else None
@@ -288,11 +288,7 @@ def cmd_train(args) -> int:
         eps_rel=args.eps_rel,
         save_ensembles=args.save_ensembles,
     )
-    try:
-        run_experiment(spec, dataset)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    run_experiment(spec, dataset)
     print(
         f"wrote {len(spec.variants) * len(spec.seeds)} runs "
         f"({len(spec.variants)} variants x {len(spec.seeds)} seeds) to {spec.out_dir}"
@@ -382,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

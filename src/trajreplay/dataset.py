@@ -75,31 +75,27 @@ class Trajectory:
 
     ``timeout_truncated`` marks trajectories cut short by a time limit (or a
     truncated log tail) rather than by environment termination; it is mutually
-    exclusive with a terminal final transition.
+    exclusive with a terminal final transition.  A trajectory's id is its
+    position in the dataset.
     """
 
-    id: int
     transitions: tuple[Transition, ...]
     timeout_truncated: bool = False
 
     def __post_init__(self) -> None:
         if len(self.transitions) < 1:
-            raise ValueError(f"trajectory {self.id}: must contain at least one transition")
+            raise ValueError("must contain at least one transition")
         for t in range(len(self.transitions) - 1):
             cur, nxt = self.transitions[t], self.transitions[t + 1]
             if cur.terminal:
-                raise ValueError(
-                    f"trajectory {self.id}: terminal flag at non-final step {t}"
-                )
+                raise ValueError(f"terminal flag at non-final step {t}")
             if cur.next_state != nxt.state:
                 raise ValueError(
-                    f"trajectory {self.id}: chain break at step {t + 1} "
+                    f"chain break at step {t + 1} "
                     f"(next_state {cur.next_state} != state {nxt.state})"
                 )
         if self.timeout_truncated and self.transitions[-1].terminal:
-            raise ValueError(
-                f"trajectory {self.id}: timeout_truncated conflicts with terminal final step"
-            )
+            raise ValueError("timeout_truncated conflicts with terminal final step")
 
     @property
     def length(self) -> int:
@@ -161,8 +157,7 @@ class OfflineDataset:
         trajectories = tuple(trajectories)
         if len(trajectories) < 1:
             raise ValueError("dataset must contain at least one trajectory")
-        self._adopt(*_object_columns(trajectories), state_count, action_count, discount,
-                    ids=[traj.id for traj in trajectories])
+        self._adopt(*_object_columns(trajectories), state_count, action_count, discount)
         object.__setattr__(self, "_trajectories", trajectories)
 
     @classmethod
@@ -187,9 +182,8 @@ class OfflineDataset:
         return ds
 
     def _adopt(self, states, actions, rewards, next_states, terminal, timeout, offsets,
-               state_count, action_count, discount, ids=None) -> None:
-        """Take the columns and counts, then check the discount, the trajectory
-        ids (in order, interleaved with the id bounds) and the id bounds."""
+               state_count, action_count, discount) -> None:
+        """Take the columns and counts, then check the discount and the id bounds."""
         if not 0.0 < discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {discount}")
         columns = (states, actions, rewards, next_states, terminal, timeout)
@@ -200,28 +194,21 @@ class OfflineDataset:
         object.__setattr__(self, "state_count", state_count)
         object.__setattr__(self, "action_count", action_count)
         object.__setattr__(self, "discount", discount)
-        bad_id = None
-        if ids is not None:
-            bad_id = next((j for j, tid in enumerate(ids) if tid != j), None)
         max_ = np.maximum.reduce
-        in_bounds = (max_(states) < state_count and max_(next_states) < state_count
-                     and max_(actions) < action_count)
-        bad_step = None
-        if not in_bounds:
-            outside = (states >= state_count) | (next_states >= state_count)
-            outside |= actions >= action_count
-            bad_step = int(outside.argmax())
-        if bad_id is not None and (bad_step is None or bad_id <= self.position(bad_step)[0]):
-            raise ValueError(f"trajectory ids must be 0..N-1 in order, got {ids[bad_id]} at {bad_id}")
-        if bad_step is not None:
-            j, t = self.position(bad_step)
-            if states[bad_step] >= state_count or next_states[bad_step] >= state_count:
-                raise ValueError(
-                    f"trajectory {j} step {t}: state id outside state_count {state_count}"
-                )
+        if (max_(states) < state_count and max_(next_states) < state_count
+                and max_(actions) < action_count):
+            return
+        outside = (states >= state_count) | (next_states >= state_count)
+        outside |= actions >= action_count
+        bad_step = int(outside.argmax())
+        j, t = self.position(bad_step)
+        if states[bad_step] >= state_count or next_states[bad_step] >= state_count:
             raise ValueError(
-                f"trajectory {j} step {t}: action id outside action_count {action_count}"
+                f"trajectory {j} step {t}: state id outside state_count {state_count}"
             )
+        raise ValueError(
+            f"trajectory {j} step {t}: action id outside action_count {action_count}"
+        )
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"OfflineDataset is immutable; cannot set {name!r}")
@@ -255,7 +242,7 @@ class OfflineDataset:
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
-        """The object view: one :class:`Trajectory` per trajectory, in id order.
+        """The object view: one :class:`Trajectory` per trajectory, in order.
 
         A loaded dataset builds it from the columns on first read and keeps it.
         """
@@ -264,8 +251,7 @@ class OfflineDataset:
             steps = [Transition(*row) for row in rows]
             bounds = zip(self.offsets, self.offsets[1:], self.timeout.tolist())
             object.__setattr__(self, "_trajectories", tuple(
-                Trajectory(j, tuple(steps[lo:hi]), timeout)
-                for j, (lo, hi, timeout) in enumerate(bounds)
+                Trajectory(tuple(steps[lo:hi]), timeout) for lo, hi, timeout in bounds
             ))
         return self._trajectories
 
@@ -290,9 +276,9 @@ class OfflineDataset:
 
     def iter_transitions(self) -> Iterator[tuple[int, int, Transition]]:
         """Yield (trajectory_id, time_index, transition) over the object view."""
-        for traj in self.trajectories:
+        for j, traj in enumerate(self.trajectories):
             for t, tr in enumerate(traj.transitions):
-                yield traj.id, t, tr
+                yield j, t, tr
 
 
 def split_flat_transitions(
@@ -309,7 +295,6 @@ def split_flat_transitions(
         raise ValueError("empty step sequence")
     trajectories: list[Trajectory] = []
     segment: list[Transition] = []
-    segment_timeout = False
     for i, (tr, timeout) in enumerate(steps):
         if segment and segment[-1].next_state != tr.state:
             raise ValueError(
@@ -318,15 +303,11 @@ def split_flat_transitions(
             )
         segment.append(tr)
         if tr.terminal or timeout:
-            segment_timeout = timeout and not tr.terminal
-            trajectories.append(
-                Trajectory(len(trajectories), tuple(segment), segment_timeout)
-            )
+            trajectories.append(Trajectory(tuple(segment), timeout and not tr.terminal))
             segment = []
-            segment_timeout = False
     if segment:
         # Truncated tail: keep it, marked as a timeout trajectory.
-        trajectories.append(Trajectory(len(trajectories), tuple(segment), True))
+        trajectories.append(Trajectory(tuple(segment), True))
     return trajectories
 
 
@@ -369,7 +350,7 @@ def _iter_records(path: Path) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
-def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Trajectory:
+def _trajectory_from_record(record: dict, line_no: int) -> Trajectory:
     states, actions, rewards, next_states = arrays = tuple(
         _require(record, key, line_no) for key in ("states", "actions", "rewards", "next_states"))
     if not all(isinstance(a, list) for a in arrays):
@@ -388,7 +369,7 @@ def _trajectory_from_record(record: dict, line_no: int, traj_id: int) -> Traject
             Transition(states[t], actions[t], float(rewards[t]), next_states[t], terminal and t == last)
             for t in range(len(states))
         )
-        return Trajectory(traj_id, transitions, timeout)
+        return Trajectory(transitions, timeout)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {line_no}: {exc}") from exc
 
@@ -543,8 +524,7 @@ def _load_objects(path: Path) -> OfflineDataset:
         raise ValueError(f"{path}: file contains no data records")
     line_no, first = records[0]
     if "states" in first:
-        trajectories = [_trajectory_from_record(record, line_no, j)
-                        for j, (line_no, record) in enumerate(records)]
+        trajectories = [_trajectory_from_record(record, line_no) for line_no, record in records]
     elif "state" in first:
         trajectories = split_flat_transitions(
             [_transition_from_record(record, line_no) for line_no, record in records]

@@ -316,10 +316,6 @@ class TrainResult:
 
 def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     """Run one seeded offline-TD experiment; deterministic given (dataset, config)."""
-    if config.sampler in (UNI_TRAJ, PRIO_TRAJ) and config.batch_size > dataset.n_trajectories:
-        raise ValueError(
-            f"batch_size {config.batch_size} exceeds trajectory count {dataset.n_trajectories}"
-        )
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     ensemble = EnsembleQ(

@@ -48,7 +48,7 @@ def make_figure1(variant: str) -> OfflineDataset:
             Transition(states[t], action, rewards[t], next_states[t], t == length - 1)
             for t in range(length)
         )
-        trajectories.append(Trajectory(len(trajectories), transitions, False))
+        trajectories.append(Trajectory(transitions, False))
     return OfflineDataset(
         trajectories=tuple(trajectories),
         state_count=next_state,
@@ -83,7 +83,7 @@ def make_random_chain(
         raise ValueError("terminal_prob must be in [0, 1]")
     trajectories = []
     state = 0
-    for j in range(n_trajectories):
+    for _ in range(n_trajectories):
         length = int(rng.integers(min_length, max_length + 1))
         terminal = bool(rng.random() < terminal_prob)
         actions = rng.integers(0, action_count, size=length)
@@ -98,7 +98,7 @@ def make_random_chain(
             )
             for t in range(length)
         )
-        trajectories.append(Trajectory(j, transitions, not terminal))
+        trajectories.append(Trajectory(transitions, not terminal))
         state += length + 1
     return OfflineDataset(
         trajectories=tuple(trajectories),

@@ -200,10 +200,10 @@ def test_criterion_4_weighted_target_endpoints():
         def target(item, kind, later):
             return compute_target(item, dataset, kind, later, q_bar, policy, gamma)
 
-        for traj in dataset.trajectories:
+        for j in range(dataset.n_trajectories):
             # each kind's target for t+1, carried down the backward pass
             later = {kind: None for kind in (WEIGHTED_ONE, WEIGHTED_ZERO, SARSA)}
-            for item in backward_items(dataset, traj.id):
+            for item in backward_items(dataset, j):
                 w1 = later[WEIGHTED_ONE] = target(item, WEIGHTED_ONE, later[WEIGHTED_ONE])
                 assert w1 == target(item, STANDARD, None)
                 w0 = later[WEIGHTED_ZERO] = target(item, WEIGHTED_ZERO, later[WEIGHTED_ZERO])
@@ -233,17 +233,17 @@ def test_criterion_5_sarsa_support_constraint():
             return 1e9  # would wreck the targets if ever consulted
 
         gamma = dataset.discount
-        for traj in dataset.trajectories:
+        for j, traj in enumerate(dataset.trajectories):
             got = {}
             later = None
-            for item in backward_items(dataset, traj.id):
+            for item in backward_items(dataset, j):
                 later = got[item.time_index] = compute_target(
                     item, dataset, SARSA, later, q_bar, lambda s: 0, gamma
                 )
             acc = 0.0
             for t in range(traj.length - 1, -1, -1):
                 acc = traj.transitions[t].reward + gamma * acc
-                assert abs(got[t] - acc) <= 1e-9, (case, traj.id, t)
+                assert abs(got[t] - acc) <= 1e-9, (case, j, t)
                 transitions_checked += 1
         total_reads += len(reads)
     assert total_reads == 0
@@ -343,7 +343,7 @@ def test_criterion_7_metric_correctness():
             Transition(t, 0, float(rewards[t]), t + 1, t == length - 1)
             for t in range(length)
         )
-        traj = Trajectory(0, transitions)
+        traj = Trajectory(transitions)
         values = {}
         for kind in QUALITY_KINDS:
             values[kind] = quality_priority(traj.rewards, kind)

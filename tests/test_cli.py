@@ -245,6 +245,39 @@ def test_train_failure_names_variant_and_seed(tmp_path, capsys):
     assert "(uni_traj, 3)" in err
 
 
+def test_a_failed_sweep_run_is_reported_as_an_error_and_writes_nothing(tmp_path, capsys):
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    capsys.readouterr()
+    config = write_config(tmp_path / "c.cfg", "sampler = uni_traj\nbatch_size = 5\ntotal_steps = 5\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(dataset_path), "--config", str(config),
+                 "--out", str(out), "--seeds", "0"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: run failed for (variant, seed) = (uni_traj, 0): batch_size must be in [1, 3]"
+    )
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("case", ["train-out-is-a-file", "train-dataset-is-a-directory",
+                                  "analyze-out-is-a-directory"])
+def test_an_os_error_is_reported_not_raised(tmp_path, capsys, case):
+    dataset_path = tmp_path / "ds.jsonl"
+    main(["generate", "--scenario", "figure1-sparse", "--out", str(dataset_path)])
+    capsys.readouterr()
+    config = write_config(tmp_path / "c.cfg", "sampler = uni_traj\ntotal_steps = 5\n")
+    train = ["train", "--config", str(config), "--seeds", "0"]
+    argv = {
+        "train-out-is-a-file": train + ["--dataset", str(dataset_path), "--out", str(config)],
+        "train-dataset-is-a-directory": train + ["--dataset", str(tmp_path), "--out",
+                                                 str(tmp_path / "out")],
+        "analyze-out-is-a-directory": ["analyze", "--dataset", str(dataset_path),
+                                       "--out", str(tmp_path)],
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("seeds_flag, config_seeds", [("1,1", ""), (None, "seed = 3, 1, 3, 1\n")])
 def test_train_rejects_repeated_seeds(tmp_path, capsys, seeds_flag, config_seeds):
     dataset_path = tmp_path / "ds.jsonl"
@@ -399,7 +432,7 @@ def test_train_exits_with_error_when_gamma_one_oracle_has_no_value(tmp_path, cap
 
     transitions = (Transition(0, 0, 1.0, 1, False), Transition(1, 0, 1.0, 0, False))
     ds = OfflineDataset(
-        (Trajectory(0, transitions, timeout_truncated=True),), state_count=2, action_count=1
+        (Trajectory(transitions, timeout_truncated=True),), state_count=2, action_count=1
     )
     save_dataset(ds, tmp_path / "cycle.jsonl")
     config = write_config(tmp_path / "c.cfg", "gamma = 1.0\ntotal_steps = 5\n")

@@ -46,32 +46,26 @@ def test_transition_rejects_nonfinite_reward():
 
 
 def test_trajectory_chain_invariant():
-    good = Trajectory(0, (Transition(0, 0, 1.0, 1, False), Transition(1, 0, 1.0, 2, True)))
+    good = Trajectory((Transition(0, 0, 1.0, 1, False), Transition(1, 0, 1.0, 2, True)))
     assert good.length == 2
     with pytest.raises(ValueError, match="chain break at step 1"):
-        Trajectory(0, (Transition(0, 0, 1.0, 1, False), Transition(5, 0, 1.0, 6, True)))
+        Trajectory((Transition(0, 0, 1.0, 1, False), Transition(5, 0, 1.0, 6, True)))
 
 
 def test_trajectory_terminal_only_on_final_step():
     with pytest.raises(ValueError, match="non-final step 0"):
-        Trajectory(0, (Transition(0, 0, 1.0, 1, True), Transition(1, 0, 1.0, 2, True)))
+        Trajectory((Transition(0, 0, 1.0, 1, True), Transition(1, 0, 1.0, 2, True)))
 
 
 def test_trajectory_timeout_terminal_exclusive():
     with pytest.raises(ValueError, match="timeout_truncated"):
-        Trajectory(0, (Transition(0, 0, 1.0, 1, True),), timeout_truncated=True)
+        Trajectory((Transition(0, 0, 1.0, 1, True),), timeout_truncated=True)
 
 
 def test_dataset_validates_ids_and_counts():
-    traj = Trajectory(0, (Transition(0, 0, 1.0, 1, True),))
+    traj = Trajectory((Transition(0, 0, 1.0, 1, True),))
     with pytest.raises(ValueError, match="state id"):
         OfflineDataset((traj,), state_count=1, action_count=1)
-    with pytest.raises(ValueError, match="ids must be 0..N-1"):
-        OfflineDataset(
-            (Trajectory(1, (Transition(0, 0, 1.0, 1, True),)),),
-            state_count=2,
-            action_count=1,
-        )
 
 
 def test_split_single_trajectory_when_terminal_last():
@@ -144,8 +138,8 @@ def assert_columns_match_transitions(ds):
     assert type(ds.offsets) is tuple and all(type(o) is int for o in ds.offsets)
     assert ds.offsets[0] == 0 and len(ds.offsets) == ds.n_trajectories + 1
     assert ds.total_transitions == len(ds.states) == len(ds.actions)
-    for traj in ds.trajectories:
-        lo, hi = ds.offsets[traj.id], ds.offsets[traj.id + 1]
+    for j, traj in enumerate(ds.trajectories):
+        lo, hi = ds.offsets[j], ds.offsets[j + 1]
         assert hi - lo == traj.length
         assert ds.states[lo:hi].tolist() == [tr.state for tr in traj.transitions]
         assert ds.actions[lo:hi].tolist() == [tr.action for tr in traj.transitions]
@@ -180,7 +174,7 @@ def test_columns_match_transitions_of_loaded_datasets(tmp_path):
 
 def test_start_state_is_first_state_of_trajectory_zero():
     transitions = (Transition(4, 1, 0.0, 2, False), Transition(2, 0, 1.0, 0, True))
-    ds = OfflineDataset((Trajectory(0, transitions),), state_count=5, action_count=2)
+    ds = OfflineDataset((Trajectory(transitions),), state_count=5, action_count=2)
     assert ds.start_state == 4
     assert type(ds.start_state) is int
 
@@ -327,7 +321,7 @@ def test_load_rejects_chain_break_with_trajectory_and_step(tmp_path):
         "timeout": False,
     }
     path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(ValueError, match=r"trajectory 0: chain break at step 1"):
+    with pytest.raises(ValueError, match=r"chain break at step 1"):
         load_dataset(path)
 
 

@@ -38,7 +38,7 @@ rewards = st.floats(-10.0, 10.0, allow_nan=False)
 def trajectory_lists(draw):
     trajectories = []
     state = draw(st.integers(0, 5))
-    for j in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 8))):
         length = draw(st.integers(1, 6))
         terminal = draw(st.booleans())
         transitions = []
@@ -48,7 +48,7 @@ def trajectory_lists(draw):
             transitions.append(Transition(state, draw(st.integers(0, 3)), draw(rewards), nxt,
                                           terminal and t == length - 1))
             state = nxt
-        trajectories.append(Trajectory(j, tuple(transitions), timeout_truncated=not terminal))
+        trajectories.append(Trajectory(tuple(transitions), timeout_truncated=not terminal))
         state = draw(st.integers(0, 20))
     return trajectories
 
@@ -96,7 +96,6 @@ def assert_columns_are_the_transitions(ds):
     assert ds.timeout.tolist() == [traj.timeout_truncated for traj in ds.trajectories]
     lengths = [traj.length for traj in ds.trajectories]
     assert ds.offsets == tuple(accumulate(lengths, initial=0))
-    assert [traj.id for traj in ds.trajectories] == list(range(ds.n_trajectories))
     for i in range(len(steps)):
         j, t = ds.position(i)
         assert ds.trajectories[j].transitions[t] is steps[i]

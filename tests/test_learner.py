@@ -321,7 +321,7 @@ def test_config_rejects_recursive_targets_with_transition_samplers():
 
 def test_oracle_single_transition():
     ds = OfflineDataset(
-        (Trajectory(0, (Transition(0, 0, 2.5, 1, True),)),), state_count=2, action_count=1
+        (Trajectory((Transition(0, 0, 2.5, 1, True),)),), state_count=2, action_count=1
     )
     values = value_iteration_oracle(ds, gamma=0.99)
     assert values[0] == pytest.approx(2.5)
@@ -332,7 +332,7 @@ def test_oracle_six_step_sparse_chain():
     transitions = tuple(
         Transition(t, 0, 8.0 if t == 5 else 0.0, t + 1, t == 5) for t in range(6)
     )
-    ds = OfflineDataset((Trajectory(0, transitions),), state_count=7, action_count=1)
+    ds = OfflineDataset((Trajectory(transitions),), state_count=7, action_count=1)
     values = value_iteration_oracle(ds, gamma=0.99)
     assert values[0] == pytest.approx(8 * 0.99**5, abs=1e-9)
 
@@ -353,8 +353,8 @@ def test_oracle_is_bellman_fixed_point():
 
 
 def test_oracle_rejects_conflicting_transitions():
-    t0 = Trajectory(0, (Transition(0, 0, 1.0, 1, True),))
-    t1 = Trajectory(1, (Transition(0, 0, 2.0, 1, True),))
+    t0 = Trajectory((Transition(0, 0, 1.0, 1, True),))
+    t1 = Trajectory((Transition(0, 0, 2.0, 1, True),))
     ds = OfflineDataset((t0, t1), state_count=2, action_count=1)
     with pytest.raises(ValueError, match="non-deterministic"):
         value_iteration_oracle(ds)
@@ -364,7 +364,7 @@ def two_state_cycle(reward):
     """One timeout trajectory 0 -> 1 -> 0 under action 0, ``reward`` per step."""
     transitions = (Transition(0, 0, reward, 1, False), Transition(1, 0, reward, 0, False))
     return OfflineDataset(
-        (Trajectory(0, transitions, timeout_truncated=True),), state_count=2, action_count=1
+        (Trajectory(transitions, timeout_truncated=True),), state_count=2, action_count=1
     )
 
 
@@ -409,7 +409,7 @@ def test_train_same_seed_bit_identical():
 
 def test_train_single_transition_full_step():
     ds = OfflineDataset(
-        (Trajectory(0, (Transition(0, 0, 4.0, 1, True),)),), state_count=2, action_count=1
+        (Trajectory((Transition(0, 0, 4.0, 1, True),)),), state_count=2, action_count=1
     )
     config = TrainConfig(sampler="uni_traj", eta=1.0, ensemble_size=1,
                          total_steps=3, seed=0)
@@ -419,7 +419,7 @@ def test_train_single_transition_full_step():
 
 def test_train_batch_size_larger_than_n_rejected():
     ds = make_figure1("sparse")
-    with pytest.raises(ValueError, match="exceeds trajectory count"):
+    with pytest.raises(ValueError, match=r"batch_size must be in \[1, 3\] so no trajectory is active twice, got 4"):
         train(ds, TrainConfig(sampler="uni_traj", batch_size=4))
 
 

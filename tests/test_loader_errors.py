@@ -47,7 +47,7 @@ def _flag(record, key, line_no):
     return value
 
 
-def _reference_trajectory(record, line_no, traj_id):
+def _reference_trajectory(record, line_no):
     arrays = [_require(record, key, line_no) for key in ARRAYS]
     if not all(isinstance(a, list) for a in arrays):
         raise ValueError(f"line {line_no}: states/actions/rewards/next_states must be arrays")
@@ -62,7 +62,7 @@ def _reference_trajectory(record, line_no, traj_id):
     states, actions, rewards, next_states = arrays
     last = len(states) - 1
     try:
-        return Trajectory(traj_id, tuple(
+        return Trajectory(tuple(
             Transition(states[t], actions[t], float(rewards[t]), next_states[t],
                        terminal and t == last)
             for t in range(len(states))
@@ -110,8 +110,7 @@ def reference_load(path):
         raise ValueError(f"{path}: file contains no data records")
     line_no, first = records[0]
     if "states" in first:
-        trajectories = [_reference_trajectory(record, line_no, j)
-                        for j, (line_no, record) in enumerate(records)]
+        trajectories = [_reference_trajectory(record, line_no) for line_no, record in records]
     elif "state" in first:
         trajectories = split_flat_transitions(
             [_reference_step(record, line_no) for line_no, record in records]
@@ -297,7 +296,7 @@ def test_two_faults_report_in_file_order(tmp_path):
     bad_reward = dict(good, rewards=[0.0, "x"])
     both = dict(good, states=[0, 5], rewards=[0.0, None])
     cases = [
-        ([good, broken, bad_reward], "line 2: trajectory 1: chain break at step 1"),
+        ([good, broken, bad_reward], "line 2: chain break at step 1"),
         ([good, bad_reward, broken], "line 2: could not convert string to float: 'x'"),
         ([both], "line 1: float() argument must be a string or a real number, not 'NoneType'"),
     ]

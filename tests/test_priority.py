@@ -22,12 +22,12 @@ from trajreplay.replay import UniformSelector
 from trajreplay.scenarios import make_random_chain
 
 
-def reward_trajectory(rewards, traj_id=0):
+def reward_trajectory(rewards):
     transitions = tuple(
         Transition(t, 0, float(r), t + 1, t == len(rewards) - 1)
         for t, r in enumerate(rewards)
     )
-    return Trajectory(traj_id, transitions)
+    return Trajectory(transitions)
 
 
 class PairValues:
@@ -47,7 +47,7 @@ def one_trajectory_dataset(traj):
 def uncertainty_priority(traj, kind, source):
     """The trajectory's priority as build_priority_table computes it from ``source``."""
     table = build_priority_table(one_trajectory_dataset(traj), kind, ensemble=source)
-    return table.values[traj.id]
+    return table.values[0]
 
 
 def within_3_sigma(count, n, p):
@@ -236,7 +236,7 @@ def test_shrinking_candidates_renormalize():
 
 
 def test_refresh_is_noop_when_u_unchanged():
-    traj = reward_trajectory([0.0] * 4, traj_id=0)
+    traj = reward_trajectory([0.0] * 4)
     u = PairValues([0.1, 0.2, 0.3, 0.4])
     ds = one_trajectory_dataset(traj)
     table = build_priority_table(ds, "lower_mean_unc", ensemble=u)
@@ -246,7 +246,7 @@ def test_refresh_is_noop_when_u_unchanged():
 
 
 def test_refresh_halved_uncertainty_doubles_lower_mean():
-    traj = reward_trajectory([0.0] * 4, traj_id=0)
+    traj = reward_trajectory([0.0] * 4)
     ds = one_trajectory_dataset(traj)
     table = build_priority_table(ds, "lower_mean_unc", ensemble=PairValues([0.1, 0.2, 0.3, 0.4]))
     before = table.values[0]
@@ -255,14 +255,14 @@ def test_refresh_halved_uncertainty_doubles_lower_mean():
 
 
 def test_refresh_noop_for_quality_tables():
-    traj = reward_trajectory([1.0, 5.0], traj_id=0)
+    traj = reward_trajectory([1.0, 5.0])
     table = PriorityTable({0: 6.0}, alpha=1.0, kind="return")
     PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([9.9, 9.9])).notify_complete([0])
     assert table.values[0] == 6.0
 
 
 def test_refresh_unknown_id_rejected():
-    traj = reward_trajectory([1.0], traj_id=0)
+    traj = reward_trajectory([1.0])
     table = PriorityTable({0: 1.0}, alpha=1.0, kind="lower_mean_unc")
     selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.5]))
     with pytest.raises(ValueError, match="unknown trajectory id 3"):
@@ -326,12 +326,12 @@ def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
         assert refreshed(kind, [ids]) == bulk
         assert refreshed(kind, sub_batches) == bulk
         assert refreshed(kind, [[j] for j in range(ds.n_trajectories)]) == bulk
-        for traj in ds.trajectories:
+        for j, traj in enumerate(ds.trajectories):
             states = np.array([tr.state for tr in traj.transitions])
             actions = np.array([tr.action for tr in traj.transitions])
             values = tables[:, states, actions].std(axis=0)
             if kind.endswith("_mean_unc"):
-                assert bulk[traj.id] == 1.0 / max(float(values.mean()), UNCERTAINTY_FLOOR)
+                assert bulk[j] == 1.0 / max(float(values.mean()), UNCERTAINTY_FLOOR)
 
 
 def test_build_priority_table_covers_every_trajectory():

@@ -20,11 +20,11 @@ from trajreplay.replay import TrajectoryReplay, UniformSelector
 def dataset_of(lengths):
     trajectories = []
     state = 0
-    for j, length in enumerate(lengths):
+    for length in lengths:
         transitions = tuple(
             Transition(state + t, 0, 0.0, state + t + 1, t == length - 1) for t in range(length)
         )
-        trajectories.append(Trajectory(j, transitions))
+        trajectories.append(Trajectory(transitions))
         state += length + 1
     return OfflineDataset(tuple(trajectories), state_count=state, action_count=1)
 

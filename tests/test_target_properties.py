@@ -33,7 +33,7 @@ def passes(draw):
         Transition(t, actions[t], rewards[t], t + 1, terminal and t == length - 1)
         for t in range(length)
     )
-    traj = Trajectory(0, transitions, timeout_truncated=not terminal)
+    traj = Trajectory(transitions, timeout_truncated=not terminal)
     ds = OfflineDataset((traj,), state_count=length + 1, action_count=ACTIONS)
     tid = draw(st.integers(0, 50))
     items = [BatchItem(tid, t, t, t == length - 1) for t in range(length - 1, -1, -1)]

@@ -30,7 +30,7 @@ def reward_dataset(rewards, terminal=True):
         Transition(t, 0, float(r), t + 1, terminal and t == last)
         for t, r in enumerate(rewards)
     )
-    traj = Trajectory(0, transitions, timeout_truncated=not terminal)
+    traj = Trajectory(transitions, timeout_truncated=not terminal)
     return OfflineDataset((traj,), state_count=len(rewards) + 1, action_count=1)
 
 
@@ -241,6 +241,6 @@ def test_sarsa_never_reads_q_bar_on_terminal_dataset():
         reads.append((s, a))
         return 0.0
 
-    for traj in ds.trajectories:
-        backward_pass(ds, SARSA, q_bar, lambda s: 0, 0.99, j=traj.id)
+    for j in range(ds.n_trajectories):
+        backward_pass(ds, SARSA, q_bar, lambda s: 0, 0.99, j=j)
     assert reads == []
