@@ -171,15 +171,15 @@ class ExperimentSpec:
 def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset) -> Path:
     """Execute every (variant, seed) run on ``dataset`` and write CSVs plus summary.json.
 
-    Every run trains before any file is written, so a failed run leaves no
-    partial output.  Each variant's steps-to-eps is measured against the
-    oracle at its own discount.  Returns the output directory.
+    Every run trains before the output directory is made or any file is
+    written, so a failed run leaves nothing behind.  Each variant's
+    steps-to-eps is measured against the oracle at its own discount.  Returns
+    the output directory.
     """
     labels = [variant_label(config, spec.variants) for config in spec.variants]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ValueError(f"sweep variants share the labels {repeated}; each run needs its own")
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     s0 = dataset.start_state
     oracles = {
         gamma: float(value_iteration_oracle(dataset, gamma)[s0])
@@ -202,6 +202,7 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset) -> Path:
         for config, label in zip(spec.variants, labels)
         for seed in spec.seeds
     }
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {
         "dataset": str(spec.dataset_path),

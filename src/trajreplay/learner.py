@@ -150,14 +150,27 @@ class EnsembleQ:
         element as the pair loop, so both give bit-identical tables.  Each
         touched ``q_mean`` entry is then rewritten from its column: on NumPy
         2.4, ``cols.mean(axis=0)`` of the gather and ``col.sum() / K`` both
-        equal ``tables[:, s, a].mean()`` bit for bit.
+        equal ``tables[:, s, a].mean()`` bit for bit.  One pair with fewer
+        than 8 members is updated on Python floats: NumPy adds fewer than 8
+        elements in order from +0.0, as ``sum()`` does from int 0, so the
+        mean is the same, a -0.0 column's +0.0 included.  From 8 members on
+        NumPy sums pairwise, so that case keeps the array path.
         """
         tables = self.tables
         q_mean = self.q_mean
         n = len(states)
+        if len(actions) != n or len(targets) != n:
+            raise ValueError(f"{n} states, {len(actions)} actions and {len(targets)} targets")
+        if n == 1 and len(tables) < 8:
+            s, a, target = states[0], actions[0], targets[0]
+            td_error = target - q_mean.item(s, a)
+            eta = self.eta
+            col = [v + eta * (target - v) for v in tables[:, s, a].tolist()]
+            tables[:, s, a] = col
+            q_mean[s, a] = sum(col) / len(col)
+            self._count_update()
+            return [td_error]
         if n > 1:
-            if len(actions) != n or len(targets) != n:
-                raise ValueError(f"{n} states, {len(actions)} actions and {len(targets)} targets")
             states = np.asarray(states, dtype=np.intp)
             actions = np.asarray(actions, dtype=np.intp)
             flat = np.sort(states * tables.shape[2] + actions)
@@ -171,10 +184,7 @@ class EnsembleQ:
                 self._count_update()
                 return td_errors
             states, actions = states.tolist(), actions.tolist()
-        td_errors = [
-            target - q_mean.item(s, a)
-            for s, a, target in zip(states, actions, targets, strict=True)
-        ]
+        td_errors = [target - q_mean.item(s, a) for s, a, target in zip(states, actions, targets)]
         eta = self.eta
         k = len(tables)
         for s, a, target in zip(states, actions, targets):
@@ -348,24 +358,36 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
     kind = config.target
     gamma = config.gamma
     state_column, action_column = dataset.states, dataset.actions
-    targets = [None] * config.batch_size
-    for step in range(config.total_steps):
-        items = draw()
-        # a replay slot's previous target is its trajectory's target(t+1)
-        targets = [compute_target(it, dataset, kind, later, q_bar, policy, gamma)
-                   for it, later in zip(items, targets, strict=True)]
-        if len(items) == 1:
-            # two scalar reads; a one-element gather costs more than the update
-            i = items[0].index
-            index = (i,)
-            states, actions = (state_column.item(i),), (action_column.item(i),)
-        else:
+    if config.batch_size == 1:
+        # Python scalars throughout: a one-element array costs more than the step
+        target = None
+        value = ensemble.max_mean_q(s0)
+        for step in range(config.total_steps):
+            item = draw()[0]
+            # the one slot's previous target is its trajectory's target(t+1)
+            target = compute_target(item, dataset, kind, target, q_bar, policy, gamma)
+            i = item.index
+            s = state_column.item(i)
+            td_errors = ensemble.update((s,), (action_column.item(i),), (target,))
+            if per_sampler is not None:
+                per_sampler.update_priorities((i,), td_errors)
+            # an update writes only its own (s, a) and a sync never writes
+            # q_mean, so s0's row changes only when s is s0
+            if s == s0:
+                value = ensemble.max_mean_q(s0)
+            curve[step] = value
+    else:
+        targets = [None] * config.batch_size
+        for step in range(config.total_steps):
+            items = draw()
+            # a replay slot's previous target is its trajectory's target(t+1)
+            targets = [compute_target(it, dataset, kind, later, q_bar, policy, gamma)
+                       for it, later in zip(items, targets, strict=True)]
             index = [it.index for it in items]
-            states, actions = state_column[index], action_column[index]
-        td_errors = ensemble.update(states, actions, targets)
-        if per_sampler is not None:
-            per_sampler.update_priorities(index, td_errors)
-        curve[step] = ensemble.max_mean_q(s0)
+            td_errors = ensemble.update(state_column[index], action_column[index], targets)
+            if per_sampler is not None:
+                per_sampler.update_priorities(index, td_errors)
+            curve[step] = ensemble.max_mean_q(s0)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(curve, ensemble, elapsed_ms * 1000.0 / config.total_steps)
 

@@ -179,6 +179,8 @@ class UniformTransitionSampler:
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[BatchItem]:
         items = self._items
+        if batch_size == 1:  # the size-1 array draw's value, without the array
+            return [items[rng.integers(len(items))]]
         return [items[i] for i in rng.integers(0, len(items), size=batch_size)]
 
 
@@ -307,9 +309,12 @@ class PerTransitionSampler:
         self.tree = SumTree(len(self._items), 1.0)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[BatchItem]:
-        prefixes = rng.random(batch_size) * self.tree.total
+        if batch_size == 1:  # the size-1 array draw's value, without the array
+            prefixes = [rng.random() * self.tree.total]
+        else:
+            prefixes = (rng.random(batch_size) * self.tree.total).tolist()
         items = self._items
-        return [items[leaf] for leaf in self.tree.find_prefixes(prefixes.tolist())]
+        return [items[leaf] for leaf in self.tree.find_prefixes(prefixes)]
 
     def update_priorities(self, indices: Sequence[int], td_errors: Sequence[float]) -> None:
         """Write the priorities of the transitions at these flat indices."""

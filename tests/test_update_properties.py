@@ -1,5 +1,6 @@
 """Property tests for ``EnsembleQ.update``: the batched path equals the item
-loop, and the target sync equals a full copy of ``q_mean`` at every sync."""
+loop, a one-pair update equals it to the sign of zero, and the target sync
+equals a full copy of ``q_mean`` at every sync."""
 
 from __future__ import annotations
 
@@ -72,6 +73,49 @@ def test_update_matches_item_by_item_reference(batch):
     assert np.array_equal(ens.q_mean, want_means)
     # one update: only a period of 1 has synced the target mean
     assert np.array_equal(ens.target_mean, want_means if sync == 1 else start_means)
+
+
+def bits(values):
+    """The raw IEEE bits, so that -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# signed zeros as often as any other value, and the smallest subnormals,
+# whose step eta * (target - value) can round to a signed zero
+signed_floats = st.sampled_from([-0.0, 0.0, -5e-324, 5e-324]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def one_pair_runs(draw):
+    """Members on both sides of K = 8, some columns all -0.0 or +0.0, and a
+    run of one-pair updates whose targets include signed zeros."""
+    k = draw(st.integers(1, 16))
+    state_count = draw(st.integers(1, 3))
+    action_count = draw(st.integers(1, 3))
+    size = k * state_count * action_count
+    tables = np.array(draw(st.lists(signed_floats, min_size=size, max_size=size)))
+    tables = tables.reshape(k, state_count, action_count)
+    pair = st.tuples(st.integers(0, state_count - 1), st.integers(0, action_count - 1))
+    for s, a in draw(st.lists(pair, max_size=3)):
+        tables[:, s, a] = draw(st.sampled_from([-0.0, 0.0]))
+    run = draw(st.lists(st.tuples(pair, signed_floats), min_size=1, max_size=6))
+    eta = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0))
+    return tables, run, eta
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_pair_runs())
+def test_one_pair_update_matches_the_reference_bit_for_bit(case):
+    tables, run, eta = case
+    ens = EnsembleQ.from_tables(tables, eta=eta, target_sync_period=1)
+    want = tables
+    for (s, a), target in run:
+        want, want_td = reference_update(want, eta, [(s, a)], [target])
+        got_td = ens.update([s], [a], [target])
+        assert type(got_td) is list and type(got_td[0]) is float
+        assert np.array_equal(bits(got_td), bits(want_td))
+        assert np.array_equal(bits(ens.tables), bits(want))
+        assert np.array_equal(bits(ens.q_mean), bits(column_means(want)))
 
 
 @settings(max_examples=100, deadline=None)
