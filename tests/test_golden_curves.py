@@ -1,9 +1,11 @@
-"""Golden learning curves: the bytes of ``train(...).curve`` are a contract.
+"""Golden runs: the bytes of ``train(...)``'s curve and final tables are a contract.
 
-Each run below is pinned by the SHA-256 of its curve's raw float64 bytes.  A
-change to a hot path (sampling, targets, the ensemble update, priorities) must
-leave every digest unchanged; a change that means to alter a curve re-pins the
-affected digests and says why.
+Each run below is pinned twice: by the SHA-256 of its curve's raw float64
+bytes, and by that of its final member ``tables`` followed by its
+``target_mean``.  The curve follows only the start state s0; the tables see a
+wrong target anywhere in the data.  A change to a hot path (sampling, targets,
+the ensemble update, priorities) must leave every digest unchanged; a change
+that means to alter a run re-pins the affected digests and says why.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ FIG1_VARIANTS = (
 )
 
 K16_VARIANTS = (("uni_state", "standard"), ("uni_traj", "standard"), ("uni_traj", "weighted"))
+
+# (label, kind, beta) of the batched chain-40 runs: beta = 0 is the weighted
+# rule's own exact recursion, not the blend
+CHAIN_KINDS = (("standard", "standard", 0.5), ("sarsa", "sarsa", 0.5),
+               ("weighted0.5", "weighted", 0.5), ("weighted0", "weighted", 0.0))
 
 # Runs on datasets that went through a file and ``load_dataset``, so the loader
 # feeds goldens too: "<scenario>@<format>" is the in-code scenario written in
@@ -118,6 +125,23 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
         config = TrainConfig(sampler="prio_state", ensemble_size=5, batch_size=32,
                              total_steps=300, seed=seed)
         runs[f"chain-1000x10/prio_state/B32/K5/seed{seed}"] = ("chain-1000x10", config)
+    # Batched runs of every sampler and kind: figure-1's s0 starts every
+    # trajectory, so its curve sees all of them.
+    for scenario in ("figure1-sparse", "figure1-dense"):
+        for sampler, metric, kind in FIG1_VARIANTS:
+            for b in (2, 3):
+                config = TrainConfig(sampler=sampler, metric=metric,
+                                     target=TargetKind(kind, 0.5), eta=0.5, ensemble_size=5,
+                                     batch_size=b, target_sync_period=10, total_steps=300,
+                                     seed=0)
+                runs[f"{scenario}/{sampler}-{metric}-{kind}/B{b}/K5/seed0"] = (scenario, config)
+    for label, kind, beta in CHAIN_KINDS:
+        for k in (5, 16):
+            for sync in (1, 10):
+                config = TrainConfig(sampler="uni_traj", target=TargetKind(kind, beta),
+                                     ensemble_size=k, batch_size=8, target_sync_period=sync,
+                                     total_steps=200, seed=0)
+                runs[f"chain-40/uni_traj-{label}/B8/K{k}/sync{sync}/seed0"] = ("chain-40", config)
     for format in ("trajectory-jsonl", "flat-transitions"):
         scenario = f"figure1-sparse@{format}"
         for sampler, metric, kind in FIG1_VARIANTS:
@@ -133,8 +157,15 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
     return runs
 
 
-def curve_digest(scenario: str, config: TrainConfig) -> str:
-    return hashlib.sha256(train(dataset(scenario), config).curve.tobytes()).hexdigest()
+@functools.cache
+def digests(run_id: str) -> tuple[str, str]:
+    """The SHA-256 of a run's curve, and of its final tables and target mean."""
+    scenario, config = RUNS[run_id]
+    result = train(dataset(scenario), config)
+    ens = result.ensemble
+    tables = hashlib.sha256(ens.tables.tobytes())
+    tables.update(ens.target_mean.tobytes())
+    return hashlib.sha256(result.curve.tobytes()).hexdigest(), tables.hexdigest()
 
 
 GOLDENS = {
@@ -342,6 +373,405 @@ GOLDENS = {
         "aeb9a1feb5b06a3c09b4a7258f353a0442621cc85eeada53b4fb9ab2c0e919b9",
     "figure1-sparse@trajectory-jsonl/uni_traj-uniform-weighted/K5/seed0":
         "8bbe9b65536d64e64b7db057b8dc8f690e23cc52c08aef6b9d4c77162521923e",
+    "chain-40/uni_traj-sarsa/B8/K16/sync1/seed0":
+        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+    "chain-40/uni_traj-sarsa/B8/K16/sync10/seed0":
+        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+    "chain-40/uni_traj-sarsa/B8/K5/sync1/seed0":
+        "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
+    "chain-40/uni_traj-sarsa/B8/K5/sync10/seed0":
+        "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
+    "chain-40/uni_traj-standard/B8/K16/sync1/seed0":
+        "0e988a5e7da91b27582a4e303123578da00a0873370998f3dcb864d4666f44cf",
+    "chain-40/uni_traj-standard/B8/K16/sync10/seed0":
+        "db805fbd015919b3ac649a4cb2e334bcce2cbb1470304f19238b861825d59c0a",
+    "chain-40/uni_traj-standard/B8/K5/sync1/seed0":
+        "e44602797e63a014387171ae0600e8b0bf13088b257e17331043cb2106bd7f14",
+    "chain-40/uni_traj-standard/B8/K5/sync10/seed0":
+        "0d3dcef1022f71331a59012fbaa190b0c337aa489a4e04304e44df50170ee00e",
+    "chain-40/uni_traj-weighted0.5/B8/K16/sync1/seed0":
+        "e9e22b0b3a831449118d8c295f754d2bf91298d1ac0a2b58607ed61d317b5554",
+    "chain-40/uni_traj-weighted0.5/B8/K16/sync10/seed0":
+        "67455ebea537e29a225fc6f7978a5e80589cef35a375170448b6e5199a0fb8e2",
+    "chain-40/uni_traj-weighted0.5/B8/K5/sync1/seed0":
+        "f235022186599fbec4625908584e10ed69b433b784c0109ce7d2f1b5672092f2",
+    "chain-40/uni_traj-weighted0.5/B8/K5/sync10/seed0":
+        "c0e92c8461ed8c28d93ba0ce4575e89e7049b0debfd612499d66a8fe9acaa918",
+    "chain-40/uni_traj-weighted0/B8/K16/sync1/seed0":
+        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+    "chain-40/uni_traj-weighted0/B8/K16/sync10/seed0":
+        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+    "chain-40/uni_traj-weighted0/B8/K5/sync1/seed0":
+        "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
+    "chain-40/uni_traj-weighted0/B8/K5/sync10/seed0":
+        "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
+    "figure1-dense/prio_state-uniform-standard/B2/K5/seed0":
+        "ea7083867018d5bb2939ef4fee6d91c4619083899241fd5fa9146e78640893db",
+    "figure1-dense/prio_state-uniform-standard/B3/K5/seed0":
+        "f4e29485f586b754e57f08d709c18a644120955fbd1a7f25d0b79d8d94d0472d",
+    "figure1-dense/prio_traj-return-sarsa/B2/K5/seed0":
+        "e2e06031051904bec3e7758c39589940602889ab2e6fd459781be625753b3779",
+    "figure1-dense/prio_traj-return-sarsa/B3/K5/seed0":
+        "b7c78ce2e9408250374d555c943a2376fc5fddcf66007e5ef0e167da7c583ed6",
+    "figure1-dense/prio_traj-return-standard/B2/K5/seed0":
+        "1c23a4155dab9df2feb5b9a82d4db943c81b00454eddb799f1b7e59088a678d6",
+    "figure1-dense/prio_traj-return-standard/B3/K5/seed0":
+        "4ae757a64fa9a29443871f606f1c5b44ae9807d7e58c0b740610237c686c201e",
+    "figure1-dense/prio_traj-return-weighted/B2/K5/seed0":
+        "2a9b60bc27dd9fa0a0c7bc72f2367c24b20953ec986902d0a440ca1b70cdab73",
+    "figure1-dense/prio_traj-return-weighted/B3/K5/seed0":
+        "e4a5f8346ec3684d748e47bffb9a6e27166556fc3ca65f9666be879bb680d208",
+    "figure1-dense/uni_state-uniform-standard/B2/K5/seed0":
+        "2faee971fc740e11899c41d9589456d7bed587f6592bb9ec14b1cb47f571d34b",
+    "figure1-dense/uni_state-uniform-standard/B3/K5/seed0":
+        "e8cc7580c99169a3b6a32c52a6939f7260b50fa32a274be3c8166e3449cedd9a",
+    "figure1-dense/uni_traj-uniform-sarsa/B2/K5/seed0":
+        "6fa34e23340b027c22858470ababaa2d1aeb800faa5303ac0970a2a8ce74c009",
+    "figure1-dense/uni_traj-uniform-sarsa/B3/K5/seed0":
+        "b7c78ce2e9408250374d555c943a2376fc5fddcf66007e5ef0e167da7c583ed6",
+    "figure1-dense/uni_traj-uniform-standard/B2/K5/seed0":
+        "20f84bc8ac54c330a8f149d53693fc50d8a2f65efd7bf1de9f28e63af1bd1cf9",
+    "figure1-dense/uni_traj-uniform-standard/B3/K5/seed0":
+        "4ae757a64fa9a29443871f606f1c5b44ae9807d7e58c0b740610237c686c201e",
+    "figure1-dense/uni_traj-uniform-weighted/B2/K5/seed0":
+        "80503c0350717105b4281779bd51d2146b737cecbd95f60787bd25662f10b578",
+    "figure1-dense/uni_traj-uniform-weighted/B3/K5/seed0":
+        "e4a5f8346ec3684d748e47bffb9a6e27166556fc3ca65f9666be879bb680d208",
+    "figure1-sparse/prio_state-uniform-standard/B2/K5/seed0":
+        "627b67016d0a8311d53b584b2510478d40ca663b894fd8dd843c20902864913a",
+    "figure1-sparse/prio_state-uniform-standard/B3/K5/seed0":
+        "a0e577b1ed496cbecf86ddb02a4072cdd99d8afc0bc7988f21e74d3dcd64b8a6",
+    "figure1-sparse/prio_traj-return-sarsa/B2/K5/seed0":
+        "d2563bd49cbcd3ec7a60160551a25d5ff534de72655e7800ece3185159ce8d0c",
+    "figure1-sparse/prio_traj-return-sarsa/B3/K5/seed0":
+        "18799ea01fa013c3dfbd80902d27d5a5275bf1f745cfe856211a98eff86ac2b9",
+    "figure1-sparse/prio_traj-return-standard/B2/K5/seed0":
+        "06a042cb5330843cc256656f43a03b34cdca5b81969a79292ae6168631c7b8b7",
+    "figure1-sparse/prio_traj-return-standard/B3/K5/seed0":
+        "f6dff1678bf6590ff4fc7410bba1fa264b4e18601e90d5f41ef3720d5bf6e6bc",
+    "figure1-sparse/prio_traj-return-weighted/B2/K5/seed0":
+        "7a7b45d32c1d4598a9601fd8562702e8d5571fa258a1e6ffbfc7c87c19366c1e",
+    "figure1-sparse/prio_traj-return-weighted/B3/K5/seed0":
+        "6e8c7c1185ff3d9be6eaa80485387e2ad4fe273d12b817bf0719163003d3838d",
+    "figure1-sparse/uni_state-uniform-standard/B2/K5/seed0":
+        "dde58551bbd8ca7bb6410252cbdbd0e4792b5694c326e3675924934bdb0fbdb6",
+    "figure1-sparse/uni_state-uniform-standard/B3/K5/seed0":
+        "d7aadc51d2e12208f252ac2787b0c446877da8dcbcc5186b7f4d4eb76248f0c8",
+    "figure1-sparse/uni_traj-uniform-sarsa/B2/K5/seed0":
+        "478699c3ff26acabadbf9cfa33017b7d15e5d336d90a9e3c33fd30b0432df1ee",
+    "figure1-sparse/uni_traj-uniform-sarsa/B3/K5/seed0":
+        "18799ea01fa013c3dfbd80902d27d5a5275bf1f745cfe856211a98eff86ac2b9",
+    "figure1-sparse/uni_traj-uniform-standard/B2/K5/seed0":
+        "a9dba64bea244646522fe10dd2b46f70e467d9606b66a12a06cc43bf64d92d44",
+    "figure1-sparse/uni_traj-uniform-standard/B3/K5/seed0":
+        "f6dff1678bf6590ff4fc7410bba1fa264b4e18601e90d5f41ef3720d5bf6e6bc",
+    "figure1-sparse/uni_traj-uniform-weighted/B2/K5/seed0":
+        "98534a2ad8b3cedecab9d142a030332f743c324027ec93b0c09d491ecf3b4f4a",
+    "figure1-sparse/uni_traj-uniform-weighted/B3/K5/seed0":
+        "6e8c7c1185ff3d9be6eaa80485387e2ad4fe273d12b817bf0719163003d3838d",
+}
+
+TABLE_GOLDENS = {
+    "chain-1000x10/prio_state/B32/K5/seed0":
+        "b1c57901ee5182a254d32c94ca0ae56282a6f25efa6d1427ef1d5d05e45053b2",
+    "chain-1000x10/prio_state/B32/K5/seed1":
+        "10650cc1bbab5c121865e78f3d415d5196d215bc60fc9f8d2de0053e5e1666bb",
+    "chain-1000x10/uni_state/B32/K5/seed0":
+        "baa5561af232c24b74e74eb0e4b22ae44f1338a7d5fcafcc243a15bb659564af",
+    "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed0":
+        "bf31ac8d3aae7a79b7e679f9f3f06eb9797b7771933bc5d0db29d1686e12715d",
+    "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed1":
+        "d8dbd9097813e343a444676b613654f3f90f425d025d406c17bddfd50bb5f7b6",
+    "chain-40/prio_traj-lower_mean_unc/B8/K5/seed0":
+        "a086662c15f70bab05e1dd8acbb4ee261b17ee8808001703c78558bc3222dd6d",
+    "chain-40/prio_traj-lower_mean_unc/B8/K5/seed1":
+        "76a7466b95387e5b9ecb7bc9901f83077777926e38d8ed92da0271496b93ff4e",
+    "chain-40/uni_traj-sarsa/B8/K16/sync1/seed0":
+        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+    "chain-40/uni_traj-sarsa/B8/K16/sync10/seed0":
+        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+    "chain-40/uni_traj-sarsa/B8/K5/sync1/seed0":
+        "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
+    "chain-40/uni_traj-sarsa/B8/K5/sync10/seed0":
+        "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
+    "chain-40/uni_traj-standard/B8/K16/sync1/seed0":
+        "06d1da807b8522872d2cbaf2ffaa7a32bfdd58dfd7f6e41e91738352fc4ce893",
+    "chain-40/uni_traj-standard/B8/K16/sync10/seed0":
+        "9b594474d377882377903c74df25c71d9acfca33d063bfa5b582dac3a88f5d4b",
+    "chain-40/uni_traj-standard/B8/K5/sync1/seed0":
+        "b880473d994a803251972b1e39c37d54c7bc5595c2c214ff89b7250ef7307069",
+    "chain-40/uni_traj-standard/B8/K5/sync10/seed0":
+        "d4d9cd78318496567a6c052417af2e5d48f9fa9d04637ab2022109356294ea0e",
+    "chain-40/uni_traj-weighted0.5/B8/K16/sync1/seed0":
+        "31d0964aaf1639ab1c022b2c3051c51c45d657cccf84ac83559035dbbdafd137",
+    "chain-40/uni_traj-weighted0.5/B8/K16/sync10/seed0":
+        "364a5cc4646c473827982f839fa2bcf3706b3367cd3b3ffd98513a5487637432",
+    "chain-40/uni_traj-weighted0.5/B8/K5/sync1/seed0":
+        "b49578f346f69ceb35401f33460f911902c1e4312e20eb6aa6012c0ed964607a",
+    "chain-40/uni_traj-weighted0.5/B8/K5/sync10/seed0":
+        "8e36ba48126285ee81269709c82f6035a9d263ec58fc2ccab80c1bac3d9bca3f",
+    "chain-40/uni_traj-weighted0/B8/K16/sync1/seed0":
+        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+    "chain-40/uni_traj-weighted0/B8/K16/sync10/seed0":
+        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+    "chain-40/uni_traj-weighted0/B8/K5/sync1/seed0":
+        "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
+    "chain-40/uni_traj-weighted0/B8/K5/sync10/seed0":
+        "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
+    "chain-40@trajectory-jsonl/prio_traj-lower_mean_unc-standard/B8/K5/seed0":
+        "a086662c15f70bab05e1dd8acbb4ee261b17ee8808001703c78558bc3222dd6d",
+    "chain-40@trajectory-jsonl/prio_traj-return-sarsa/B8/K5/seed0":
+        "d7ee9faa5118bbe7a9fd4dbdc7b6f359f009670ffc8eac72fe053467efcf353f",
+    "chain-40@trajectory-jsonl/uni_traj-uniform-weighted/B8/K5/seed0":
+        "18d1406688e78ae7d78797518ea4ffb25054a592714f36f613916b900088a00c",
+    "figure1-dense/prio_state-uniform-standard/B2/K5/seed0":
+        "b16f90f1aac9b642f0de6f109a70ff8ea4b070d940d9d4f8375921b318fd8bbc",
+    "figure1-dense/prio_state-uniform-standard/B3/K5/seed0":
+        "2b5453c2f9af1072c6b6b4fe171ca599ec54f789bc3393e5bb13c793d57dfb49",
+    "figure1-dense/prio_state-uniform-standard/K1/seed0":
+        "e57a34040f1ec1ae26f913bb18f2c7fa7f475d4a6c8bd59ecb96a90f650d4a21",
+    "figure1-dense/prio_state-uniform-standard/K1/seed1":
+        "db54041dc4ac683fc360415274f1ab4391eee1f33661c7ae642a961741c0a6e1",
+    "figure1-dense/prio_state-uniform-standard/K5/seed0":
+        "cb83355ca6a6418f85dcb4326d4b2968281b13aa370bf2694657cd4504a68d74",
+    "figure1-dense/prio_state-uniform-standard/K5/seed1":
+        "77b3de43d5ec9b9afac7cbbad2d68f117d16b34c2532da5cba4fdb420a6459a1",
+    "figure1-dense/prio_traj-return-sarsa/B2/K5/seed0":
+        "0fd59a8e6879c80db246e2b9b4c1fe425d7277fa882ba28d8f048ab7495b1277",
+    "figure1-dense/prio_traj-return-sarsa/B3/K5/seed0":
+        "125646d6afe6a9773093a94e7458ab5dc39e8e4a3c843c13d463b5782e38ff1d",
+    "figure1-dense/prio_traj-return-sarsa/K1/seed0":
+        "de7d03b46ca8ede27bae41884f7d61384c4458471b0a9ed566d9f49763176809",
+    "figure1-dense/prio_traj-return-sarsa/K1/seed1":
+        "222d7da0f0a44ecf3017c9f014dfadad3a1366f5105bab05bac521853795d860",
+    "figure1-dense/prio_traj-return-sarsa/K5/seed0":
+        "10f8a9cf08c0e88a492fe069f85623ca98b05807eedf75d22cdcad827b60890c",
+    "figure1-dense/prio_traj-return-sarsa/K5/seed1":
+        "90922f2b46fa94852a583ac506e1ac1ccb64a218bdfbc31970c6cf342f9afc25",
+    "figure1-dense/prio_traj-return-standard/B2/K5/seed0":
+        "21ef79ae5ffe375e575575bca956d4829600afd57c647c4c8240bda2edda6933",
+    "figure1-dense/prio_traj-return-standard/B3/K5/seed0":
+        "0bb04818374dff2354c049237fe0faed52f000eb7615655399d4e649ae95d5c6",
+    "figure1-dense/prio_traj-return-standard/K1/seed0":
+        "455c2f9ad17109f310e6555c0ae157f2ade5ab46e5c914a1db1bb5edb3e58161",
+    "figure1-dense/prio_traj-return-standard/K1/seed1":
+        "2d58f2d1457f42ba981eab22e1b0a12bd5f4bca09b74a9d334630fec35b1bbc8",
+    "figure1-dense/prio_traj-return-standard/K5/seed0":
+        "24931fdbbea5782e740eb557949c218481f704b06eeadee4aed9d7b287735eb7",
+    "figure1-dense/prio_traj-return-standard/K5/seed1":
+        "e346d56f669cd6ca239f0b53607a4a386060209dadea582f3691bd1c37c81b41",
+    "figure1-dense/prio_traj-return-weighted/B2/K5/seed0":
+        "25ee338e034baa209f21dc3abac08ec5962c2536727c221896f39d722f97db9b",
+    "figure1-dense/prio_traj-return-weighted/B3/K5/seed0":
+        "9f355539b5f27a009d6edb6bafce49403ab2c7526cf4244ef5f3ada74d0dc13f",
+    "figure1-dense/prio_traj-return-weighted/K1/seed0":
+        "03fafd629d8201b62cdaba394920d531379095392ddbd013356a421cf94d7cbf",
+    "figure1-dense/prio_traj-return-weighted/K1/seed1":
+        "e67553e8ad9188b2d113c3c8b0a29a09e489183317536ee2debfbd5a8d5e096d",
+    "figure1-dense/prio_traj-return-weighted/K5/seed0":
+        "939e6709d05d090042e0eb61a9a6fb8b93d08f63c9b5f23df3e050594e758516",
+    "figure1-dense/prio_traj-return-weighted/K5/seed1":
+        "4dd4fbb5cf6e00b8461543e0fc4ab643aa77c1a5f424f6a5b07d2257e97de0d4",
+    "figure1-dense/uni_state-uniform-standard/B2/K5/seed0":
+        "80e9e57f62799c77cb5130073f21a35f1c5617d4e3a839ff03ae74d5aa60a987",
+    "figure1-dense/uni_state-uniform-standard/B3/K5/seed0":
+        "deaa42e2b9c2ce7464ed010dcea1e6309f387ba5efcbab283726c88b21b3c010",
+    "figure1-dense/uni_state-uniform-standard/K1/seed0":
+        "b2d8c7441526b002c7741d101256cc0110568ebb7cf9b15c33d3e261170afca1",
+    "figure1-dense/uni_state-uniform-standard/K1/seed1":
+        "bad6f5750ed9372a42264bf44b2bca2c06c32b0019ded4a87108e772339dafdf",
+    "figure1-dense/uni_state-uniform-standard/K16/seed0":
+        "2ed8959a3e7a09f4ce4d733cf3f4aac7c9faf37601c3d5640decd37ac8e0636f",
+    "figure1-dense/uni_state-uniform-standard/K16/seed1":
+        "f29a18f586792d472a6cd15bf74a3399d303e104f70b34c24f2dfc857a3a4c22",
+    "figure1-dense/uni_state-uniform-standard/K5/seed0":
+        "82d19076d274642cda4165087c0c77cb134041a03fec676f9f34e0b498bf571e",
+    "figure1-dense/uni_state-uniform-standard/K5/seed1":
+        "cab0b1194560bf099716ecafc32a0b3fe54bed4b1ec9f8e5d668c1ecd665a749",
+    "figure1-dense/uni_traj-uniform-sarsa/B2/K5/seed0":
+        "c9bd266e6e5e34473944ef6eae9319192f1ec338a1b6d6cbd7d79cd2c6727c34",
+    "figure1-dense/uni_traj-uniform-sarsa/B3/K5/seed0":
+        "125646d6afe6a9773093a94e7458ab5dc39e8e4a3c843c13d463b5782e38ff1d",
+    "figure1-dense/uni_traj-uniform-sarsa/K1/seed0":
+        "de7d03b46ca8ede27bae41884f7d61384c4458471b0a9ed566d9f49763176809",
+    "figure1-dense/uni_traj-uniform-sarsa/K1/seed1":
+        "222d7da0f0a44ecf3017c9f014dfadad3a1366f5105bab05bac521853795d860",
+    "figure1-dense/uni_traj-uniform-sarsa/K5/seed0":
+        "10f8a9cf08c0e88a492fe069f85623ca98b05807eedf75d22cdcad827b60890c",
+    "figure1-dense/uni_traj-uniform-sarsa/K5/seed1":
+        "90922f2b46fa94852a583ac506e1ac1ccb64a218bdfbc31970c6cf342f9afc25",
+    "figure1-dense/uni_traj-uniform-standard/B2/K5/seed0":
+        "b48fad9900210ab19e665363d22fda5dd983c04a2400e1818a556d5b6b96b05c",
+    "figure1-dense/uni_traj-uniform-standard/B3/K5/seed0":
+        "0bb04818374dff2354c049237fe0faed52f000eb7615655399d4e649ae95d5c6",
+    "figure1-dense/uni_traj-uniform-standard/K1/seed0":
+        "bc232b87e90deceacc10b51b7feee236fb55a266eae1bfad830cb2f0d1915c51",
+    "figure1-dense/uni_traj-uniform-standard/K1/seed1":
+        "4e5104c87437823530ad4c04c9a2a955974227a88c530ec641e2b5c29da310be",
+    "figure1-dense/uni_traj-uniform-standard/K16/seed0":
+        "301563b8c6b7d14ec2017b0c73b40bfce70eb6e0e088f57ca1124411b63ecd20",
+    "figure1-dense/uni_traj-uniform-standard/K16/seed1":
+        "277986ff428e40c61dfb0b29f9f0fc9abaf38f159282e2d04379bdc3c3062f43",
+    "figure1-dense/uni_traj-uniform-standard/K5/seed0":
+        "e24688d8f9c4464fc81fef76d6c006c113f226344cb6ece01eda47964d1046b8",
+    "figure1-dense/uni_traj-uniform-standard/K5/seed1":
+        "5b4f899f695ace8720f5d033bba4058c1b3d60407e4d48611b5104da4a573e82",
+    "figure1-dense/uni_traj-uniform-weighted/B2/K5/seed0":
+        "94ed2a2b8c6722af2787818aade02eb22ec1af8740d2ee9b810692b69241b371",
+    "figure1-dense/uni_traj-uniform-weighted/B3/K5/seed0":
+        "9f355539b5f27a009d6edb6bafce49403ab2c7526cf4244ef5f3ada74d0dc13f",
+    "figure1-dense/uni_traj-uniform-weighted/K1/seed0":
+        "59cf3ca1299e5490c0b406cd8d8d647612a4cbda1730dcd9606a8a7feda566be",
+    "figure1-dense/uni_traj-uniform-weighted/K1/seed1":
+        "33965b378d15b5475506cdbaf54cc4890dcbdd7b812b807e6c46ec4f5e7d9208",
+    "figure1-dense/uni_traj-uniform-weighted/K16/seed0":
+        "f92a179286b3cdaaf60ce9eecb6116b06a5b3d7162782f2ee05653ebca54b3e2",
+    "figure1-dense/uni_traj-uniform-weighted/K16/seed1":
+        "a40e49f216f3fad81f4dd6ab163ca4f4b7571cba13c0ee336f7ef2c96ce2df31",
+    "figure1-dense/uni_traj-uniform-weighted/K5/seed0":
+        "1047c7cdc60168b79c65d2fbb883f173b6e9cd2c5360ee5ac160e238a5918c00",
+    "figure1-dense/uni_traj-uniform-weighted/K5/seed1":
+        "0db644c6a9b1059892e2295d58a19e932b7f58a4f93bf9c25d3ba4a3c30e4fd4",
+    "figure1-sparse/prio_state-uniform-standard/B2/K5/seed0":
+        "2a0cf5153ef23a32351474f32afdd1c9e261f5042b7130392bcd0431be3f7be8",
+    "figure1-sparse/prio_state-uniform-standard/B3/K5/seed0":
+        "617f1884e42f6642bd7e48cf078288ef96d98d737d2e84b8fd92f2695c2f9e0f",
+    "figure1-sparse/prio_state-uniform-standard/K1/seed0":
+        "90a4becd8d8da6bd1f289f0267f3cfd4cc9cdc90a61d9383e398f9d849f8c5c1",
+    "figure1-sparse/prio_state-uniform-standard/K1/seed1":
+        "720d042ceae5989f6709d0732dd23622d7fe9f703224f28bbbc938ce135b76c3",
+    "figure1-sparse/prio_state-uniform-standard/K5/seed0":
+        "11d54fb11a8bbcde3136a072d2ce67135d131e489484a4266227f107b77b1e9c",
+    "figure1-sparse/prio_state-uniform-standard/K5/seed1":
+        "d085271f9972a0e75da7c8fd80fdabd3435a1045f0254d0ddbbcb1e7cfdb9c3f",
+    "figure1-sparse/prio_traj-return-sarsa/B2/K5/seed0":
+        "8fea0585924cd96d4ed964c95510672328b39894890cd3867f637b33dc5560cd",
+    "figure1-sparse/prio_traj-return-sarsa/B3/K5/seed0":
+        "cddd0a11f17df1144939f1a45d43298da642c1fc7a8a36b780b5669f1dc34eec",
+    "figure1-sparse/prio_traj-return-sarsa/K1/seed0":
+        "aeeab7bf0b3680f3b7fc0e4c5fd7211b000c8ef343d672cc5daf14df8013b28c",
+    "figure1-sparse/prio_traj-return-sarsa/K1/seed1":
+        "1637c2bb02293a1a22d12bd11d146f7dba750b0ab2272a1342c67b8ea12a3eda",
+    "figure1-sparse/prio_traj-return-sarsa/K5/seed0":
+        "aaee8bb2ab010997232a46a4befed4e38ee9754d2c070803f9bc62a66921f145",
+    "figure1-sparse/prio_traj-return-sarsa/K5/seed1":
+        "2f083da669d54102c3254a47ef9b1c364937a3b5af3ced62e635b476efd5e6fc",
+    "figure1-sparse/prio_traj-return-standard/B2/K5/seed0":
+        "56c10c0736d9419d8d00833dd296bcd26216f511fff89392abe344226366cf92",
+    "figure1-sparse/prio_traj-return-standard/B3/K5/seed0":
+        "599378fcdc876252fd650a9413127d46f0908b20e4972891f662d27803a2d0cb",
+    "figure1-sparse/prio_traj-return-standard/K1/seed0":
+        "014d3fb25154e2449531768a1379cf735b8cdbe3aef482339585bee5918ccdf0",
+    "figure1-sparse/prio_traj-return-standard/K1/seed1":
+        "e6da58aa593438672bc887814b614404a7fd1ac76fcfdd43971c0e435d582f4f",
+    "figure1-sparse/prio_traj-return-standard/K5/seed0":
+        "1a5bc1eb89811bb9fc7b46fc01bb30f3f9c4236b04e670fc43274de7c207637b",
+    "figure1-sparse/prio_traj-return-standard/K5/seed1":
+        "ada1e5c69f4b308e02fdcf9bd43be169175e9e5257cf0e07e6cf239fb1399701",
+    "figure1-sparse/prio_traj-return-weighted/B2/K5/seed0":
+        "851e62036284c5b7ae9bd563fc2da17b7eb057bddf28f035201814c08b8730fc",
+    "figure1-sparse/prio_traj-return-weighted/B3/K5/seed0":
+        "37a171dbec0ad1c20f6dda9d3d2f52c0c836ba9e912805d691a553b56aa2fef7",
+    "figure1-sparse/prio_traj-return-weighted/K1/seed0":
+        "5fa75b94dbf1e7bb3fa63cf6be0c63130f25f871fcc84a3bc106e710d0217624",
+    "figure1-sparse/prio_traj-return-weighted/K1/seed1":
+        "c53f84279363cb39b262367c0c84174b1027784d2559d021e0c779b3851d86e3",
+    "figure1-sparse/prio_traj-return-weighted/K5/seed0":
+        "bbda062031d02d8a483fa658459b83297d3e88bb3652db9cde3d44137942d8ee",
+    "figure1-sparse/prio_traj-return-weighted/K5/seed1":
+        "e4ea0bf75e28079bdfd1be164f2585f543925ba122a8e561c0839e4254b35c8c",
+    "figure1-sparse/uni_state-uniform-standard/B2/K5/seed0":
+        "078c31b389535487e30501c4d0ebc48335fffb5293e2a962c974bc8a4d6c618f",
+    "figure1-sparse/uni_state-uniform-standard/B3/K5/seed0":
+        "f59ec1e81e4189653764eec3ab83f3a41f6d20bac275f83818a7335dff8dfa00",
+    "figure1-sparse/uni_state-uniform-standard/K1/seed0":
+        "3b3cad85b442c3202cc5ab761e63bea89e1322942b820d2849761c90591a7283",
+    "figure1-sparse/uni_state-uniform-standard/K1/seed1":
+        "6d6e328669d64159533c72c21017476917c7c8ace13da7886a70ddbfd1792b61",
+    "figure1-sparse/uni_state-uniform-standard/K16/seed0":
+        "a406bffacd7916b3c59c925052c3b14f05a24f7879511a9ef6f00d2675aa5ea3",
+    "figure1-sparse/uni_state-uniform-standard/K16/seed1":
+        "d806849925a48f9d5b16d7b2c7b3f31ed4dcd9b5ea801c9ea0b2ed6258eb9cd4",
+    "figure1-sparse/uni_state-uniform-standard/K5/seed0":
+        "02a7c209ea4b3d7a0d77a4f64b6ec2f818e1e212c57ec8e422a4794f517ede42",
+    "figure1-sparse/uni_state-uniform-standard/K5/seed1":
+        "9d796edf0c42aa59ebf82454b58810d14690572c939f5729bc880e8e9d8b36cf",
+    "figure1-sparse/uni_traj-uniform-sarsa/B2/K5/seed0":
+        "b9d90d42a628c01440a1c83deb8b2ca48485bb257eeb1364139ec1da34a584ac",
+    "figure1-sparse/uni_traj-uniform-sarsa/B3/K5/seed0":
+        "cddd0a11f17df1144939f1a45d43298da642c1fc7a8a36b780b5669f1dc34eec",
+    "figure1-sparse/uni_traj-uniform-sarsa/K1/seed0":
+        "aeeab7bf0b3680f3b7fc0e4c5fd7211b000c8ef343d672cc5daf14df8013b28c",
+    "figure1-sparse/uni_traj-uniform-sarsa/K1/seed1":
+        "1637c2bb02293a1a22d12bd11d146f7dba750b0ab2272a1342c67b8ea12a3eda",
+    "figure1-sparse/uni_traj-uniform-sarsa/K5/seed0":
+        "aaee8bb2ab010997232a46a4befed4e38ee9754d2c070803f9bc62a66921f145",
+    "figure1-sparse/uni_traj-uniform-sarsa/K5/seed1":
+        "2f083da669d54102c3254a47ef9b1c364937a3b5af3ced62e635b476efd5e6fc",
+    "figure1-sparse/uni_traj-uniform-standard/B2/K5/seed0":
+        "ec294db96eeb30cf37387c2c14529c968892ade20585ad9288e7bc02f14af75b",
+    "figure1-sparse/uni_traj-uniform-standard/B3/K5/seed0":
+        "599378fcdc876252fd650a9413127d46f0908b20e4972891f662d27803a2d0cb",
+    "figure1-sparse/uni_traj-uniform-standard/K1/seed0":
+        "9407529f8f435a26acb2a14c01d0dd2a508be65835bb509b9419f7676d47dd4c",
+    "figure1-sparse/uni_traj-uniform-standard/K1/seed1":
+        "12769f29d049d9f7bd04e55afd79dd5764fe6211fd9626cddbab868fd722eb27",
+    "figure1-sparse/uni_traj-uniform-standard/K16/seed0":
+        "b64ac9efdb90e864b17a7a056b673f9bcf389de875db76c5e2a2093103cb80e8",
+    "figure1-sparse/uni_traj-uniform-standard/K16/seed1":
+        "3c9911b7290d7891dbd119a3fe7a3c6cfad84bfd6e35aa68801755bc358f9321",
+    "figure1-sparse/uni_traj-uniform-standard/K5/seed0":
+        "031d9e9ae0a2df39d037cff881175e9929fa0198d029f6677fe1dc72614cea2c",
+    "figure1-sparse/uni_traj-uniform-standard/K5/seed1":
+        "175808fadd9b7ada4f68d204572362350a3e845af7d603f75c728f9cdb2f8d19",
+    "figure1-sparse/uni_traj-uniform-weighted/B2/K5/seed0":
+        "eb6b1a08be726abe7b9892d41d2728076a4c2632b6ba64596f00094ecd5a50ba",
+    "figure1-sparse/uni_traj-uniform-weighted/B3/K5/seed0":
+        "37a171dbec0ad1c20f6dda9d3d2f52c0c836ba9e912805d691a553b56aa2fef7",
+    "figure1-sparse/uni_traj-uniform-weighted/K1/seed0":
+        "cb914939dc5946c4dfe026430f889b1a00e7210d890a266da1790549f59831de",
+    "figure1-sparse/uni_traj-uniform-weighted/K1/seed1":
+        "293f1f0521a86dd4820a250045c910589c4a9f5e5edfc8d12d833dff96855fc6",
+    "figure1-sparse/uni_traj-uniform-weighted/K16/seed0":
+        "ea8c46f8f1a69589c15da5e85e161bdee5f8ee2fef69992c251ea93c3a131140",
+    "figure1-sparse/uni_traj-uniform-weighted/K16/seed1":
+        "31a10b79791b9bdba3e6d8d4dc34f854b02fd7585d476e6543c7fdc630ac389d",
+    "figure1-sparse/uni_traj-uniform-weighted/K5/seed0":
+        "8a7c27a0f1373da97632cf4f5ec983c5997b1314fe92791bfeb4a4a846ceb8ae",
+    "figure1-sparse/uni_traj-uniform-weighted/K5/seed1":
+        "267a23c1420790c94da294292baa6f6a3d567f9e086d1c27d67e40af02aa988c",
+    "figure1-sparse@flat-transitions/prio_state-uniform-standard/K5/seed0":
+        "11d54fb11a8bbcde3136a072d2ce67135d131e489484a4266227f107b77b1e9c",
+    "figure1-sparse@flat-transitions/prio_traj-return-sarsa/K5/seed0":
+        "aaee8bb2ab010997232a46a4befed4e38ee9754d2c070803f9bc62a66921f145",
+    "figure1-sparse@flat-transitions/prio_traj-return-standard/K5/seed0":
+        "1a5bc1eb89811bb9fc7b46fc01bb30f3f9c4236b04e670fc43274de7c207637b",
+    "figure1-sparse@flat-transitions/prio_traj-return-weighted/K5/seed0":
+        "bbda062031d02d8a483fa658459b83297d3e88bb3652db9cde3d44137942d8ee",
+    "figure1-sparse@flat-transitions/uni_state-uniform-standard/K5/seed0":
+        "02a7c209ea4b3d7a0d77a4f64b6ec2f818e1e212c57ec8e422a4794f517ede42",
+    "figure1-sparse@flat-transitions/uni_traj-uniform-sarsa/K5/seed0":
+        "aaee8bb2ab010997232a46a4befed4e38ee9754d2c070803f9bc62a66921f145",
+    "figure1-sparse@flat-transitions/uni_traj-uniform-standard/K5/seed0":
+        "031d9e9ae0a2df39d037cff881175e9929fa0198d029f6677fe1dc72614cea2c",
+    "figure1-sparse@flat-transitions/uni_traj-uniform-weighted/K5/seed0":
+        "8a7c27a0f1373da97632cf4f5ec983c5997b1314fe92791bfeb4a4a846ceb8ae",
+    "figure1-sparse@trajectory-jsonl/prio_state-uniform-standard/K5/seed0":
+        "11d54fb11a8bbcde3136a072d2ce67135d131e489484a4266227f107b77b1e9c",
+    "figure1-sparse@trajectory-jsonl/prio_traj-return-sarsa/K5/seed0":
+        "aaee8bb2ab010997232a46a4befed4e38ee9754d2c070803f9bc62a66921f145",
+    "figure1-sparse@trajectory-jsonl/prio_traj-return-standard/K5/seed0":
+        "1a5bc1eb89811bb9fc7b46fc01bb30f3f9c4236b04e670fc43274de7c207637b",
+    "figure1-sparse@trajectory-jsonl/prio_traj-return-weighted/K5/seed0":
+        "bbda062031d02d8a483fa658459b83297d3e88bb3652db9cde3d44137942d8ee",
+    "figure1-sparse@trajectory-jsonl/uni_state-uniform-standard/K5/seed0":
+        "02a7c209ea4b3d7a0d77a4f64b6ec2f818e1e212c57ec8e422a4794f517ede42",
+    "figure1-sparse@trajectory-jsonl/uni_traj-uniform-sarsa/K5/seed0":
+        "aaee8bb2ab010997232a46a4befed4e38ee9754d2c070803f9bc62a66921f145",
+    "figure1-sparse@trajectory-jsonl/uni_traj-uniform-standard/K5/seed0":
+        "031d9e9ae0a2df39d037cff881175e9929fa0198d029f6677fe1dc72614cea2c",
+    "figure1-sparse@trajectory-jsonl/uni_traj-uniform-weighted/K5/seed0":
+        "8a7c27a0f1373da97632cf4f5ec983c5997b1314fe92791bfeb4a4a846ceb8ae",
 }
 
 RUNS = golden_runs()
@@ -349,12 +779,17 @@ RUNS = golden_runs()
 
 def test_every_run_has_a_golden():
     assert sorted(GOLDENS) == sorted(RUNS)
+    assert sorted(TABLE_GOLDENS) == sorted(RUNS)
 
 
 @pytest.mark.parametrize("run_id", sorted(RUNS))
 def test_curve_matches_golden(run_id):
-    scenario, config = RUNS[run_id]
-    assert curve_digest(scenario, config) == GOLDENS[run_id]
+    assert digests(run_id)[0] == GOLDENS[run_id]
+
+
+@pytest.mark.parametrize("run_id", sorted(RUNS))
+def test_tables_match_golden(run_id):
+    assert digests(run_id)[1] == TABLE_GOLDENS[run_id]
 
 
 def test_batched_golden_run_repeats_a_pair(monkeypatch):
