@@ -54,6 +54,7 @@ from .replay import (
 from .scenarios import make_figure1, make_random_chain
 from .targets import (
     TargetKind,
+    batch_targets,
     compute_target,
 )
 

@@ -35,7 +35,7 @@ from .replay import (
     check_alpha,
     check_epsilon,
 )
-from .targets import STANDARD, TargetKind, compute_target
+from .targets import STANDARD, TargetKind, batch_targets, compute_target
 
 UNI_STATE = "uni_state"
 PRIO_STATE = "prio_state"
@@ -173,17 +173,18 @@ class EnsembleQ:
         if n > 1:
             states = np.asarray(states, dtype=np.intp)
             actions = np.asarray(actions, dtype=np.intp)
+            goal = np.asarray(targets, dtype=float)
             flat = np.sort(states * tables.shape[2] + actions)
             if (flat[1:] != flat[:-1]).all():
                 cols = tables[:, states, actions]
-                goal = np.array(targets, dtype=float)
                 td_errors = (goal - q_mean[states, actions]).tolist()
                 cols += self.eta * (goal - cols)
                 tables[:, states, actions] = cols
                 q_mean[states, actions] = cols.mean(axis=0)
                 self._count_update()
                 return td_errors
-            states, actions = states.tolist(), actions.tolist()
+            # Python floats, so the TD errors are too
+            states, actions, targets = states.tolist(), actions.tolist(), goal.tolist()
         td_errors = [target - q_mean.item(s, a) for s, a, target in zip(states, actions, targets)]
         eta = self.eta
         k = len(tables)
@@ -241,11 +242,15 @@ MEAN_BLOCK_PAIRS = 1 << 14
 def column_means(tables: np.ndarray) -> np.ndarray:
     """The (S, A) table of ``tables[:, s, a].mean()``, bit for bit.
 
-    ``tables.mean(axis=0)`` adds the members one row at a time, which differs
-    from a column's own (pairwise) mean in the last bit for K >= 8; reducing
-    the contiguous last axis of an (S, A, K) copy sums each column the same
-    way the column mean does.
+    ``tables.mean(axis=0)`` adds the members one row at a time from +0.0.  A
+    column's own mean adds fewer than 8 elements the same way, so below 8
+    members that is the table, a -0.0 column's +0.0 included.  From 8 members
+    on the column mean sums pairwise and the row order differs in the last
+    bit; reducing the contiguous last axis of an (S, A, K) copy, one block of
+    pairs at a time, sums each column the way the column mean does.
     """
+    if len(tables) < 8:
+        return tables.mean(axis=0)
     _, state_count, action_count = tables.shape
     means = np.empty((state_count, action_count))
     step = max(1, MEAN_BLOCK_PAIRS // action_count)
@@ -377,16 +382,18 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
                 value = ensemble.max_mean_q(s0)
             curve[step] = value
     else:
-        targets = [None] * config.batch_size
+        targets = None
+        q_mean = ensemble.q_mean  # updated in place, never rebound
         for step in range(config.total_steps):
             items = draw()
+            flat = [it.index for it in items]
+            index = np.array(flat)
+            head = np.array([it.is_trajectory_head for it in items])
             # a replay slot's previous target is its trajectory's target(t+1)
-            targets = [compute_target(it, dataset, kind, later, q_bar, policy, gamma)
-                       for it, later in zip(items, targets, strict=True)]
-            index = [it.index for it in items]
+            targets = batch_targets(index, head, targets, dataset, kind, q_mean, q_bar, gamma)
             td_errors = ensemble.update(state_column[index], action_column[index], targets)
             if per_sampler is not None:
-                per_sampler.update_priorities(index, td_errors)
+                per_sampler.update_priorities(flat, td_errors)
             curve[step] = ensemble.max_mean_q(s0)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(curve, ensemble, elapsed_ms * 1000.0 / config.total_steps)

@@ -6,12 +6,21 @@ before, so target(t+1) is that slot's previous value; a non-head item without
 one raises.  At w = 0 the update never evaluates the value function at an
 action outside the trajectory (except at a timeout head, where no
 in-trajectory next action exists).
+
+The rule has two regimes.  :func:`compute_target` is the reference: one item
+on Python scalars, which ``train`` uses at batch size 1.  :func:`batch_targets`
+applies the same rule to a whole batch with array operations, bit for bit,
+and ``train`` uses it for B > 1.  Both read Qbar through one ``q_bar(s', a')``
+call per bootstrapped item, so every policy bootstrap stays one call that can
+be counted from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .dataset import OfflineDataset
 from .replay import BatchItem
@@ -86,3 +95,56 @@ def compute_target(
     next_state = dataset.next_states.item(i)
     bootstrap = q_bar(next_state, policy(next_state))
     return reward + gamma * ((1.0 - w) * later + w * bootstrap)
+
+
+def batch_targets(
+    index: np.ndarray,
+    head: np.ndarray,
+    later: np.ndarray | None,
+    dataset: OfflineDataset,
+    kind: TargetKind,
+    q_mean: np.ndarray,
+    q_bar: QValueFn,
+    gamma: float,
+) -> np.ndarray:
+    """:func:`compute_target` of every item of a batch, bit for bit.
+
+    Item i is the transition at flat ``index[i]`` (an integer array); the
+    bool ``head[i]`` says whether it is its trajectory's last step, and
+    ``later[i]`` is the target of the same trajectory's step t+1 (in
+    ``train``, the same slot's previous value), or ``later`` is None when no
+    item needs one.  The policy is greedy on
+    ``q_mean``: ``argmax(axis=1)`` takes the lowest tied action, as
+    ``EnsembleQ.greedy_action`` does.  ``q_bar`` is called once per
+    bootstrapped item, in batch order.
+    """
+    w = kind.bootstrap_weight
+    reward = dataset.rewards[index]
+    terminal = dataset.terminal[index]
+    if w == 1.0:  # every item takes the head rule
+        carried = None
+        bootstrap = ~terminal
+        terminal_head = terminal
+    else:
+        carried = (~head).nonzero()[0]
+        if later is None and carried.size:
+            tid, t = dataset.position(int(index[carried[0]]))
+            raise ValueError(f"no target for trajectory {tid} at t={t + 1}"
+                             "; transitions must be emitted in backward order")
+        terminal_head = terminal & head
+        # heads bootstrap unless terminal, the interior only when w > 0
+        bootstrap = head & ~terminal if w == 0.0 else ~terminal_head
+    at = bootstrap.nonzero()[0]
+    boot = np.zeros(len(index))
+    if at.size:
+        next_states = dataset.next_states[index[at]]
+        actions = q_mean[next_states].argmax(axis=1)
+        boot[at] = list(map(q_bar, next_states.tolist(), actions.tolist()))
+    if carried is not None and carried.size:
+        carry = later[carried]
+        # At w = 0 not the blend: (1 - 0) * later + 0 * 0.0 would turn a -0.0 into +0.0.
+        boot[carried] = carry if w == 0.0 else (1.0 - w) * carry + w * boot[carried]
+    targets = reward + gamma * boot
+    # a terminal head's target is its reward, a -0.0 included
+    np.copyto(targets, reward, where=terminal_head)
+    return targets

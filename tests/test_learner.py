@@ -468,15 +468,18 @@ def test_train_carries_each_slots_target_to_its_next_step(monkeypatch, sampler, 
 
     # uneven lengths, so the B = 8 slots finish and refill at different steps
     ds = make_random_chain(20, 1, 9, np.random.default_rng(31), terminal_prob=0.5)
-    real = learner.compute_target
+    real = learner.batch_targets
     calls = []
 
-    def recorder(item, dataset, kind, later, q_bar, policy, gamma):
-        value = real(item, dataset, kind, later, q_bar, policy, gamma)
-        calls.append((item.trajectory_id, item.time_index, item.is_trajectory_head, later, value))
-        return value
+    def recorder(index, head, later, *args):
+        values = real(index, head, later, *args)
+        carried = [None] * len(index) if later is None else later.tolist()
+        for i, is_head, carry, value in zip(index.tolist(), head.tolist(), carried,
+                                            values.tolist(), strict=True):
+            calls.append((*ds.position(i), is_head, carry, value))
+        return values
 
-    monkeypatch.setattr(learner, "compute_target", recorder)
+    monkeypatch.setattr(learner, "batch_targets", recorder)
     config = TrainConfig(sampler=sampler, metric=metric, target=kind, batch_size=8,
                          total_steps=80, ensemble_size=2, target_sync_period=1, seed=4)
     train(ds, config)
@@ -491,6 +494,51 @@ def test_train_carries_each_slots_target_to_its_next_step(monkeypatch, sampler, 
             assert later is not None and later.hex() == latest[(j, t + 1)].hex(), (j, t)
         latest[(j, t)] = value
     assert heads > 2 * ds.n_trajectories  # several epochs of refills
+
+
+@pytest.mark.parametrize("sampler, metric, kind", [
+    ("uni_state", "uniform", TargetKind("standard")),
+    ("prio_state", "uniform", TargetKind("standard")),
+    *((sampler, metric, kind)
+      for sampler, metric in (("uni_traj", "uniform"), ("prio_traj", "return"))
+      for kind in (TargetKind("standard"), TargetKind("sarsa"),
+                   TargetKind("weighted", 0.5), TargetKind("weighted", 0.0))),
+])
+def test_batched_train_reads_qbar_once_per_bootstrap(monkeypatch, sampler, metric, kind):
+    """The support constraint, counted: standard and weighted with beta > 0
+    bootstrap at every item but a terminal head; sarsa and weighted with
+    beta = 0 only at timeout heads."""
+    import trajreplay.learner as learner
+
+    ds = make_random_chain(20, 1, 9, np.random.default_rng(31), terminal_prob=0.5)
+    lengths = [t.length for t in ds.trajectories]
+    ends_terminal = [t.transitions[-1].terminal for t in ds.trajectories]
+    everywhere = kind.bootstrap_weight > 0.0
+    expected, reads = [0], [0]
+
+    def count(items):
+        for it in items:
+            head = it.time_index == lengths[it.trajectory_id] - 1
+            terminal_head = head and ends_terminal[it.trajectory_id]
+            expected[0] += not terminal_head if everywhere else head and not terminal_head
+        return items
+
+    for cls, name in ((learner.TrajectoryReplay, "next_batch"),
+                      (learner.UniformTransitionSampler, "sample"),
+                      (learner.PerTransitionSampler, "sample")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, real=real: count(real(*a)))
+    target_value = EnsembleQ.target_value
+
+    def counted(self, s, a):
+        reads[0] += 1
+        return target_value(self, s, a)
+
+    monkeypatch.setattr(EnsembleQ, "target_value", counted)
+    config = TrainConfig(sampler=sampler, metric=metric, target=kind, batch_size=4,
+                         total_steps=60, ensemble_size=3, seed=5)
+    train(ds, config)
+    assert reads[0] == expected[0] > 0
 
 
 def test_train_records_the_start_state(monkeypatch):

@@ -1,20 +1,25 @@
-"""Property tests for the β endpoints of the weighted target.
+"""Property tests for the target rule.
 
 ``compute_target`` with ``TargetKind("weighted", β)`` is checked against
 closed forms written out here.  β = 0 must be the recursive target
 r + γ·target(t+1) bit for bit and never consult the value function or the
 policy off the trajectory head; β = 1 must be r + γ·Q̄(s′, π(s′)) (just r at a
 terminal step) on every item.
+
+``batch_targets``, the rule's array form, must equal ``compute_target`` item
+by item, bit for bit, and read Q̄ at exactly the items that bootstrap.
 """
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajreplay.dataset import OfflineDataset, Trajectory, Transition
 from trajreplay.replay import BatchItem
-from trajreplay.targets import TargetKind, compute_target
+from trajreplay.targets import TargetKind, batch_targets, compute_target
 
 ACTIONS = 3
 values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -101,3 +106,90 @@ def test_weighted_at_beta_one_is_standard_on_every_item(case):
     for item in items:
         got = compute_target(item, ds, kind, got, q_bar, pi, gamma)
         assert got.hex() == policy_bootstrap(ds, item, gamma, q, policy).hex()
+
+
+# -0.0 and ties are the cases an array rule gets wrong first
+signed = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), values)
+kinds = st.one_of(
+    st.sampled_from([TargetKind("standard"), TargetKind("sarsa"),
+                     TargetKind("weighted", 0.0), TargetKind("weighted", 1.0)]),
+    st.floats(0.0, 1.0).map(lambda beta: TargetKind("weighted", beta)),
+)
+
+
+@st.composite
+def batches(draw):
+    """Terminal and timeout trajectories over shared states, Q tables over
+    them, and a batch of B items at any flat positions with a ``later`` for
+    each: heads, interior items, terminal heads and timeout heads mixed."""
+    states = draw(st.integers(1, 6))
+    trajectories = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 5))
+        path = draw(st.lists(st.integers(0, states - 1), min_size=length + 1,
+                             max_size=length + 1))
+        terminal = draw(st.booleans())
+        trajectories.append(Trajectory(tuple(
+            Transition(path[t], draw(st.integers(0, ACTIONS - 1)), draw(signed), path[t + 1],
+                       terminal and t == length - 1)
+            for t in range(length)), timeout_truncated=not terminal))
+    ds = OfflineDataset(trajectories, state_count=states, action_count=ACTIONS)
+    n = len(ds.rewards)
+    index = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)))
+    later = np.array(draw(st.lists(signed, min_size=len(index), max_size=len(index))))
+    table = st.lists(st.lists(signed, min_size=ACTIONS, max_size=ACTIONS),
+                     min_size=states, max_size=states)
+    q_mean, target_mean = np.array(draw(table)), np.array(draw(table))
+    return ds, index, later, q_mean, target_mean, draw(kinds), draw(st.floats(0.0, 1.0))
+
+
+def item_at(ds, i):
+    j, t = ds.position(i)
+    return BatchItem(j, t, i, i == ds.offsets[j + 1] - 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(batches())
+def test_batch_targets_is_compute_target_bit_for_bit(case):
+    ds, index, later, q_mean, target_mean, kind, gamma = case
+    items = [item_at(ds, i) for i in index.tolist()]
+    head = np.array([it.is_trajectory_head for it in items])
+    reads, batch_reads = [], []
+
+    def q_bar(s, a):
+        reads.append((s, a))
+        return target_mean.item(s, a)
+
+    def greedy(s):
+        return int(q_mean[s].argmax())
+
+    want = []
+    for it, carry in zip(items, later.tolist()):
+        before = len(reads)
+        want.append(compute_target(it, ds, kind, carry, q_bar, greedy, gamma))
+        # the reference reads Q̄ once per bootstrap, and only there
+        head_terminal = it.is_trajectory_head and ds.terminal[it.index]
+        if kind.bootstrap_weight == 0.0:
+            assert len(reads) - before == (it.is_trajectory_head and not head_terminal)
+        else:
+            assert len(reads) - before == (not head_terminal)
+    got = batch_targets(index, head, later, ds, kind, q_mean,
+                        lambda s, a: batch_reads.append((s, a)) or target_mean.item(s, a), gamma)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert batch_reads == reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches())
+def test_batch_targets_needs_later_only_off_the_head_rule(case):
+    ds, index, _, q_mean, target_mean, kind, gamma = case
+    head = np.array([item_at(ds, i).is_trajectory_head for i in index.tolist()])
+    q_bar = target_mean.item
+    if kind.bootstrap_weight == 1.0 or head.all():
+        got = batch_targets(index, head, None, ds, kind, q_mean, q_bar, gamma)
+        assert got.shape == index.shape
+    else:
+        i = int(index[head.argmin()])
+        j, t = ds.position(i)
+        with pytest.raises(ValueError, match=f"trajectory {j} at t={t + 1}.*backward order"):
+            batch_targets(index, head, None, ds, kind, q_mean, q_bar, gamma)

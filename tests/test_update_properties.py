@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajreplay import learner
 from trajreplay.learner import EnsembleQ
 
 
@@ -38,6 +39,20 @@ def column_means(tables):
     """Each (s, a) entry as the mean of its own member column."""
     return np.array([[tables[:, s, a].mean() for a in range(tables.shape[2])]
                      for s in range(tables.shape[1])])
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_column_means_is_each_columns_own_mean(monkeypatch, k):
+    """Below 8 members the row-order mean, from 8 on the blocked copy: both
+    equal every column's own mean, a -0.0 column's +0.0 included."""
+    monkeypatch.setattr(learner, "MEAN_BLOCK_PAIRS", 4)  # several blocks
+    rng = np.random.default_rng(k)
+    tables = rng.standard_normal((k, 5, 3)) * np.exp(rng.standard_normal((k, 5, 3)) * 8)
+    tables[:, 0, 0] = -0.0
+    tables[:, 1] = rng.choice([-0.0, 0.0], size=(k, 3))
+    want = column_means(tables)
+    assert np.signbit(want[0, 0]) == np.False_
+    assert np.array_equal(bits(learner.column_means(tables)), bits(want))
 
 
 @st.composite
