@@ -156,9 +156,11 @@ def test_batch_targets_is_compute_target_bit_for_bit(case):
     head = np.array([it.is_trajectory_head for it in items])
     reads, batch_reads = [], []
 
-    def q_bar(s, a):
-        reads.append((s, a))
-        return target_mean.item(s, a)
+    def reader(log):
+        def q_bar(s, a):
+            log.append((s, a))
+            return target_mean.item(s, a)
+        return q_bar
 
     def greedy(s):
         return int(q_mean[s].argmax())
@@ -166,15 +168,14 @@ def test_batch_targets_is_compute_target_bit_for_bit(case):
     want = []
     for it, carry in zip(items, later.tolist()):
         before = len(reads)
-        want.append(compute_target(it, ds, kind, carry, q_bar, greedy, gamma))
+        want.append(compute_target(it, ds, kind, carry, reader(reads), greedy, gamma))
         # the reference reads Q̄ once per bootstrap, and only there
         head_terminal = it.is_trajectory_head and ds.terminal[it.index]
         if kind.bootstrap_weight == 0.0:
             assert len(reads) - before == (it.is_trajectory_head and not head_terminal)
         else:
             assert len(reads) - before == (not head_terminal)
-    got = batch_targets(index, head, later, ds, kind, q_mean,
-                        lambda s, a: batch_reads.append((s, a)) or target_mean.item(s, a), gamma)
+    got = batch_targets(index, head, later, ds, kind, q_mean, reader(batch_reads), gamma)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
     assert batch_reads == reads
 

@@ -51,7 +51,7 @@ def test_column_means_is_each_columns_own_mean(monkeypatch, k):
     tables[:, 0, 0] = -0.0
     tables[:, 1] = rng.choice([-0.0, 0.0], size=(k, 3))
     want = column_means(tables)
-    assert np.signbit(want[0, 0]) == np.False_
+    assert not np.signbit(want[0, 0])
     assert np.array_equal(bits(learner.column_means(tables)), bits(want))
 
 
