@@ -43,6 +43,7 @@ from .priority import (
     uncertainty_priorities,
 )
 from .replay import (
+    Batch,
     BatchItem,
     PerTransitionSampler,
     SumTree,

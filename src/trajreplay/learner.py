@@ -368,10 +368,10 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         target = None
         value = ensemble.max_mean_q(s0)
         for step in range(config.total_steps):
-            item = draw()[0]
+            batch = draw()
+            i = batch.index[0]
             # the one slot's previous target is its trajectory's target(t+1)
-            target = compute_target(item, dataset, kind, target, q_bar, policy, gamma)
-            i = item.index
+            target = compute_target(i, batch.head[0], dataset, kind, target, q_bar, policy, gamma)
             s = state_column.item(i)
             td_errors = ensemble.update((s,), (action_column.item(i),), (target,))
             if per_sampler is not None:
@@ -385,15 +385,14 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         targets = None
         q_mean = ensemble.q_mean  # updated in place, never rebound
         for step in range(config.total_steps):
-            items = draw()
-            flat = [it.index for it in items]
-            index = np.array(flat)
-            head = np.array([it.is_trajectory_head for it in items])
+            batch = draw()
+            index = np.array(batch.index)
+            head = np.array(batch.head)
             # a replay slot's previous target is its trajectory's target(t+1)
             targets = batch_targets(index, head, targets, dataset, kind, q_mean, q_bar, gamma)
             td_errors = ensemble.update(state_column[index], action_column[index], targets)
             if per_sampler is not None:
-                per_sampler.update_priorities(flat, td_errors)
+                per_sampler.update_priorities(batch.index, td_errors)
             curve[step] = ensemble.max_mean_q(s0)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(curve, ensemble, elapsed_ms * 1000.0 / config.total_steps)

@@ -1,4 +1,4 @@
-"""Batch samplers over an offline dataset.
+"""Batch samplers over an offline dataset, each returning a :class:`Batch`.
 
 Three families live here:
 
@@ -17,7 +17,7 @@ Three families live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -34,6 +34,24 @@ class BatchItem:
     time_index: int
     index: int
     is_trajectory_head: bool
+
+
+@dataclass(slots=True, eq=False)
+class Batch:
+    """One draw: ``index[k]`` is item k's flat position (a Python int) and
+    ``head[k]`` whether it is its trajectory's last step.  Indexing or
+    iterating builds :class:`BatchItem` views, placed by ``dataset.position``."""
+
+    index: list[int]
+    head: list[bool]
+    dataset: OfflineDataset = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, k: int) -> BatchItem:  # iteration stops at its IndexError
+        i = self.index[k]
+        return BatchItem(*self.dataset.position(i), i, self.head[k])
 
 
 class TrajectorySelector(Protocol):
@@ -63,10 +81,11 @@ class TrajectoryReplay:
     """Backward per-trajectory sampling with selector-driven refill.
 
     One instance per training run; not thread-safe.  ``next_batch`` always
-    returns exactly ``batch_size`` items: vacant slots are refilled at the
-    start of the call, and a slot goes vacant at the end of the call in which
-    its trajectory emits time index 0; that call then passes every such id,
-    in slot order, to one ``notify_complete`` call of the selector.
+    returns exactly ``batch_size`` items: the slots vacated in the previous
+    call are refilled, in slot order, at the start of the call, and a slot
+    goes vacant at the end of the call in which its trajectory emits time
+    index 0; that call then passes every such id, in slot order, to one
+    ``notify_complete`` call of the selector.
     """
 
     def __init__(
@@ -82,14 +101,16 @@ class TrajectoryReplay:
                 f"batch_size must be in [1, {n}] so no trajectory is active twice, "
                 f"got {batch_size}"
             )
-        self._offsets = dataset.offsets
-        self._batch_size = batch_size
+        self._dataset = dataset
         self._selector = selector
         self._rng = rng
         self._epoch = 1
+        # per slot: id (-1 when vacant), first flat position, next and last time index
         self._slot_ids = [-1] * batch_size
+        self._slot_starts = [0] * batch_size
         self._slot_cursors = [0] * batch_size
         self._slot_heads = [0] * batch_size
+        self._vacant = list(range(batch_size))
         self._available: list[int] = list(range(n))
         self._avail_pos = {j: j for j in self._available}
         self._fill_vacant_slots()
@@ -112,76 +133,73 @@ class TrajectoryReplay:
             if tid != -1
         )
 
-    def _remove_available(self, trajectory_id: int) -> None:
-        pos = self._avail_pos.pop(trajectory_id)
-        last = self._available.pop()
-        if last != trajectory_id:
-            self._available[pos] = last
-            self._avail_pos[last] = pos
-
-    def _refill_available(self) -> None:
-        active = set(self._slot_ids)
-        self._available = [
-            j for j in range(len(self._offsets) - 1) if j not in active
-        ]
-        self._avail_pos = {j: pos for pos, j in enumerate(self._available)}
-        self._epoch += 1
-
     def _fill_vacant_slots(self) -> None:
-        for i in range(self._batch_size):
-            if self._slot_ids[i] != -1:
-                continue
-            if not self._available:
-                self._refill_available()
+        offsets = self._dataset.offsets
+        for i in self._vacant:
+            if not self._available:  # a new epoch: every id not active
+                active = set(self._slot_ids)
+                self._available = [j for j in range(len(offsets) - 1) if j not in active]
+                self._avail_pos = {j: pos for pos, j in enumerate(self._available)}
+                self._epoch += 1
             tid = self._selector.select(self._available, self._rng)
-            self._remove_available(tid)
-            head = self._offsets[tid + 1] - self._offsets[tid] - 1
+            # swap-remove: the pool's last id takes the chosen one's place
+            pos = self._avail_pos.pop(tid)
+            last = self._available.pop()
+            if last != tid:
+                self._available[pos] = last
+                self._avail_pos[last] = pos
+            start = offsets[tid]
+            head = offsets[tid + 1] - start - 1
             self._slot_ids[i] = tid
+            self._slot_starts[i] = start
             self._slot_cursors[i] = head
             self._slot_heads[i] = head
+        self._vacant = []
 
-    def next_batch(self) -> list[BatchItem]:
+    def next_batch(self) -> Batch:
         """Emit one transition per slot at its cursor, then step cursors back."""
-        self._fill_vacant_slots()
-        offsets = self._offsets
-        slot_ids, cursors, heads = self._slot_ids, self._slot_cursors, self._slot_heads
-        items: list[BatchItem] = []
-        completed: list[int] = []
-        for i in range(self._batch_size):
-            tid = slot_ids[i]
+        if self._vacant:
+            self._fill_vacant_slots()
+        starts, cursors, heads = self._slot_starts, self._slot_cursors, self._slot_heads
+        index, head, vacant = [], [], self._vacant
+        for i in range(len(cursors)):
             cursor = cursors[i]
-            items.append(BatchItem(tid, cursor, offsets[tid] + cursor, cursor == heads[i]))
-            if cursor == 0:
-                slot_ids[i] = -1
-                completed.append(tid)
-            else:
+            index.append(starts[i] + cursor)
+            head.append(cursor == heads[i])
+            if cursor:
                 cursors[i] = cursor - 1
-        if completed:
+            else:
+                vacant.append(i)
+        if vacant:
+            completed = [self._slot_ids[i] for i in vacant]
+            for i in vacant:
+                self._slot_ids[i] = -1
             self._selector.notify_complete(completed)
-        return items
+        return Batch(index, head, self._dataset)
 
 
-def flat_items(dataset: OfflineDataset) -> list[BatchItem]:
-    """One item per stored transition, trajectory-major: item i has index i."""
-    offsets = dataset.offsets
-    return [
-        BatchItem(j, i - lo, i, i == hi - 1)
-        for j, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
-        for i in range(lo, hi)
-    ]
+def _trajectory_heads(dataset: OfflineDataset) -> list[bool]:
+    """Per stored transition, whether it is its trajectory's last step."""
+    heads = [False] * dataset.total_transitions
+    for end in dataset.offsets[1:]:
+        heads[end - 1] = True
+    return heads
 
 
 class UniformTransitionSampler:
     """I.i.d. uniform draws (with replacement) over every stored transition."""
 
     def __init__(self, dataset: OfflineDataset) -> None:
-        self._items = flat_items(dataset)
+        self._dataset = dataset
+        self._heads = _trajectory_heads(dataset)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[BatchItem]:
-        items = self._items
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        heads = self._heads
         if batch_size == 1:  # the size-1 array draw's value, without the array
-            return [items[rng.integers(len(items))]]
-        return [items[i] for i in rng.integers(0, len(items), size=batch_size)]
+            i = int(rng.integers(len(heads)))
+            return Batch([i], [heads[i]], self._dataset)
+        index = rng.integers(0, len(heads), size=batch_size).tolist()
+        return Batch(index, [heads[i] for i in index], self._dataset)
 
 
 class SumTree:
@@ -295,7 +313,7 @@ class PerTransitionSampler:
 
     Every transition starts at priority 1.0 (max-priority convention) so each
     is visited before TD errors differentiate them; the learner writes new
-    priorities back by the sampled items' flat ``index``, which is their leaf.
+    priorities back by a batch's flat ``index``, which is each item's leaf.
     """
 
     def __init__(
@@ -305,16 +323,17 @@ class PerTransitionSampler:
         check_epsilon(epsilon)
         self.alpha = alpha
         self.epsilon = epsilon
-        self._items = flat_items(dataset)
-        self.tree = SumTree(len(self._items), 1.0)
+        self._dataset = dataset
+        self._heads = _trajectory_heads(dataset)
+        self.tree = SumTree(len(self._heads), 1.0)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[BatchItem]:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        heads = self._heads
         if batch_size == 1:  # the size-1 array draw's value, without the array
-            prefixes = [rng.random() * self.tree.total]
-        else:
-            prefixes = (rng.random(batch_size) * self.tree.total).tolist()
-        items = self._items
-        return [items[leaf] for leaf in self.tree.find_prefixes(prefixes)]
+            index = self.tree.find_prefixes([rng.random() * self.tree.total])
+            return Batch(index, [heads[index[0]]], self._dataset)
+        index = self.tree.find_prefixes((rng.random(batch_size) * self.tree.total).tolist())
+        return Batch(index, [heads[i] for i in index], self._dataset)
 
     def update_priorities(self, indices: Sequence[int], td_errors: Sequence[float]) -> None:
         """Write the priorities of the transitions at these flat indices."""

@@ -10,9 +10,10 @@ in-trajectory next action exists).
 The rule has two regimes.  :func:`compute_target` is the reference: one item
 on Python scalars, which ``train`` uses at batch size 1.  :func:`batch_targets`
 applies the same rule to a whole batch with array operations, bit for bit,
-and ``train`` uses it for B > 1.  Both read Qbar through one ``q_bar(s', a')``
-call per bootstrapped item, so every policy bootstrap stays one call that can
-be counted from outside.
+and ``train`` uses it for B > 1.  Both take items as a ``Batch``'s flat
+``index`` and ``head`` flags and read Qbar through one ``q_bar(s', a')`` call
+per bootstrapped item, so every policy bootstrap stays one call that can be
+counted from outside.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .dataset import OfflineDataset
-from .replay import BatchItem
 
 STANDARD = "standard"
 SARSA = "sarsa"
@@ -60,7 +60,8 @@ class TargetKind:
 
 
 def compute_target(
-    item: BatchItem,
+    index: int,
+    head: bool,
     dataset: OfflineDataset,
     kind: TargetKind,
     later: float | None,
@@ -70,29 +71,28 @@ def compute_target(
 ) -> float:
     """The target of one item under the run's kind (fixed for the whole run).
 
-    The item's reward, next state and terminal flag are read from the
-    dataset's columns at ``item.index``.  w = 1 is the bootstrap
+    The item is the transition at flat ``index``; ``head`` says whether it
+    is its trajectory's last step.  Its reward, next state and terminal flag
+    are read from the dataset's columns.  w = 1 is the bootstrap
     r + gamma * Qbar(s', pi(s')) (just r at a terminal step), and so is a
     trajectory head, the base case of the backward recursion.  Otherwise
     ``later`` is the target computed for the same trajectory's step t+1: in
     ``train``, the same replay slot's value from the previous batch.  It is
     read only there, and a non-head item without it raises ``ValueError``.
     """
-    i = item.index
-    reward = dataset.rewards.item(i)
+    reward = dataset.rewards.item(index)
     w = kind.bootstrap_weight
-    if w == 1.0 or item.is_trajectory_head:
-        if dataset.terminal.item(i):
+    if w == 1.0 or head:
+        if dataset.terminal.item(index):
             return reward
-        next_state = dataset.next_states.item(i)
+        next_state = dataset.next_states.item(index)
         return reward + gamma * q_bar(next_state, policy(next_state))
     if later is None:
-        raise ValueError(f"no target for trajectory {item.trajectory_id} at t={item.time_index + 1}"
-                         "; transitions must be emitted in backward order")
+        raise _order_error(dataset, index)
     if w == 0.0:
         # Not the blend: (1 - 0) * later + 0 * 0.0 would turn a -0.0 into +0.0.
         return reward + gamma * later
-    next_state = dataset.next_states.item(i)
+    next_state = dataset.next_states.item(index)
     bootstrap = q_bar(next_state, policy(next_state))
     return reward + gamma * ((1.0 - w) * later + w * bootstrap)
 
@@ -128,9 +128,7 @@ def batch_targets(
     else:
         carried = (~head).nonzero()[0]
         if later is None and carried.size:
-            tid, t = dataset.position(int(index[carried[0]]))
-            raise ValueError(f"no target for trajectory {tid} at t={t + 1}"
-                             "; transitions must be emitted in backward order")
+            raise _order_error(dataset, int(index[carried[0]]))
         terminal_head = terminal & head
         # heads bootstrap unless terminal, the interior only when w > 0
         bootstrap = head & ~terminal if w == 0.0 else ~terminal_head
@@ -148,3 +146,10 @@ def batch_targets(
     # a terminal head's target is its reward, a -0.0 included
     np.copyto(targets, reward, where=terminal_head)
     return targets
+
+
+def _order_error(dataset: OfflineDataset, index: int) -> ValueError:
+    """The error for the item at flat ``index``, which needs a later target."""
+    tid, t = dataset.position(index)
+    return ValueError(f"no target for trajectory {tid} at t={t + 1}"
+                      "; transitions must be emitted in backward order")

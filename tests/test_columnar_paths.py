@@ -1,10 +1,11 @@
 """Structural guards: nothing between the file and ``train`` builds per-step objects.
 
-``Transition`` and ``Trajectory`` are the object view of a dataset.  Loading
-a file, training on it with any sampler, building a priority table and
-solving the oracle must read the columns only; the guard fails the test on
-any ``Transition`` or ``Trajectory`` built, and on any read of
-``dataset.trajectories``.
+``Transition`` and ``Trajectory`` are the object view of a dataset, and
+``BatchItem`` the object view of a sampled batch.  Loading a file, training
+on it with any sampler at any batch size, building a priority table and
+solving the oracle must read the columns and the batches' lists only; the
+guard fails the test on any ``Transition``, ``Trajectory`` or ``BatchItem``
+built, and on any read of ``dataset.trajectories``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from trajreplay.dataset import (
 )
 from trajreplay.learner import EnsembleQ, TrainConfig, train, value_iteration_oracle
 from trajreplay.priority import build_priority_table
+from trajreplay.replay import BatchItem, UniformTransitionSampler
 from trajreplay.scenarios import make_random_chain
 from trajreplay.targets import TargetKind
 
@@ -52,8 +54,8 @@ def files(tmp_path):
 
 @pytest.fixture
 def no_objects(monkeypatch):
-    """A context in which building a Transition or Trajectory, or reading
-    ``dataset.trajectories``, fails the test."""
+    """A context in which building a Transition, Trajectory or BatchItem, or
+    reading ``dataset.trajectories``, fails the test."""
 
     def refuse(self, *args):
         raise AssertionError(f"built a {type(self).__name__} on a columnar path")
@@ -66,6 +68,7 @@ def no_objects(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Transition, "__post_init__", refuse)
             m.setattr(Trajectory, "__post_init__", refuse)
+            m.setattr(BatchItem, "__init__", refuse)
             m.setattr(OfflineDataset, "trajectories", property(unread))
             yield
 
@@ -79,6 +82,19 @@ def test_guard_catches_the_object_view(files, no_objects):
         loaded.trajectories
     with no_objects(), pytest.raises(AssertionError, match="Transition"):
         Transition(0, 0, 0.0, 1, True)
+
+
+def test_guard_catches_the_batch_view(files, no_objects):
+    """A sampled batch is two lists; indexing or iterating it builds the
+    ``BatchItem`` view, which the guard refuses."""
+    ds, _, _ = files
+    with no_objects():
+        batch = UniformTransitionSampler(ds).sample(4, np.random.default_rng(0))
+        assert len(batch) == 4
+    for view in (lambda: batch[0], lambda: list(batch), lambda: BatchItem(0, 0, 0, True)):
+        with no_objects(), pytest.raises(AssertionError, match="BatchItem"):
+            view()
+    assert [it.index for it in batch] == batch.index
 
 
 def test_loading_builds_no_transition(files, no_objects, tmp_path):
@@ -131,12 +147,13 @@ TRAIN_VARIANTS = [
 ]
 
 
+@pytest.mark.parametrize("batch_size", [1, 4])
 @pytest.mark.parametrize(("sampler", "metric", "kind"), TRAIN_VARIANTS)
-def test_train_reads_columns_only(files, no_objects, sampler, metric, kind):
+def test_train_reads_columns_only(files, no_objects, sampler, metric, kind, batch_size):
     ds, traj_path, _ = files
     loaded = load_dataset(traj_path)
     config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
-                         ensemble_size=3, batch_size=4, total_steps=60, seed=1)
+                         ensemble_size=3, batch_size=batch_size, total_steps=60, seed=1)
     with no_objects():
         curve = train(loaded, config).curve
     assert np.array_equal(curve, train(ds, config).curve)

@@ -454,7 +454,8 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
 
     for _ in range(300):
         (item,) = replay.next_batch()
-        later = compute_target(item, ds, sarsa, later, q_bar, lambda s: 0, 0.99)
+        later = compute_target(item.index, item.is_trajectory_head, ds, sarsa, later, q_bar,
+                               lambda s: 0, 0.99)
     assert [pair for pair in reads if pair not in seen_pairs] == []
     # 300 single-slot steps cover many whole passes, each signalled once
     assert len(selector.completed) >= 300 // max(t.length for t in ds.trajectories)

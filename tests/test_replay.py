@@ -166,7 +166,7 @@ def test_uniform_sample_single_transition_dataset():
 
 def test_uniform_sample_empty_batch():
     ds = chain_dataset([3])
-    assert UniformTransitionSampler(ds).sample(0, np.random.default_rng(0)) == []
+    assert len(UniformTransitionSampler(ds).sample(0, np.random.default_rng(0))) == 0
 
 
 def test_uniform_sample_frequencies_binomial():

@@ -1,10 +1,12 @@
-"""Property tests of the trajectory machine's emission order.
+"""Property tests of the samplers' batches and the trajectory machine's order.
 
 Over random trajectory lengths, batch sizes and seeds, ``TrajectoryReplay``
 must emit every trajectory in whole backward passes that start at its head,
 and each epoch (one available pool, from rebuild until it runs dry) must
 start exactly one pass of every trajectory in its pool, the pool being every
-trajectory not active when it was rebuilt.
+trajectory not active when it was rebuilt.  Every sampler's ``Batch`` must
+hold B flat positions and head flags whose views agree with the dataset, and
+draw them from the generator as a plain twin of the sampler would.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajreplay.dataset import OfflineDataset, Trajectory, Transition
-from trajreplay.replay import TrajectoryReplay, UniformSelector
+from trajreplay.replay import (
+    PerTransitionSampler,
+    TrajectoryReplay,
+    UniformSelector,
+    UniformTransitionSampler,
+)
 
 
 def dataset_of(lengths):
@@ -127,3 +134,120 @@ def test_one_completion_call_per_batch_in_slot_order(lengths, data, seed, steps)
         if len(slot_order) == batch_size:
             assert [it.trajectory_id for it in batch] == slot_order
         selector.calls.clear()
+
+
+def reference_batches(lengths, batch_size, rng):
+    """The trajectory machine written plainly: per call, refill the vacant
+    slots in slot order (a uniform pick, swap-removed from the pool; an empty
+    pool is rebuilt from every inactive id), then emit each slot's cursor.
+    Yields (index, head, completed ids) per call."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    pool = list(range(len(lengths)))
+    slots = [None] * batch_size  # [trajectory id, cursor] or None while vacant
+    while True:
+        for k in range(batch_size):
+            if slots[k] is None:
+                if not pool:
+                    active = {slot[0] for slot in slots if slot is not None}
+                    pool = [j for j in range(len(lengths)) if j not in active]
+                pos = int(rng.integers(len(pool)))
+                tid = pool[pos]
+                pool[pos] = pool[-1]
+                pool.pop()
+                slots[k] = [tid, lengths[tid] - 1]
+        index, head, completed = [], [], []
+        for k, (tid, t) in enumerate(slots):
+            index.append(offsets[tid] + t)
+            head.append(t == lengths[tid] - 1)
+            if t:
+                slots[k][1] = t - 1
+            else:
+                completed.append(tid)
+                slots[k] = None
+        yield index, head, completed
+
+
+def twin_draws(sampler, ds, lengths, batch_size, seed):
+    """(draw, twin): ``draw()`` is one batch of the sampler under test on
+    ``default_rng(seed)`` and the replay's completion calls during it;
+    ``twin()`` is the index, heads and completion calls a twin generator
+    says the same call gives (None where the twin does not model them)."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if sampler == "uniform":
+        uniform = UniformTransitionSampler(ds)
+        n = ds.total_transitions
+
+        def twin_draw():
+            if batch_size == 1:
+                return [int(twin.integers(n))], None, None
+            return twin.integers(0, n, size=batch_size).tolist(), None, None
+
+        return (lambda: (uniform.sample(batch_size, rng), None)), twin_draw
+    if sampler == "per":
+        per = PerTransitionSampler(ds, alpha=0.7)
+
+        def draw():
+            batch = per.sample(batch_size, rng)
+            # new priorities, so later draws descend a tree that is not flat
+            per.update_priorities(batch.index, rng.normal(size=batch_size).tolist())
+            return batch, None
+
+        def twin_draw():  # called before draw(), on the tree it will descend
+            total = per.tree.total
+            prefixes = ([twin.random() * total] if batch_size == 1
+                        else (twin.random(batch_size) * total).tolist())
+            twin.normal(size=batch_size)  # the priorities draw() writes
+            return per.tree.find_prefixes(prefixes), None, None
+
+        return draw, twin_draw
+    selector = BatchRecorder()
+    replay = TrajectoryReplay(ds, batch_size, selector, rng)
+    reference = reference_batches(lengths, batch_size, twin)
+
+    def draw():
+        selector.calls.clear()
+        return replay.next_batch(), selector.calls
+
+    def twin_draw():
+        index, head, completed = next(reference)
+        return index, head, [completed] if completed else []
+
+    return draw, twin_draw
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=1, max_size=12),
+    st.sampled_from(["uniform", "per", "replay"]),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+)
+def test_batches_are_index_and_head_lists_drawn_as_a_twin_draws(
+    lengths, sampler, data, seed, steps
+):
+    """For B in 1..8: ``len(batch) == B``, the batch is not a tuple, its lists
+    hold Python ints and bools, and view k has ``index == offsets[tid] + t``
+    and ``is_trajectory_head == (t == length - 1) == head[k]``.  A twin
+    generator gives the same draws: the scalar uniform draw at B = 1 and the
+    array draw above it, PER's prefixes through the same tree, and the
+    replay's selector calls in slot order."""
+    ds = dataset_of(lengths)
+    batch_size = data.draw(st.integers(1, 8 if sampler != "replay" else min(8, len(lengths))))
+    draw, twin_draw = twin_draws(sampler, ds, lengths, batch_size, seed)
+    for _ in range(steps):
+        index, head, calls = twin_draw()
+        batch, got_calls = draw()
+        assert batch.index == index
+        assert head is None or batch.head == head
+        assert got_calls == calls
+        assert len(batch) == batch_size and not isinstance(batch, tuple)
+        assert all(type(i) is int for i in batch.index)
+        assert all(type(h) is bool for h in batch.head)
+        views = list(batch)
+        assert len(views) == batch_size
+        for k, it in enumerate(views):
+            tid, t = it.trajectory_id, it.time_index
+            assert 0 <= t < lengths[tid]
+            assert it.index == batch.index[k] == ds.offsets[tid] + t
+            assert it.is_trajectory_head == (t == lengths[tid] - 1) == batch.head[k]

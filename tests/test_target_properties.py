@@ -86,7 +86,8 @@ def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
     got = want = None
     for item in items:
         recorder.head = item.is_trajectory_head
-        got = compute_target(item, ds, kind, got, recorder.q_bar, recorder.policy, gamma)
+        got = compute_target(item.index, item.is_trajectory_head, ds, kind, got,
+                             recorder.q_bar, recorder.policy, gamma)
         if item.is_trajectory_head:
             want = policy_bootstrap(ds, item, gamma, q, policy)
         else:
@@ -104,7 +105,7 @@ def test_weighted_at_beta_one_is_standard_on_every_item(case):
     kind = TargetKind("weighted", 1.0)
     got = None
     for item in items:
-        got = compute_target(item, ds, kind, got, q_bar, pi, gamma)
+        got = compute_target(item.index, item.is_trajectory_head, ds, kind, got, q_bar, pi, gamma)
         assert got.hex() == policy_bootstrap(ds, item, gamma, q, policy).hex()
 
 
@@ -168,7 +169,8 @@ def test_batch_targets_is_compute_target_bit_for_bit(case):
     want = []
     for it, carry in zip(items, later.tolist()):
         before = len(reads)
-        want.append(compute_target(it, ds, kind, carry, reader(reads), greedy, gamma))
+        want.append(compute_target(it.index, it.is_trajectory_head, ds, kind, carry,
+                                   reader(reads), greedy, gamma))
         # the reference reads Q̄ once per bootstrap, and only there
         head_terminal = it.is_trajectory_head and ds.terminal[it.index]
         if kind.bootstrap_weight == 0.0:
