@@ -251,10 +251,9 @@ def _resolve_seeds(args, raw_config: dict[str, list[str]]) -> list[int]:
 
 
 def write_curve_csv(path: Path, curve: np.ndarray) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,max_q_s0\n")
-        for step, value in enumerate(curve, start=1):
-            fh.write(f"{step},{_fmt(value)}\n")
+    # the rows formatted as _fmt does, written in one call
+    rows = "".join(f"{step},{value:.9g}\n" for step, value in enumerate(curve.tolist(), 1))
+    path.write_text("step,max_q_s0\n" + rows, encoding="utf-8", newline="\n")
 
 
 def cmd_generate(args) -> int:

@@ -80,7 +80,7 @@ class EnsembleQ:
         cls, tables: np.ndarray, eta: float = 0.1, target_sync_period: int = 100
     ) -> "EnsembleQ":
         """An ensemble holding a copy of the given (K, S, A) member values."""
-        tables = np.array(tables, dtype=float)
+        tables = np.array(tables, dtype=float, order="C")  # _adopt needs C order
         if tables.ndim != 3 or len(tables) < 1:
             raise ValueError(f"tables must have shape (K >= 1, S, A), got {tables.shape}")
         ens = cls.__new__(cls)
@@ -95,6 +95,11 @@ class EnsembleQ:
         self.eta = eta
         self.target_sync_period = target_sync_period
         self.tables = tables
+        # member m of pair (s, a) at m * S * A + s * A + a: a view, as both
+        # callers pass C-ordered tables (a reshape of any other would copy)
+        self._members = tables.reshape(-1)
+        _, state_count, self._action_count = tables.shape
+        self._pair_count = state_count * self._action_count
         self.q_mean = column_means(tables)
         # its own copy, so load can write a target that lags the members
         self.target_mean = self.q_mean.copy()
@@ -145,53 +150,64 @@ class EnsembleQ:
 
         TD errors are measured against the ensemble-mean Q as it stood before
         this call; duplicate (s, a) pairs within a batch are applied
-        sequentially in batch order.  A batch of several distinct pairs is
-        applied as one gather and one scatter, with the same arithmetic per
-        element as the pair loop, so both give bit-identical tables.  Each
-        touched ``q_mean`` entry is then rewritten from its column: on NumPy
+        sequentially in batch order.  A batch is applied in rounds of
+        distinct pairs, each one gather and one scatter: round r takes every
+        pair's r-th occurrence, so a batch of distinct pairs is one round.
+        Each touched ``q_mean`` entry is rewritten from its column: on NumPy
         2.4, ``cols.mean(axis=0)`` of the gather and ``col.sum() / K`` both
         equal ``tables[:, s, a].mean()`` bit for bit.  One pair with fewer
-        than 8 members is updated on Python floats: NumPy adds fewer than 8
-        elements in order from +0.0, as ``sum()`` does from int 0, so the
-        mean is the same, a -0.0 column's +0.0 included.  From 8 members on
-        NumPy sums pairwise, so that case keeps the array path.
+        than 8 members is updated on Python floats read from the flat
+        members: NumPy adds fewer than 8 elements in order from +0.0, as the
+        running total does, so the mean is the same, a -0.0 column's +0.0
+        included.  From 8 members on NumPy sums pairwise, so that case keeps
+        the column view.
         """
         tables = self.tables
         q_mean = self.q_mean
         n = len(states)
         if len(actions) != n or len(targets) != n:
             raise ValueError(f"{n} states, {len(actions)} actions and {len(targets)} targets")
-        if n == 1 and len(tables) < 8:
+        k = len(tables)
+        if n == 1:
             s, a, target = states[0], actions[0], targets[0]
-            td_error = target - q_mean.item(s, a)
+            td_error = target - q_mean.item(s, a)  # an id past the table raises here
             eta = self.eta
-            col = [v + eta * (target - v) for v in tables[:, s, a].tolist()]
-            tables[:, s, a] = col
-            q_mean[s, a] = sum(col) / len(col)
+            if k < 8 and s >= 0 and a >= 0:  # a negative id wraps as in the view below
+                members = self._members
+                total = 0.0
+                for i in range(s * self._action_count + a, members.size, self._pair_count):
+                    v = members.item(i)
+                    v += eta * (target - v)
+                    members[i] = v
+                    total += v
+                q_mean[s, a] = total / k
+            else:
+                col = tables[:, s, a]
+                col += eta * (target - col)
+                q_mean[s, a] = col.sum() / k
             self._count_update()
             return [td_error]
-        if n > 1:
-            states = np.asarray(states, dtype=np.intp)
-            actions = np.asarray(actions, dtype=np.intp)
-            goal = np.asarray(targets, dtype=float)
-            flat = np.sort(states * tables.shape[2] + actions)
-            if (flat[1:] != flat[:-1]).all():
-                cols = tables[:, states, actions]
-                td_errors = (goal - q_mean[states, actions]).tolist()
-                cols += self.eta * (goal - cols)
-                tables[:, states, actions] = cols
-                q_mean[states, actions] = cols.mean(axis=0)
-                self._count_update()
-                return td_errors
-            # Python floats, so the TD errors are too
-            states, actions, targets = states.tolist(), actions.tolist(), goal.tolist()
-        td_errors = [target - q_mean.item(s, a) for s, a, target in zip(states, actions, targets)]
-        eta = self.eta
-        k = len(tables)
-        for s, a, target in zip(states, actions, targets):
-            col = tables[:, s, a]
-            col += eta * (target - col)
-            q_mean[s, a] = col.sum() / k
+        states = np.asarray(states, dtype=np.intp)
+        actions = np.asarray(actions, dtype=np.intp)
+        goal = np.asarray(targets, dtype=float)
+        td_errors = (goal - q_mean[states, actions]).tolist()
+        flat = states * self._action_count + actions
+        ranked = np.sort(flat)
+        fresh = ranked[1:] != ranked[:-1]  # sorted item p + 1 starts a pair's run
+        if fresh.all():
+            rounds = [(states, actions, goal)]
+        else:
+            # each item's rank among the earlier items of its pair, in sorted order
+            order = flat.argsort(kind="stable")
+            place = np.arange(1, n)
+            rank = np.concatenate(([0], place - np.maximum.accumulate(place * fresh)))
+            picks = [order[rank == r] for r in range(rank.max() + 1)]
+            rounds = [(states[p], actions[p], goal[p]) for p in picks]
+        for s, a, g in rounds:
+            cols = tables[:, s, a]
+            cols += self.eta * (g - cols)
+            tables[:, s, a] = cols
+            q_mean[s, a] = cols.mean(axis=0)
         self._count_update()
         return td_errors
 

@@ -249,9 +249,10 @@ class SumTree:
         """
         capacity = self.capacity
         for leaf, value in zip(leaves, values, strict=True):
-            if not 0 <= leaf < capacity:
-                raise ValueError(f"leaf must be in [0, {capacity}), got {leaf}")
-            _check_weight(value)
+            if not (0 <= leaf < capacity and 0.0 <= value < math.inf):  # _check_weight's test
+                if not 0 <= leaf < capacity:
+                    raise ValueError(f"leaf must be in [0, {capacity}), got {leaf}")
+                _check_weight(value)
         nodes = self._nodes
         first_leaf = capacity - 1
         for leaf, value in zip(leaves, values):
@@ -339,5 +340,5 @@ class PerTransitionSampler:
         """Write the priorities of the transitions at these flat indices."""
         if len(indices) != len(td_errors):
             raise ValueError("indices and td_errors must have equal lengths")
-        epsilon, alpha = self.epsilon, self.alpha
-        self.tree.update_many(indices, [per_priority(td, epsilon) ** alpha for td in td_errors])
+        epsilon, alpha = self.epsilon, self.alpha  # epsilon was checked in __init__
+        self.tree.update_many(indices, [(abs(td) + epsilon) ** alpha for td in td_errors])

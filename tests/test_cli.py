@@ -8,7 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
-from trajreplay.cli import expand_variants, main, parse_config_file, variant_label
+from trajreplay.cli import (
+    expand_variants, main, parse_config_file, variant_label, write_curve_csv,
+)
 from trajreplay.dataset import flatten_trajectories, load_dataset
 from trajreplay.learner import TrainConfig
 from trajreplay.scenarios import make_figure1
@@ -195,6 +197,15 @@ def test_sweep_holds_an_earlier_runs_ensemble_only_to_save_it(tmp_path, monkeypa
     cli.run_experiment(spec, make_figure1("sparse"))
     assert alive == ([0, 1, 2, 3] if save else [0, 0, 0, 0])
     assert len(list((tmp_path / "out").glob("*.npz"))) == (4 if save else 0)
+
+
+def test_curve_csv_bytes_match_a_row_by_row_writer(tmp_path):
+    curve = np.array([-0.0, 1e-10, 8 * 0.99**5, 1e17])
+    path = tmp_path / "curve.csv"
+    write_curve_csv(path, curve)
+    rows = "".join(f"{step},{format(value, '.9g')}\n" for step, value in enumerate(curve, 1))
+    assert path.read_bytes() == ("step,max_q_s0\n" + rows).encode()
+    assert path.read_bytes() == b"step,max_q_s0\n1,-0\n2,1e-10\n3,7.6079204\n4,1e+17\n"
 
 
 def test_variant_label_includes_target_and_beta():

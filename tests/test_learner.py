@@ -257,6 +257,44 @@ def test_from_tables_copies_and_validates():
         EnsembleQ.from_tables(np.zeros((1, 1, 2)), target_sync_period=0)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed view", "fortran file"])
+def test_updates_write_through_to_tables_of_any_layout(tmp_path, layout):
+    """A one-pair update writes the members through a flat view of the
+    tables, which only C order gives; on a copy, q_mean would move alone."""
+    values = np.random.default_rng(23).uniform(size=(3, 2, 4))  # (K, A, S)
+    tables = values.transpose(0, 2, 1)  # (K, S, A), neither C nor Fortran order
+    if layout == "transposed view":
+        ens = EnsembleQ.from_tables(tables, eta=1.0, target_sync_period=1)
+    elif layout == "fortran":
+        ens = EnsembleQ.from_tables(np.asfortranarray(tables), eta=1.0, target_sync_period=1)
+    else:
+        path = tmp_path / "fortran.npz"
+        np.savez(path, tables=np.asfortranarray(tables), target_mean=tables.mean(axis=0),
+                 eta=1.0, target_sync_period=1, updates_applied=0)
+        ens = EnsembleQ.load(path)
+    want = tables.copy()
+    ens.update([1], [0], [5.0])
+    want[:, 1, 0] = 5.0
+    assert np.array_equal(ens.tables, want)
+    ens.update([2, 3, 2], [1, 0, 1], [6.0, 7.0, 8.0])
+    want[:, 2, 1], want[:, 3, 0] = 8.0, 7.0
+    assert np.array_equal(ens.tables, want)
+    assert np.array_equal(ens.q_mean, want.mean(axis=0))
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_a_negative_id_updates_the_pair_it_wraps_to(k):
+    """The flat member index of a one-pair update would send a negative id
+    to another pair; it wraps as NumPy indexing does instead."""
+    values = np.random.default_rng(24).uniform(size=(k, 4, 3))
+    wrapped = EnsembleQ.from_tables(values, eta=0.5)
+    plain = EnsembleQ.from_tables(values, eta=0.5)
+    for (s, a), (s_plain, a_plain) in [((-1, 0), (3, 0)), ((1, -1), (1, 2)), ((-4, -3), (0, 0))]:
+        assert wrapped.update([s], [a], [2.0]) == plain.update([s_plain], [a_plain], [2.0])
+    assert np.array_equal(wrapped.tables, plain.tables)
+    assert np.array_equal(wrapped.q_mean, plain.q_mean)
+
+
 def test_sixteen_members_read_one_column_mean_everywhere():
     # For K >= 8 a row mean over axis 0 differs from the column mean in the
     # last bit; every read must give tables[:, s, a].mean() exactly.

@@ -8,7 +8,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajreplay import learner
@@ -60,11 +60,13 @@ def batches(draw):
     k = draw(st.integers(1, 32))
     state_count = draw(st.integers(1, 6))
     action_count = draw(st.integers(1, 4))
-    size = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 40))
     pair = st.tuples(st.integers(0, state_count - 1), st.integers(0, action_count - 1))
     pairs = draw(st.lists(pair, min_size=size, max_size=size))
-    if size > 1 and draw(st.booleans()):
-        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    # copy items over others: a pair may occur 3 or more times, and the
+    # repeats of several pairs interleave
+    index = st.integers(0, size - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=size)):
         pairs[j] = pairs[i]
     targets = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
     eta = draw(st.floats(0.01, 1.0))
@@ -75,6 +77,9 @@ def batches(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(batches())
+# two pairs repeated in turn, one of them four times: four rounds
+@example((3, 4, 2, [(1, 0), (2, 1), (1, 0), (0, 0), (2, 1), (1, 0), (1, 0)],
+          [0.5, -1.0, 2.0, 3.0, 4.0, -5.0, 6.0], 0.3, 1, 7))
 def test_update_matches_item_by_item_reference(batch):
     k, state_count, action_count, pairs, targets, eta, sync, seed = batch
     ens = ensemble(k, state_count, action_count, eta, sync, seed)
