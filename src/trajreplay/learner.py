@@ -95,12 +95,14 @@ class EnsembleQ:
         self.eta = eta
         self.target_sync_period = target_sync_period
         self.tables = tables
-        # member m of pair (s, a) at m * S * A + s * A + a: a view, as both
+        # member m of pair (s, a) at m * S * A + s * A + a: views, as both
         # callers pass C-ordered tables (a reshape of any other would copy)
         self._members = tables.reshape(-1)
+        self._by_pair = tables.reshape(len(tables), -1)  # (K, S * A)
         _, state_count, self._action_count = tables.shape
         self._pair_count = state_count * self._action_count
         self.q_mean = column_means(tables)
+        self._mean_by_pair = self.q_mean.reshape(-1)  # a view: q_mean is never rebound
         # its own copy, so load can write a target that lags the members
         self.target_mean = self.q_mean.copy()
         self.updates_applied = 0
@@ -150,17 +152,18 @@ class EnsembleQ:
 
         TD errors are measured against the ensemble-mean Q as it stood before
         this call; duplicate (s, a) pairs within a batch are applied
-        sequentially in batch order.  A batch is applied in rounds of
-        distinct pairs, each one gather and one scatter: round r takes every
-        pair's r-th occurrence, so a batch of distinct pairs is one round.
-        Each touched ``q_mean`` entry is rewritten from its column: on NumPy
-        2.4, ``cols.mean(axis=0)`` of the gather and ``col.sum() / K`` both
-        equal ``tables[:, s, a].mean()`` bit for bit.  One pair with fewer
-        than 8 members is updated on Python floats read from the flat
-        members: NumPy adds fewer than 8 elements in order from +0.0, as the
-        running total does, so the mean is the same, a -0.0 column's +0.0
-        included.  From 8 members on NumPy sums pairwise, so that case keeps
-        the column view.
+        sequentially in batch order.  Ids wrap and raise as NumPy indexing
+        does: -1 is the last state, and an id past the table raises
+        ``IndexError``.  A batch works on flat pair indices s * A + a and is
+        applied in rounds of distinct pairs, each one gather and one scatter
+        on the (K, S * A) members: round r takes every pair's r-th
+        occurrence, so a batch of distinct pairs is one round.  Each touched
+        ``q_mean`` entry is rewritten from its column by :func:`column_means`.
+        One pair with fewer than 8 members is updated on Python floats read
+        from the flat members: NumPy adds fewer than 8 elements in order from
+        +0.0, as the running total does, so the mean is the same, a -0.0
+        column's +0.0 included.  From 8 members on NumPy sums pairwise, so
+        that case keeps the column view.
         """
         tables = self.tables
         q_mean = self.q_mean
@@ -189,27 +192,35 @@ class EnsembleQ:
             return [td_error]
         states = np.asarray(states, dtype=np.intp)
         actions = np.asarray(actions, dtype=np.intp)
+        try:
+            flat = np.ravel_multi_index((states, actions), q_mean.shape)
+        except ValueError:  # a negative id, or one past the table
+            q_mean[states, actions]  # raises IndexError past the table
+            flat = np.ravel_multi_index((states, actions), q_mean.shape, mode="wrap")
         goal = np.asarray(targets, dtype=float)
-        td_errors = (goal - q_mean[states, actions]).tolist()
-        flat = states * self._action_count + actions
+        td_errors = (goal - self._mean_by_pair.take(flat)).tolist()
         ranked = np.sort(flat)
         fresh = ranked[1:] != ranked[:-1]  # sorted item p + 1 starts a pair's run
         if fresh.all():
-            rounds = [(states, actions, goal)]
+            self._move_pairs(flat, goal)
         else:
             # each item's rank among the earlier items of its pair, in sorted order
             order = flat.argsort(kind="stable")
             place = np.arange(1, n)
             rank = np.concatenate(([0], place - np.maximum.accumulate(place * fresh)))
-            picks = [order[rank == r] for r in range(rank.max() + 1)]
-            rounds = [(states[p], actions[p], goal[p]) for p in picks]
-        for s, a, g in rounds:
-            cols = tables[:, s, a]
-            cols += self.eta * (g - cols)
-            tables[:, s, a] = cols
-            q_mean[s, a] = cols.mean(axis=0)
+            for r in range(rank.max() + 1):
+                picked = order[rank == r]
+                self._move_pairs(flat[picked], goal[picked])
         self._count_update()
         return td_errors
+
+    def _move_pairs(self, flat: np.ndarray, goal: np.ndarray) -> None:
+        """Move the members of the distinct flat pairs toward ``goal``."""
+        members = self._by_pair
+        cols = members.take(flat, axis=1)
+        cols += self.eta * (goal - cols)
+        members[:, flat] = cols
+        self._mean_by_pair[flat] = column_means(cols)
 
     def _count_update(self) -> None:
         """Count an update and sync the target mean if one is due."""
@@ -249,31 +260,34 @@ class EnsembleQ:
         return ens
 
 
-# (state, action) pairs per block when column means are built from a transposed
-# copy, so the copy holds at most this many pairs of K values however large the
-# table is.
+# Columns per block when column means are built from a transposed copy, so the
+# copy holds at most this many columns of K values however large the table is.
 MEAN_BLOCK_PAIRS = 1 << 14
 
 
 def column_means(tables: np.ndarray) -> np.ndarray:
-    """The (S, A) table of ``tables[:, s, a].mean()``, bit for bit.
+    """The mean of every column ``tables[:, ...]`` of a (K, ...) array, bit
+    for bit, in the shape of ``tables[0]``.
 
-    ``tables.mean(axis=0)`` adds the members one row at a time from +0.0.  A
+    A sum over axis 0 adds the members one row at a time from +0.0.  A
     column's own mean adds fewer than 8 elements the same way, so below 8
-    members that is the table, a -0.0 column's +0.0 included.  From 8 members
+    members that is the mean, a -0.0 column's +0.0 included.  From 8 members
     on the column mean sums pairwise and the row order differs in the last
-    bit; reducing the contiguous last axis of an (S, A, K) copy, one block of
-    pairs at a time, sums each column the way the column mean does.
+    bit; reducing the contiguous last axis of a (columns, K) copy, one block
+    of columns at a time, sums each column the way the column mean does.
+    Both divide the sum by K, as ``mean`` does.
     """
-    if len(tables) < 8:
-        return tables.mean(axis=0)
-    _, state_count, action_count = tables.shape
-    means = np.empty((state_count, action_count))
-    step = max(1, MEAN_BLOCK_PAIRS // action_count)
-    for lo in range(0, state_count, step):
-        block = tables[:, lo:lo + step].transpose(1, 2, 0)
-        means[lo:lo + step] = np.ascontiguousarray(block).mean(axis=2)
-    return means
+    k = len(tables)
+    columns = tables.reshape(k, -1)
+    if k < 8:
+        means = np.add.reduce(columns, axis=0)
+    else:
+        means = np.empty(columns.shape[1])
+        for lo in range(0, len(means), MEAN_BLOCK_PAIRS):
+            block = columns[:, lo:lo + MEAN_BLOCK_PAIRS]
+            means[lo:lo + MEAN_BLOCK_PAIRS] = np.add.reduce(np.ascontiguousarray(block.T), axis=1)
+    means /= k
+    return means.reshape(tables.shape[1:])
 
 
 def _check_gamma(gamma: float) -> None:
@@ -402,13 +416,12 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
         q_mean = ensemble.q_mean  # updated in place, never rebound
         for step in range(config.total_steps):
             batch = draw()
-            index = np.array(batch.index)
-            head = np.array(batch.head)
+            index = batch.index
             # a replay slot's previous target is its trajectory's target(t+1)
-            targets = batch_targets(index, head, targets, dataset, kind, q_mean, q_bar, gamma)
+            targets = batch_targets(index, batch.head, targets, dataset, kind, q_mean, q_bar, gamma)
             td_errors = ensemble.update(state_column[index], action_column[index], targets)
             if per_sampler is not None:
-                per_sampler.update_priorities(batch.index, td_errors)
+                per_sampler.update_priorities(index, td_errors)
             curve[step] = ensemble.max_mean_q(s0)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return TrainResult(curve, ensemble, elapsed_ms * 1000.0 / config.total_steps)

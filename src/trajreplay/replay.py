@@ -38,20 +38,22 @@ class BatchItem:
 
 @dataclass(slots=True, eq=False)
 class Batch:
-    """One draw: ``index[k]`` is item k's flat position (a Python int) and
-    ``head[k]`` whether it is its trajectory's last step.  Indexing or
-    iterating builds :class:`BatchItem` views, placed by ``dataset.position``."""
+    """One draw: ``index[k]`` is item k's flat position and ``head[k]``
+    whether it is its trajectory's last step.  At B = 1 both are one-element
+    lists of a Python int and bool; otherwise an ``np.intp`` and a bool array.
+    Indexing or iterating builds :class:`BatchItem` views of Python ints and
+    bools, placed by ``dataset.position``."""
 
-    index: list[int]
-    head: list[bool]
+    index: list[int] | np.ndarray
+    head: list[bool] | np.ndarray
     dataset: OfflineDataset = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __getitem__(self, k: int) -> BatchItem:  # iteration stops at its IndexError
-        i = self.index[k]
-        return BatchItem(*self.dataset.position(i), i, self.head[k])
+        i = int(self.index[k])
+        return BatchItem(*self.dataset.position(i), i, bool(self.head[k]))
 
 
 class TrajectorySelector(Protocol):
@@ -86,6 +88,11 @@ class TrajectoryReplay:
     goes vacant at the end of the call in which its trajectory emits time
     index 0; that call then passes every such id, in slot order, to one
     ``notify_complete`` call of the selector.
+
+    Each slot keeps the flat positions of its trajectory's first step, of
+    the step it emits next and of its last step.  At B = 1 they are Python
+    ints, since a one-element array costs more than the step; above, they
+    are ``np.intp`` arrays and a call is a few array operations.
     """
 
     def __init__(
@@ -105,11 +112,9 @@ class TrajectoryReplay:
         self._selector = selector
         self._rng = rng
         self._epoch = 1
-        # per slot: id (-1 when vacant), first flat position, next and last time index
-        self._slot_ids = [-1] * batch_size
-        self._slot_starts = [0] * batch_size
-        self._slot_cursors = [0] * batch_size
-        self._slot_heads = [0] * batch_size
+        self._slot_ids = [-1] * batch_size  # -1 while vacant
+        positions = [0] * batch_size if batch_size == 1 else np.zeros(batch_size, np.intp)
+        self._first, self._next, self._last = (positions.copy() for _ in range(3))
         self._vacant = list(range(batch_size))
         self._available: list[int] = list(range(n))
         self._avail_pos = {j: j for j in self._available}
@@ -127,11 +132,8 @@ class TrajectoryReplay:
     @property
     def slots(self) -> tuple[tuple[int, int], ...]:
         """Active (trajectory_id, cursor) pairs; cursor is the next index emitted."""
-        return tuple(
-            (tid, cur)
-            for tid, cur in zip(self._slot_ids, self._slot_cursors)
-            if tid != -1
-        )
+        cursors = (np.asarray(self._next) - np.asarray(self._first)).tolist()
+        return tuple((tid, cur) for tid, cur in zip(self._slot_ids, cursors) if tid != -1)
 
     def _fill_vacant_slots(self) -> None:
         offsets = self._dataset.offsets
@@ -148,41 +150,40 @@ class TrajectoryReplay:
             if last != tid:
                 self._available[pos] = last
                 self._avail_pos[last] = pos
-            start = offsets[tid]
-            head = offsets[tid + 1] - start - 1
             self._slot_ids[i] = tid
-            self._slot_starts[i] = start
-            self._slot_cursors[i] = head
-            self._slot_heads[i] = head
+            self._first[i] = offsets[tid]
+            self._next[i] = self._last[i] = offsets[tid + 1] - 1
         self._vacant = []
 
     def next_batch(self) -> Batch:
         """Emit one transition per slot at its cursor, then step cursors back."""
         if self._vacant:
             self._fill_vacant_slots()
-        starts, cursors, heads = self._slot_starts, self._slot_cursors, self._slot_heads
-        index, head, vacant = [], [], self._vacant
-        for i in range(len(cursors)):
-            cursor = cursors[i]
-            index.append(starts[i] + cursor)
-            head.append(cursor == heads[i])
-            if cursor:
-                cursors[i] = cursor - 1
-            else:
-                vacant.append(i)
-        if vacant:
-            completed = [self._slot_ids[i] for i in vacant]
-            for i in vacant:
-                self._slot_ids[i] = -1
+        first, upcoming, last = self._first, self._next, self._last
+        if len(upcoming) == 1:
+            i = upcoming[0]
+            index, head = [i], [i == last[0]]
+            done = [0] if i == first[0] else None
+            upcoming[0] = i - 1
+        else:
+            index = upcoming.copy()
+            head = index == last
+            done = (index == first).nonzero()[0].tolist()
+            upcoming -= 1
+        if done:
+            ids = self._slot_ids
+            completed = [ids[i] for i in done]
+            for i in done:
+                ids[i] = -1
+            self._vacant = done
             self._selector.notify_complete(completed)
         return Batch(index, head, self._dataset)
 
 
-def _trajectory_heads(dataset: OfflineDataset) -> list[bool]:
+def _trajectory_heads(dataset: OfflineDataset) -> np.ndarray:
     """Per stored transition, whether it is its trajectory's last step."""
-    heads = [False] * dataset.total_transitions
-    for end in dataset.offsets[1:]:
-        heads[end - 1] = True
+    heads = np.zeros(dataset.total_transitions, dtype=bool)
+    heads[np.asarray(dataset.offsets[1:], dtype=np.intp) - 1] = True
     return heads
 
 
@@ -197,9 +198,9 @@ class UniformTransitionSampler:
         heads = self._heads
         if batch_size == 1:  # the size-1 array draw's value, without the array
             i = int(rng.integers(len(heads)))
-            return Batch([i], [heads[i]], self._dataset)
-        index = rng.integers(0, len(heads), size=batch_size).tolist()
-        return Batch(index, [heads[i] for i in index], self._dataset)
+            return Batch([i], [heads.item(i)], self._dataset)
+        index = rng.integers(0, len(heads), size=batch_size, dtype=np.intp)
+        return Batch(index, heads[index], self._dataset)
 
 
 class SumTree:
@@ -332,13 +333,16 @@ class PerTransitionSampler:
         heads = self._heads
         if batch_size == 1:  # the size-1 array draw's value, without the array
             index = self.tree.find_prefixes([rng.random() * self.tree.total])
-            return Batch(index, [heads[index[0]]], self._dataset)
-        index = self.tree.find_prefixes((rng.random(batch_size) * self.tree.total).tolist())
-        return Batch(index, [heads[i] for i in index], self._dataset)
+            return Batch(index, [heads.item(index[0])], self._dataset)
+        leaves = self.tree.find_prefixes((rng.random(batch_size) * self.tree.total).tolist())
+        index = np.array(leaves, dtype=np.intp)
+        return Batch(index, heads[index], self._dataset)
 
     def update_priorities(self, indices: Sequence[int], td_errors: Sequence[float]) -> None:
         """Write the priorities of the transitions at these flat indices."""
         if len(indices) != len(td_errors):
             raise ValueError("indices and td_errors must have equal lengths")
+        if isinstance(indices, np.ndarray):  # the tree descends and writes on Python ints
+            indices = indices.tolist()
         epsilon, alpha = self.epsilon, self.alpha  # epsilon was checked in __init__
         self.tree.update_many(indices, [(abs(td) + epsilon) ** alpha for td in td_errors])

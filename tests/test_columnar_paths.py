@@ -3,7 +3,7 @@
 ``Transition`` and ``Trajectory`` are the object view of a dataset, and
 ``BatchItem`` the object view of a sampled batch.  Loading a file, training
 on it with any sampler at any batch size, building a priority table and
-solving the oracle must read the columns and the batches' lists only; the
+solving the oracle must read the columns and the batches' arrays only; the
 guard fails the test on any ``Transition``, ``Trajectory`` or ``BatchItem``
 built, and on any read of ``dataset.trajectories``.
 """
@@ -85,7 +85,7 @@ def test_guard_catches_the_object_view(files, no_objects):
 
 
 def test_guard_catches_the_batch_view(files, no_objects):
-    """A sampled batch is two lists; indexing or iterating it builds the
+    """A sampled batch is two arrays; indexing or iterating it builds the
     ``BatchItem`` view, which the guard refuses."""
     ds, _, _ = files
     with no_objects():
@@ -94,7 +94,7 @@ def test_guard_catches_the_batch_view(files, no_objects):
     for view in (lambda: batch[0], lambda: list(batch), lambda: BatchItem(0, 0, 0, True)):
         with no_objects(), pytest.raises(AssertionError, match="BatchItem"):
             view()
-    assert [it.index for it in batch] == batch.index
+    assert [it.index for it in batch] == batch.index.tolist()
 
 
 def test_loading_builds_no_transition(files, no_objects, tmp_path):

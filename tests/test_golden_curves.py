@@ -43,6 +43,17 @@ K16_VARIANTS = (("uni_state", "standard"), ("uni_traj", "standard"), ("uni_traj"
 CHAIN_KINDS = (("standard", "standard", 0.5), ("sarsa", "sarsa", 0.5),
                ("weighted0.5", "weighted", 0.5), ("weighted0", "weighted", 0.0))
 
+# (sampler, metric, kind, K) of the chain-40 runs at B = 40, its trajectory
+# count; uni_state at K = 16 repeats pairs, so it pins occurrence rounds
+# whose means sum pairwise
+FULL_BATCH_VARIANTS = (
+    ("uni_traj", "uniform", "standard", 5),
+    ("prio_traj", "lower_mean_unc", "sarsa", 5),
+    ("uni_state", "uniform", "standard", 5),
+    ("prio_state", "uniform", "standard", 5),
+    ("uni_state", "uniform", "standard", 16),
+)
+
 # Runs on datasets that went through a file and ``load_dataset``, so the loader
 # feeds goldens too: "<scenario>@<format>" is the in-code scenario written in
 # that format and read back.
@@ -142,6 +153,12 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
                                      ensemble_size=k, batch_size=8, target_sync_period=sync,
                                      total_steps=200, seed=0)
                 runs[f"chain-40/uni_traj-{label}/B8/K{k}/sync{sync}/seed0"] = ("chain-40", config)
+    # B = n: every refill rebuilds the pool, and several slots vacate in one call
+    for sampler, metric, kind, k in FULL_BATCH_VARIANTS:
+        config = TrainConfig(sampler=sampler, metric=metric, target=TargetKind(kind, 0.5),
+                             ensemble_size=k, batch_size=40, target_sync_period=10,
+                             total_steps=200, seed=0)
+        runs[f"chain-40/{sampler}-{metric}-{kind}/B40/K{k}/seed0"] = ("chain-40", config)
     for format in ("trajectory-jsonl", "flat-transitions"):
         scenario = f"figure1-sparse@{format}"
         for sampler, metric, kind in FIG1_VARIANTS:
@@ -469,6 +486,16 @@ GOLDENS = {
         "98534a2ad8b3cedecab9d142a030332f743c324027ec93b0c09d491ecf3b4f4a",
     "figure1-sparse/uni_traj-uniform-weighted/B3/K5/seed0":
         "6e8c7c1185ff3d9be6eaa80485387e2ad4fe273d12b817bf0719163003d3838d",
+    "chain-40/prio_state-uniform-standard/B40/K5/seed0":
+        "cdf8ec83b4678d87e191cd2bac400b9248f3eb25ba859124a1ed6e6a6ed17ab1",
+    "chain-40/prio_traj-lower_mean_unc-sarsa/B40/K5/seed0":
+        "0363a75b91155c5f43818f2da20c4e4a0f2356e2c51f630014b7b3590a9bb268",
+    "chain-40/uni_state-uniform-standard/B40/K16/seed0":
+        "1c1f2962e77e759df6dfeae8d9b876df02f1088b0559cfe82153f2894cb6cbe9",
+    "chain-40/uni_state-uniform-standard/B40/K5/seed0":
+        "609e5db91bdf3a4202997559338e54520fd2fca95e06f63af7863e2f641cba0c",
+    "chain-40/uni_traj-uniform-standard/B40/K5/seed0":
+        "18180b56718ed0fe79c534035932c11fa1bd41ee59751d87d3e836dc60945638",
 }
 
 TABLE_GOLDENS = {
@@ -772,6 +799,16 @@ TABLE_GOLDENS = {
         "031d9e9ae0a2df39d037cff881175e9929fa0198d029f6677fe1dc72614cea2c",
     "figure1-sparse@trajectory-jsonl/uni_traj-uniform-weighted/K5/seed0":
         "8a7c27a0f1373da97632cf4f5ec983c5997b1314fe92791bfeb4a4a846ceb8ae",
+    "chain-40/prio_state-uniform-standard/B40/K5/seed0":
+        "8daaa68ae11ea771b8b6ab29965e59dafad3da76f314fc92818112ccdab40751",
+    "chain-40/prio_traj-lower_mean_unc-sarsa/B40/K5/seed0":
+        "21fe7637de170fc7b8855cd6eeaf076f33f922d767d71bce8d9c2a788f752b25",
+    "chain-40/uni_state-uniform-standard/B40/K16/seed0":
+        "8a1b523010120d9ce16b7514c3b6dd29cceaef9fe334f3a5f89c4d8d15fbc471",
+    "chain-40/uni_state-uniform-standard/B40/K5/seed0":
+        "e947c1f07f70c1c1aaf2166c199c825e7a33709e843b121141adcafb9aeb5031",
+    "chain-40/uni_traj-uniform-standard/B40/K5/seed0":
+        "c682f5f4cbe0865745de02a66116e373c4c1e0a51e4a46a7a986ee3db07e9350",
 }
 
 RUNS = golden_runs()
@@ -792,8 +829,10 @@ def test_tables_match_golden(run_id):
     assert digests(run_id)[1] == TABLE_GOLDENS[run_id]
 
 
-def test_batched_golden_run_repeats_a_pair(monkeypatch):
-    """The B=32 golden covers batches that update one (s, a) twice."""
+@pytest.mark.parametrize("run_id", ["chain-1000x10/uni_state/B32/K5/seed0",
+                                    "chain-40/uni_state-uniform-standard/B40/K16/seed0"])
+def test_batched_golden_run_repeats_a_pair(monkeypatch, run_id):
+    """These goldens cover batches that update one (s, a) twice, at K = 5 and 16."""
     repeats = []
     update = EnsembleQ.update
 
@@ -803,6 +842,6 @@ def test_batched_golden_run_repeats_a_pair(monkeypatch):
         return update(self, states, actions, targets)
 
     monkeypatch.setattr(EnsembleQ, "update", recording_update)
-    scenario, config = RUNS["chain-1000x10/uni_state/B32/K5/seed0"]
+    scenario, config = RUNS[run_id]
     train(dataset(scenario), config)
     assert 0 < sum(repeats) < len(repeats)

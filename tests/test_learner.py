@@ -295,6 +295,40 @@ def test_a_negative_id_updates_the_pair_it_wraps_to(k):
     assert np.array_equal(wrapped.q_mean, plain.q_mean)
 
 
+@pytest.mark.parametrize("k", [3, 8])
+def test_a_batch_with_negative_ids_updates_the_pairs_they_wrap_to(k):
+    """On S = 3, (-1, 0) is (2, 0) and (1, -1) is (1, 1): the batch holds two
+    pairs twice each and applies them in batch order, as one-pair updates of
+    the wrapped ids do, with TD errors from the means before the batch."""
+    values = np.random.default_rng(25).uniform(size=(k, 3, 2))
+    batched = EnsembleQ.from_tables(values, eta=0.5)
+    serial = EnsembleQ.from_tables(values, eta=0.5)
+    states, actions, targets = [-1, 2, 1, -2], [0, 0, -1, 1], [1.0, 2.0, -1.0, 3.0]
+    wrapped = [(2, 0), (2, 0), (1, 1), (1, 1)]
+    want_td = [t - serial.q_mean[s, a] for (s, a), t in zip(wrapped, targets)]
+    assert batched.update(states, actions, targets) == want_td
+    for (s, a), t in zip(wrapped, targets):
+        serial.update([s], [a], [t])
+    assert np.array_equal(batched.tables, serial.tables)
+    assert np.array_equal(batched.q_mean, serial.q_mean)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize(("states", "actions"), [
+    ([0, 1], [0, 2]),  # a flat index would send (1, 2) to the pair (2, 0)
+    ([3, 0], [0, 0]),
+    ([0, -4], [1, 0]),
+    ([0, 1], [0, -3]),
+])
+def test_a_batch_with_an_id_past_the_table_raises_and_writes_nothing(k, states, actions):
+    values = np.random.default_rng(26).uniform(size=(k, 3, 2))
+    ens = EnsembleQ.from_tables(values, eta=0.5, target_sync_period=1)
+    with pytest.raises(IndexError):
+        ens.update(states, actions, [1.0, 2.0])
+    assert np.array_equal(ens.tables, values)
+    assert ens.updates_applied == 0
+
+
 def test_sixteen_members_read_one_column_mean_everywhere():
     # For K >= 8 a row mean over axis 0 differs from the column mean in the
     # last bit; every read must give tables[:, s, a].mean() exactly.
@@ -578,6 +612,34 @@ def test_batched_train_reads_qbar_once_per_bootstrap(monkeypatch, sampler, metri
                          total_steps=60, ensemble_size=3, seed=5)
     train(ds, config)
     assert reads[0] == expected[0] > 0
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+@pytest.mark.parametrize(("sampler", "metric"), [
+    ("uni_state", "uniform"), ("prio_state", "uniform"),
+    ("uni_traj", "uniform"), ("prio_traj", "lower_mean_unc"),
+])
+def test_train_draws_through_the_class_methods(monkeypatch, sampler, metric, batch_size):
+    """Tracing wraps ``next_batch`` and ``sample`` on the class, so every
+    step's draw must go through them, at B = 1 and above."""
+    import trajreplay.learner as learner
+
+    ds = make_random_chain(6, 1, 5, np.random.default_rng(32))
+    calls = [0]
+    for cls, name in ((learner.TrajectoryReplay, "next_batch"),
+                      (learner.UniformTransitionSampler, "sample"),
+                      (learner.PerTransitionSampler, "sample")):
+        real = getattr(cls, name)
+
+        def counted(*args, real=real):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    config = TrainConfig(sampler=sampler, metric=metric, batch_size=batch_size,
+                         total_steps=25, ensemble_size=2, seed=6)
+    train(ds, config)
+    assert calls[0] == 25
 
 
 def test_train_records_the_start_state(monkeypatch):

@@ -312,6 +312,33 @@ def test_per_write_back_rejects_a_nan_td_error():
     assert sampler.tree.total == 3.0
 
 
+def test_per_write_back_of_an_index_array_keeps_the_tree_on_python_ints(monkeypatch):
+    """``train`` writes back a batch's index array; the tree gets the same
+    leaves as Python ints, as a list would give them, and ends bit for bit
+    the same."""
+    leaf_types = set()
+    update_many = SumTree.update_many
+
+    def recording(self, leaves, values):
+        leaf_types.update(map(type, leaves))
+        return update_many(self, leaves, values)
+
+    monkeypatch.setattr(SumTree, "update_many", recording)
+    ds = chain_dataset([3, 5, 2, 4])
+    by_array = PerTransitionSampler(ds, alpha=0.7)
+    by_list = PerTransitionSampler(ds, alpha=0.7)
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        index = rng.integers(0, ds.total_transitions, size=6, dtype=np.intp)
+        td_errors = rng.normal(size=6).tolist()
+        by_array.update_priorities(index, td_errors)
+        by_list.update_priorities(index.tolist(), td_errors)
+    assert leaf_types == {int}
+    nodes = np.array(by_array.tree._nodes)
+    assert np.array_equal(nodes.view(np.int64), np.array(by_list.tree._nodes).view(np.int64))
+    assert {type(value) for value in by_array.tree._nodes} == {float}
+
+
 def test_sum_tree_matches_naive_categorical():
     rng = np.random.default_rng(14)
     n = 33

@@ -5,8 +5,9 @@ must emit every trajectory in whole backward passes that start at its head,
 and each epoch (one available pool, from rebuild until it runs dry) must
 start exactly one pass of every trajectory in its pool, the pool being every
 trajectory not active when it was rebuilt.  Every sampler's ``Batch`` must
-hold B flat positions and head flags whose views agree with the dataset, and
-draw them from the generator as a plain twin of the sampler would.
+hold B flat positions and head flags (Python lists at B = 1, arrays above)
+whose views agree with the dataset, and draw them from the generator as a
+plain twin of the sampler would.
 """
 
 from __future__ import annotations
@@ -223,12 +224,14 @@ def twin_draws(sampler, ds, lengths, batch_size, seed):
     st.integers(0, 2**32 - 1),
     st.integers(1, 30),
 )
-def test_batches_are_index_and_head_lists_drawn_as_a_twin_draws(
+def test_batches_are_index_and_head_columns_drawn_as_a_twin_draws(
     lengths, sampler, data, seed, steps
 ):
-    """For B in 1..8: ``len(batch) == B``, the batch is not a tuple, its lists
-    hold Python ints and bools, and view k has ``index == offsets[tid] + t``
-    and ``is_trajectory_head == (t == length - 1) == head[k]``.  A twin
+    """For B in 1..8: ``len(batch) == B`` and the batch is not a tuple.  At
+    B = 1 its index and head are lists of a Python int and bool; from B = 2
+    on they are ``np.intp`` and bool arrays.  Either way view k holds Python
+    ints and bools, with ``index == offsets[tid] + t`` and
+    ``is_trajectory_head == (t == length - 1) == head[k]``.  A twin
     generator gives the same draws: the scalar uniform draw at B = 1 and the
     array draw above it, PER's prefixes through the same tree, and the
     replay's selector calls in slot order."""
@@ -238,16 +241,23 @@ def test_batches_are_index_and_head_lists_drawn_as_a_twin_draws(
     for _ in range(steps):
         index, head, calls = twin_draw()
         batch, got_calls = draw()
-        assert batch.index == index
-        assert head is None or batch.head == head
+        if batch_size == 1:
+            assert type(batch.index) is list and type(batch.head) is list
+            assert [type(batch.index[0]), type(batch.head[0])] == [int, bool]
+        else:
+            assert type(batch.index) is np.ndarray and batch.index.dtype == np.intp
+            assert type(batch.head) is np.ndarray and batch.head.dtype == bool
+        assert np.asarray(batch.index).tolist() == index
+        assert head is None or np.asarray(batch.head).tolist() == head
         assert got_calls == calls
+        assert all(type(j) is int for call in got_calls or () for j in call)
         assert len(batch) == batch_size and not isinstance(batch, tuple)
-        assert all(type(i) is int for i in batch.index)
-        assert all(type(h) is bool for h in batch.head)
         views = list(batch)
         assert len(views) == batch_size
         for k, it in enumerate(views):
             tid, t = it.trajectory_id, it.time_index
+            assert [type(tid), type(t), type(it.index)] == [int, int, int]
+            assert type(it.is_trajectory_head) is bool
             assert 0 <= t < lengths[tid]
             assert it.index == batch.index[k] == ds.offsets[tid] + t
             assert it.is_trajectory_head == (t == lengths[tid] - 1) == batch.head[k]
