@@ -130,10 +130,9 @@ class EnsembleQ:
         """
         # take() on flat pair indices gathers the same (K, n) block as
         # tables[:, states, actions], about twice as fast on large batches.
-        tables = self.tables
-        k = len(tables)
-        flat = np.asarray(states) * tables.shape[2] + np.asarray(actions)
-        cols = tables.reshape(k, -1).take(flat, axis=1)
+        k = len(self.tables)
+        flat = np.asarray(states) * self._action_count + np.asarray(actions)
+        cols = self._by_pair.take(flat, axis=1)
         # cols.std(axis=0) by the same ufunc calls in the same order as NumPy's
         # own, bit for bit, without the wrapper that costs a third of a short call.
         mean = np.add.reduce(cols, axis=0, keepdims=True)

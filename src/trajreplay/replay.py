@@ -115,6 +115,9 @@ class TrajectoryReplay:
         self._slot_ids = [-1] * batch_size  # -1 while vacant
         positions = [0] * batch_size if batch_size == 1 else np.zeros(batch_size, np.intp)
         self._first, self._next, self._last = (positions.copy() for _ in range(3))
+        if batch_size > 1:  # each trajectory's first and last flat position
+            bounds = np.asarray(dataset.offsets, dtype=np.intp)
+            self._starts, self._ends = bounds[:-1], bounds[1:] - 1
         self._vacant = list(range(batch_size))
         self._available: list[int] = list(range(n))
         self._avail_pos = {j: j for j in self._available}
@@ -137,6 +140,7 @@ class TrajectoryReplay:
 
     def _fill_vacant_slots(self) -> None:
         offsets = self._dataset.offsets
+        picked = []
         for i in self._vacant:
             if not self._available:  # a new epoch: every id not active
                 active = set(self._slot_ids)
@@ -151,8 +155,15 @@ class TrajectoryReplay:
                 self._available[pos] = last
                 self._avail_pos[last] = pos
             self._slot_ids[i] = tid
-            self._first[i] = offsets[tid]
-            self._next[i] = self._last[i] = offsets[tid + 1] - 1
+            picked.append(tid)
+        if len(self._first) == 1:
+            tid = picked[0]
+            self._first[0] = offsets[tid]
+            self._next[0] = self._last[0] = offsets[tid + 1] - 1
+        else:  # one write per position array, after every selector call
+            slots, picked = np.array(self._vacant), np.array(picked)
+            self._first[slots] = self._starts[picked]
+            self._next[slots] = self._last[slots] = self._ends[picked]
         self._vacant = []
 
     def next_batch(self) -> Batch:

@@ -281,6 +281,22 @@ def test_refresh_unknown_id_anywhere_leaves_table_unchanged(position):
     assert table.values == {0: 1.0, 1: 2.0, 2: 3.0}
 
 
+def test_scoring_no_trajectories_gives_an_empty_dict():
+    ds = one_trajectory_dataset(reward_trajectory([0.0] * 3))
+    u = PairValues([0.1, 0.2, 0.3])
+    for kind in priority.UNCERTAINTY_KINDS:
+        assert priority.uncertainty_priorities(ds, kind, u, []) == {}
+
+
+def test_an_empty_completion_list_leaves_the_table_as_it_is():
+    ds = one_trajectory_dataset(reward_trajectory([0.0] * 3))
+    table = PriorityTable({0: 2.0}, alpha=1.0, kind="lower_mean_unc")
+    selector = PrioritizedSelector(table, ds, PairValues([0.1, 0.2, 0.3]))
+    selector.notify_complete([])
+    assert table.values == {0: 2.0}
+    assert selector.select([0], np.random.default_rng(0)) == 0
+
+
 def test_uncertainty_kind_requires_ensemble():
     traj = reward_trajectory([1.0])
     with pytest.raises(ValueError, match="requires an ensemble"):
