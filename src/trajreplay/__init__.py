@@ -37,7 +37,6 @@ from .priority import (
     PrioritizedSelector,
     PriorityTable,
     build_priority_table,
-    quality_priority,
     rank_distribution,
     rank_order,
     uncertainty_priorities,
@@ -50,7 +49,6 @@ from .replay import (
     TrajectoryReplay,
     UniformSelector,
     UniformTransitionSampler,
-    per_priority,
 )
 from .scenarios import make_figure1, make_random_chain
 from .targets import (

@@ -3,9 +3,8 @@
 :class:`OfflineDataset` keeps flat per-step columns sliced by trajectory
 offsets, the layout of D4RL-style ``observations``/``actions``/``rewards``
 arrays.  :class:`Transition` and :class:`Trajectory` are the object view of
-it, for tests and analysis; the training path never builds them, and
-:func:`load_dataset` builds them only to word the fault of a file it could
-not read as clean columns.
+it, for tests and analysis.  The training path never builds them, and
+:func:`load_dataset` builds only a faulty record's, to word its fault.
 
 Two on-disk formats are supported, both JSON Lines (UTF-8, LF).  The first
 data record tells them apart: ``states`` marks the first, ``state`` the
@@ -28,9 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -274,11 +276,10 @@ class OfflineDataset:
         j = bisect_right(self.offsets, index) - 1
         return j, index - self.offsets[j]
 
-    def iter_transitions(self) -> Iterator[tuple[int, int, Transition]]:
-        """Yield (trajectory_id, time_index, transition) over the object view."""
-        for j, traj in enumerate(self.trajectories):
-            for t, tr in enumerate(traj.transitions):
-                yield j, t, tr
+
+def _chain_break(index: int, next_state: int, state: int) -> ValueError:
+    return ValueError(
+        f"chain break at step index {index} (next_state {next_state} != state {state})")
 
 
 def split_flat_transitions(
@@ -297,10 +298,7 @@ def split_flat_transitions(
     segment: list[Transition] = []
     for i, (tr, timeout) in enumerate(steps):
         if segment and segment[-1].next_state != tr.state:
-            raise ValueError(
-                f"chain break at step index {i} "
-                f"(next_state {segment[-1].next_state} != state {tr.state})"
-            )
+            raise _chain_break(i, segment[-1].next_state, tr.state)
         segment.append(tr)
         if tr.terminal or timeout:
             trajectories.append(Trajectory(tuple(segment), timeout and not tr.terminal))
@@ -315,12 +313,8 @@ def flatten_trajectories(
     trajectories: Iterable[Trajectory],
 ) -> list[tuple[Transition, bool]]:
     """Inverse of :func:`split_flat_transitions` on the step sequence."""
-    steps: list[tuple[Transition, bool]] = []
-    for traj in trajectories:
-        last = traj.length - 1
-        for t, tr in enumerate(traj.transitions):
-            steps.append((tr, traj.timeout_truncated and t == last))
-    return steps
+    return [(tr, traj.timeout_truncated and t == traj.length - 1)
+            for traj in trajectories for t, tr in enumerate(traj.transitions)]
 
 
 def _require(record: dict, key: str, line_no: int):
@@ -419,119 +413,66 @@ def _is_header(record: dict) -> bool:
     return not _HEADER_KEYS.isdisjoint(record) and "states" not in record and "state" not in record
 
 
-class _Unclean(Exception):
-    """The columnar pass met something it does not take as clean."""
-
-
-def _id_column(values: list) -> np.ndarray:
-    """The ids as an intp column, if each is a non-negative int (not a bool)
-    that fits one."""
+def _id_column(values: list) -> np.ndarray | None:
+    """The ids as an intp column, or None unless each is an int (not a bool) in [0, intp max]."""
     if set(map(type, values)) == {int}:
         try:
             column = np.array(values, dtype=np.intp)
         except OverflowError:
-            raise _Unclean from None
+            return None
         if np.minimum.reduce(column) >= 0:
             return column
-    raise _Unclean
+    return None
 
 
-def _reward_column(values: list) -> np.ndarray:
-    """The rewards as a float64 column, if each converts as ``float()`` does
-    (numbers and numeric strings) and all are finite."""
+def _reward_column(values: list) -> np.ndarray | None:
+    """The rewards converted as ``float()`` does, or None unless all are finite."""
     try:
         column = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise _Unclean from None
-    if column.ndim != 1 or not np.logical_and.reduce(np.isfinite(column)):
-        raise _Unclean
-    return column
+        return None
+    finite = column.ndim == 1 and np.logical_and.reduce(np.isfinite(column))
+    return column if finite else None
 
 
-def _load_columns(path: Path) -> OfflineDataset:
-    """The columnar pass: stream the records onto flat lists, then convert and
-    check them in array operations.  Raises :class:`_Unclean`, never wording
-    a fault, at anything a clean file does not have."""
-    records = _iter_records(path)
-    header: dict = {}
-    first = next(records, None)
-    if first is not None and _is_header(first[1]):
-        header, first = first[1], next(records, None)
-    if first is None:
-        raise _Unclean
-    # a first record with neither "states" nor "state" fails on record["state"]
-    flat = "states" not in first[1]
-    states, actions, rewards, next_states, terminal, timeout = ([] for _ in range(6))
-    ends: list[int] = []
-    try:
-        for _, record in chain((first,), records):
-            if flat:
-                states.append(record["state"])
-                actions.append(record["action"])
-                rewards.append(record["reward"])
-                next_states.append(record["next_state"])
-            else:
-                arrays = (record["states"], record["actions"], record["rewards"],
-                          record["next_states"])
-                if (not all(type(a) is list for a in arrays)
-                        or len(set(map(len, arrays))) != 1 or not arrays[0]):
-                    raise _Unclean
-                states += arrays[0]
-                actions += arrays[1]
-                rewards += arrays[2]
-                next_states += arrays[3]
-                ends.append(len(states))
-            terminal.append(record["terminal"])
-            timeout.append(record["timeout"])
-    except KeyError:
-        raise _Unclean from None
-    if set(map(type, terminal)) != {bool} or set(map(type, timeout)) != {bool}:
-        raise _Unclean
-    states, actions, next_states = map(_id_column, (states, actions, next_states))
-    rewards = _reward_column(rewards)
-    n = len(states)
-    terminal = np.array(terminal, dtype=bool)
-    timeout = np.array(timeout, dtype=bool)
-    if flat:
-        ended = terminal | timeout
-        ended[-1] = True  # an untagged tail is kept, as a timeout-truncated trajectory
-        ends = np.flatnonzero(ended) + 1
-        timeout = ~terminal[ends - 1]
-    else:
-        if np.logical_or.reduce(terminal & timeout):
-            raise _Unclean
-        ends = np.array(ends, dtype=np.intp)
-        terminal, terminal_ends = np.zeros(n, dtype=bool), ends[terminal]
-        terminal[terminal_ends - 1] = True
-    # a chain break: a step's state is not the next state of the step before,
-    # unless that step ends a trajectory
-    breaks = next_states[:-1] != states[1:]
-    breaks[ends[:-1] - 1] = False
-    if np.logical_or.reduce(breaks):
-        raise _Unclean
-    return _dataset(header, states, actions, rewards, next_states, terminal, timeout,
-                    (0, *ends.tolist()))
+def _first_bad(values: list, column) -> int:
+    """The position of the first value that ``column`` rejects, given that it
+    rejects ``values`` (``len(values)`` if that is empty), by bisection."""
+    lo, hi = 0, len(values)  # values[:lo] are good, values[lo:hi] hold a bad one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if column(values[lo:mid]) is None else (mid, hi)
+    return lo
 
 
-def _load_objects(path: Path) -> OfflineDataset:
-    """The object pass: parse every line, then build the records' objects in
-    file order, so that the first fault is raised by the constructors."""
-    records = list(_iter_records(path))
-    header: dict = {}
-    if records and _is_header(records[0][1]):
-        header, records = records[0][1], records[1:]
-    if not records:
-        raise ValueError(f"{path}: file contains no data records")
-    line_no, first = records[0]
-    if "states" in first:
-        trajectories = [_trajectory_from_record(record, line_no) for line_no, record in records]
-    elif "state" in first:
-        trajectories = split_flat_transitions(
-            [_transition_from_record(record, line_no) for line_no, record in records]
-        )
-    else:
-        raise ValueError(f"line {line_no}: cannot detect record format")
-    return _dataset(header, *_object_columns(trajectories))
+# The function that makes each per-step column, in column order.
+_CONVERTERS = (_id_column, _id_column, _reward_column, _id_column)
+_FLAT_KEYS = ("state", "action", "reward", "next_state", "terminal", "timeout")
+
+
+def _raise_first_fault(raw: list, bounds, lines, untaken, columns: list) -> None:
+    """Word the fault of the first record, in file order, that its own checks
+    reject.  The columns locate it among the records the stream took, else
+    it is the record the stream could not take; only it is built."""
+    flat = isinstance(bounds, range)  # a flat record is one step
+    states, _, _, next_states, terminal, timeout = raw
+    # the first step with a bad id or reward, or that breaks its record's chain
+    step = min(len(values) if column is not None else _first_bad(values, convert)
+               for values, column, convert in zip(raw, columns, _CONVERTERS))
+    if not flat:
+        starts = set(bounds)
+        step = next((i for i in range(1, step)
+                     if next_states[i - 1] != states[i] and i not in starts), step)
+    at = bisect_right(bounds, step) - 1
+    # before it, a flag that is not a bool, or a trajectory record with both set
+    at = next((j for j, flags in enumerate(zip(terminal[:at], timeout[:at]))
+               if set(map(type, flags)) != {bool} or not flat and all(flags)), at)
+    if at < len(lines):
+        lo, hi = bounds[at], bounds[at + 1]
+        values = [column[lo] if flat else column[lo:hi] for column in raw[:4]]
+        values += terminal[at], timeout[at]
+        untaken = lines[at], dict(zip(_FLAT_KEYS if flat else _COLUMNS, values))
+    (_transition_from_record if flat else _trajectory_from_record)(untaken[1], untaken[0])
 
 
 def load_dataset(path: str | Path) -> OfflineDataset:
@@ -543,20 +484,84 @@ def load_dataset(path: str | Path) -> OfflineDataset:
     ``trajectory-jsonl``, else ``state`` means ``flat-transitions``.  A count
     the header lacks is inferred from the data; the discount defaults to 0.99.
 
-    A clean file is read in one columnar pass: records stream onto flat
-    lists, which are converted and checked in a few array operations, and no
-    per-step object is built.  Any other file is read again, every line
-    parsed first, and its records built into :class:`Transition` and
-    :class:`Trajectory` objects in file order.  So a malformed JSON line
-    reports first, then the first fault the constructors raise, then the
-    header's counts and discount and the id bounds.  Ids above the
-    platform's ``intp`` range are rejected.
+    The file is read and parsed once.  Its records stream onto flat lists,
+    which a few array operations convert and check; no per-step object is
+    built.  Every line is parsed before a fault is raised, so a malformed
+    JSON line reports first.  Then the first record in file order that fails
+    its own checks: the columns locate it, and it alone is built into
+    :class:`Transition` and :class:`Trajectory` objects, whose constructors
+    word the fault.  Then a flat file's chain break, then the header's counts
+    and discount and the id bounds.  Ids above the ``intp`` range are rejected.
     """
     path = Path(path)
-    try:
-        return _load_columns(path)
-    except _Unclean:
-        return _load_objects(path)
+    records = _iter_records(path)
+    header: dict = {}
+    first = next(records, None)
+    if first is not None and _is_header(first[1]):
+        header, first = first[1], next(records, None)
+    if first is None:
+        raise ValueError(f"{path}: file contains no data records")
+    flat = "states" not in first[1]
+    pick = itemgetter(*(_FLAT_KEYS if flat else _COLUMNS))
+    raw = states, actions, rewards, next_states, terminal, timeout = [[] for _ in _FLAT_KEYS]
+    ends: list[int] = []
+    lines = array("q")  # each taken record's line number; not int objects, one per step
+    untaken = None
+    for line_no, record in chain((first,), records):
+        try:
+            s, a, r, ns, te, ti = row = pick(record)
+        except KeyError:
+            row = None
+        if row is None or not (flat or (type(s) is type(a) is type(r) is type(ns) is list
+                                        and len(s) == len(a) == len(r) == len(ns) > 0)):
+            untaken = line_no, record
+            deque(records, maxlen=0)  # every line is parsed before a fault is raised
+            break
+        if flat:
+            states.append(s)
+            actions.append(a)
+            rewards.append(r)
+            next_states.append(ns)
+        else:
+            states += s
+            actions += a
+            rewards += r
+            next_states += ns
+            ends.append(len(states))
+        terminal.append(te)
+        timeout.append(ti)
+        lines.append(line_no)
+    if flat and "state" not in first[1]:
+        raise ValueError(f"line {first[0]}: cannot detect record format")
+    bounds = range(len(lines) + 1) if flat else [0, *ends]
+    columns = [convert(values) for convert, values in zip(_CONVERTERS, raw)]
+    broken = None
+    if (untaken is None and set(map(type, terminal)) | set(map(type, timeout)) == {bool}
+            and all(column is not None for column in columns)):
+        states, actions, rewards, next_states = columns
+        terminal, timeout = np.array(terminal, dtype=bool), np.array(timeout, dtype=bool)
+        if flat:
+            ended = terminal | timeout
+            ended[-1] = True  # an untagged tail is kept, as a timeout-truncated trajectory
+            ends = np.flatnonzero(ended) + 1
+            timeout = ~terminal[ends - 1]
+        else:
+            both = np.logical_or.reduce(terminal & timeout)
+            ends = np.array(ends, dtype=np.intp)
+            terminal, terminal_ends = np.zeros(len(states), dtype=bool), ends[terminal]
+            terminal[terminal_ends - 1] = True
+        # a chain break: a step's state is not the next state of the step before,
+        # unless that step ends a trajectory
+        breaks = next_states[:-1] != states[1:]
+        breaks[ends[:-1] - 1] = False
+        broken = np.logical_or.reduce(breaks)
+    if broken is None or not flat and (both or broken):
+        _raise_first_fault(raw, bounds, lines, untaken, columns)
+    if broken:
+        i = int(breaks.argmax()) + 1
+        raise _chain_break(i, next_states.item(i - 1), states.item(i))
+    return _dataset(header, states, actions, rewards, next_states, terminal, timeout,
+                    (0, *ends.tolist()))
 
 
 def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:
@@ -564,20 +569,11 @@ def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:
     path = Path(path)
     offsets = dataset.offsets
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        header = {
-            "state_count": dataset.state_count,
-            "action_count": dataset.action_count,
-            "discount": dataset.discount,
-        }
+        header = {"state_count": dataset.state_count, "action_count": dataset.action_count,
+                  "discount": dataset.discount}
         fh.write(json.dumps(header) + "\n")
         for j, timeout in enumerate(dataset.timeout.tolist()):
             lo, hi = offsets[j], offsets[j + 1]
-            record = {
-                "states": dataset.states[lo:hi].tolist(),
-                "actions": dataset.actions[lo:hi].tolist(),
-                "rewards": dataset.rewards[lo:hi].tolist(),
-                "next_states": dataset.next_states[lo:hi].tolist(),
-                "terminal": dataset.terminal.item(hi - 1),
-                "timeout": timeout,
-            }
+            record = {key: getattr(dataset, key)[lo:hi].tolist() for key in _COLUMNS[:4]}
+            record.update(terminal=dataset.terminal.item(hi - 1), timeout=timeout)
             fh.write(json.dumps(record) + "\n")

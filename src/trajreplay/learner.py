@@ -123,23 +123,25 @@ class EnsembleQ:
     def uncertainty_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Population standard deviation of member values at each (state, action).
 
-        The members are summed in order, so from 8 members on a value may
-        differ in the last bit from ``tables[:, s, a].std()``, which sums
-        pairwise.  The priority table build and its refresh both read it
-        through ``priority.uncertainty_priorities``, so they agree.
+        Each value has the bits of ``tables[:, s, a].std()`` for every K, so
+        a pair reads the same whether it is gathered alone or in a batch.
         """
         # take() on flat pair indices gathers the same (K, n) block as
         # tables[:, states, actions], about twice as fast on large batches.
         k = len(self.tables)
         flat = np.asarray(states) * self._action_count + np.asarray(actions)
-        cols = self._by_pair.take(flat, axis=1)
-        # cols.std(axis=0) by the same ufunc calls in the same order as NumPy's
+        cols, axis = self._by_pair.take(flat, axis=1), 0
+        if k >= 8:
+            # a column's own sum is pairwise from 8 members on, as is the sum
+            # of each contiguous row of the transposed copy (see column_means)
+            cols, axis = np.ascontiguousarray(cols.T), 1
+        # cols.std(axis) by the same ufunc calls in the same order as NumPy's
         # own, bit for bit, without the wrapper that costs a third of a short call.
-        mean = np.add.reduce(cols, axis=0, keepdims=True)
+        mean = np.add.reduce(cols, axis=axis, keepdims=True)
         mean /= k
         cols -= mean
         np.square(cols, out=cols)
-        var = np.add.reduce(cols, axis=0)
+        var = np.add.reduce(cols, axis=axis)
         var /= k
         return np.sqrt(var, out=var)
 

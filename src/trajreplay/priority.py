@@ -59,14 +59,6 @@ def top_fraction_count(length: int, fraction: float) -> int:
     return max(1, math.ceil(fraction * length))
 
 
-def quality_priority(rewards: Sequence[float], kind: str) -> float:
-    """Evaluate one of the reward-based quality metrics on a trajectory's
-    rewards, in time order: the one-row case of :func:`_row_values`."""
-    if kind not in QUALITY_KINDS:
-        raise ValueError(f"{kind!r} is not a quality metric kind")
-    return float(_row_values(np.asarray(rewards, dtype=float), kind))
-
-
 def _row_values(rows: np.ndarray, kind: str) -> np.ndarray:
     """``kind``'s value of each row along the last axis of ``rows`` (an (m, L)
     block, or one 1-D slice), before an uncertainty kind's floor and reciprocal.

@@ -315,12 +315,6 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
 
-def per_priority(td_error: float, epsilon: float) -> float:
-    """Proportional replay priority: |TD error| plus a positive floor."""
-    check_epsilon(epsilon)
-    return abs(td_error) + epsilon
-
-
 class PerTransitionSampler:
     """Prioritized transition sampling, P(j) = p_j^alpha / sum_k p_k^alpha.
 

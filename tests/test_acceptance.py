@@ -30,7 +30,6 @@ from trajreplay.priority import (
     PrioritizedSelector,
     PriorityTable,
     build_priority_table,
-    quality_priority,
     rank_distribution,
 )
 from trajreplay.replay import (
@@ -167,7 +166,7 @@ def test_criterion_3_exactly_once_per_epoch():
         batch_size = int(rng.integers(1, n + 1))
         passes = collect_first_passes(dataset, batch_size, rng)
         emitted = Counter((tid, t) for tid, idx in passes.items() for t in idx)
-        expected = Counter((tid, t) for tid, t, _ in dataset.iter_transitions())
+        expected = Counter(dataset.position(i) for i in range(dataset.total_transitions))
         if emitted != expected:
             violations += 1
             continue
@@ -268,8 +267,8 @@ class PairValues:
 
 def _uncertainty_map(dataset, rng):
     return PairValues({
-        (tr.state, tr.action): float(rng.uniform(0.01, 2.0))
-        for _, _, tr in dataset.iter_transitions()
+        (s, a): float(rng.uniform(0.01, 2.0))
+        for s, a in zip(dataset.states.tolist(), dataset.actions.tolist())
     })
 
 
@@ -346,9 +345,10 @@ def test_criterion_7_metric_correctness():
             for t in range(length)
         )
         traj = Trajectory(transitions)
+        dataset = OfflineDataset((traj,), state_count=length + 1, action_count=1)
         values = {}
         for kind in QUALITY_KINDS:
-            values[kind] = quality_priority(traj.rewards, kind)
+            values[kind] = build_priority_table(dataset, kind).values[0]
             assert values[kind] == pytest.approx(
                 brute_quality(list(rewards), kind), rel=1e-12, abs=1e-12
             ), (case, kind)
@@ -361,7 +361,6 @@ def test_criterion_7_metric_correctness():
         ), case
         uvals = [float(v) for v in rng.uniform(0.01, 3.0, length)]
         u = PairValues({(t, 0): uvals[t] for t in range(length)})
-        dataset = OfflineDataset((traj,), state_count=length + 1, action_count=1)
         got = {
             kind: build_priority_table(dataset, kind, ensemble=u).values[0]
             for kind in UNCERTAINTY_KINDS

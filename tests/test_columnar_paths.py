@@ -5,7 +5,8 @@
 on it with any sampler at any batch size, building a priority table and
 solving the oracle must read the columns and the batches' arrays only; the
 guard fails the test on any ``Transition``, ``Trajectory`` or ``BatchItem``
-built, and on any read of ``dataset.trajectories``.
+built, and on any read of ``dataset.trajectories``.  A file with a fault is
+parsed once too, and builds objects only for the one record that words it.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def test_guard_catches_the_batch_view(files, no_objects):
 
 
 def test_loading_builds_no_transition(files, no_objects, tmp_path):
-    """Clean files load on the columnar pass, including a flat log whose last
-    step has neither flag and a file without a header."""
+    """Clean files load from the columns alone, including a flat log whose
+    last step has neither flag and a file without a header."""
     ds, traj_path, flat_path = files
     records = [json.loads(line) for line in flat_path.read_text().splitlines()]
     records[-1].update(terminal=False, timeout=False)
@@ -124,7 +125,7 @@ def test_loading_builds_no_transition(files, no_objects, tmp_path):
 
 def test_rewards_that_float_converts_load_on_the_columnar_pass(files, no_objects, tmp_path):
     """A numeric-string reward and an int above the int64 range convert as
-    ``float()`` converts them, without the object pass."""
+    ``float()`` converts them, with no object built."""
     ds, traj_path, _ = files
     header, *records = map(json.loads, traj_path.read_text().splitlines())
     records[0]["rewards"][0], records[-1]["rewards"][-1] = "1.5", 2**70
@@ -136,6 +137,57 @@ def test_rewards_that_float_converts_load_on_the_columnar_pass(files, no_objects
     rewards[0], rewards[-1] = 1.5, float(2**70)
     assert np.array_equal(loaded.rewards, rewards)
     assert np.array_equal(loaded.states, ds.states)
+
+
+def faulty_last_line(files, tmp_path, flat):
+    """The fixture's file, in either format, with a fault on its last line:
+    a bad reward at a trajectory record's last step, a negative next state
+    in a flat step.  Returns the path, its non-empty line count and the
+    number of steps of the faulty record."""
+    _, traj_path, flat_path = files
+    lines = (flat_path if flat else traj_path).read_text().splitlines()
+    last = json.loads(lines[-1])
+    if flat:
+        last["next_state"] = -1
+    else:
+        last["rewards"][-1] = "x"
+    lines[-1] = json.dumps(last)
+    path = tmp_path / "faulty.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, len(lines), 1 if flat else len(last["states"])
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_a_faulty_file_is_parsed_once(files, tmp_path, monkeypatch, flat):
+    path, line_count, _ = faulty_last_line(files, tmp_path, flat)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, *a, **k: calls.append(1) or loads(text))
+    with pytest.raises(ValueError, match=f"^line {line_count}: "):
+        load_dataset(path)
+    assert len(calls) == line_count
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_a_faulty_file_builds_its_faulty_record_only(files, tmp_path, monkeypatch, flat):
+    """Under a counting form of the guard, the fault is worded by the last
+    record's own objects: its steps before the fault, plus the step that
+    fails, and no other record's."""
+    path, _, steps = faulty_last_line(files, tmp_path, flat)
+    built = []
+
+    def count(init):
+        def counted(self, *args):
+            built.append(type(self).__name__)
+            return init(self, *args)
+        return counted
+
+    for cls in (Transition, Trajectory):
+        monkeypatch.setattr(cls, "__post_init__", count(cls.__post_init__))
+    with pytest.raises(ValueError, match=r"could not convert|non-negative integer"):
+        load_dataset(path)
+    # a bad reward fails float() before its step's Transition is built
+    assert built == ["Transition"] * (1 if flat else steps - 1)
 
 
 TRAIN_VARIANTS = [

@@ -124,11 +124,12 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
                                      ensemble_size=16, target_sync_period=10,
                                      total_steps=300, seed=seed)
                 runs[f"{scenario}/{sampler}-uniform-{kind}/K16/seed{seed}"] = (scenario, config)
-    for metric in ("lower_mean_unc", "higher_uqm_unc"):
+    # K = 16 uncertainty runs pin the pairwise member sums of uncertainty_values
+    for metric, k in (("lower_mean_unc", 5), ("higher_uqm_unc", 5), ("lower_mean_unc", 16)):
         for seed in (0, 1):
-            config = TrainConfig(sampler="prio_traj", metric=metric, ensemble_size=5,
+            config = TrainConfig(sampler="prio_traj", metric=metric, ensemble_size=k,
                                  batch_size=8, total_steps=200, seed=seed)
-            runs[f"chain-40/prio_traj-{metric}/B8/K5/seed{seed}"] = ("chain-40", config)
+            runs[f"chain-40/prio_traj-{metric}/B8/K{k}/seed{seed}"] = ("chain-40", config)
     config = TrainConfig(sampler="uni_state", ensemble_size=5, batch_size=32,
                          total_steps=300, seed=0)
     runs["chain-1000x10/uni_state/B32/K5/seed0"] = ("chain-1000x10", config)
@@ -216,6 +217,10 @@ GOLDENS = {
         "1125d6e64fd5d65165ea9d39d4bbafe69e02b822d34fad02c81eb8ba197b0dde",
     "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed1":
         "156d6db777f21cf7d18a81986a51eb1856d31189f619f6c5bc88f76c4570b89e",
+    "chain-40/prio_traj-lower_mean_unc/B8/K16/seed0":
+        "7e22f3f695085562d7553ec7fd992b55e78fd0585ec019e166cca7cb8382885a",
+    "chain-40/prio_traj-lower_mean_unc/B8/K16/seed1":
+        "52eb3aa69bf06abb02ee4bb5a50aeff508c085a29ed122002c006dd32af8708e",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed0":
         "74cd05ed978dc32dc5cccfa7d1208f2799ddd4e505a6c9d503700ed40dc82293",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed1":
@@ -509,6 +514,10 @@ TABLE_GOLDENS = {
         "bf31ac8d3aae7a79b7e679f9f3f06eb9797b7771933bc5d0db29d1686e12715d",
     "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed1":
         "d8dbd9097813e343a444676b613654f3f90f425d025d406c17bddfd50bb5f7b6",
+    "chain-40/prio_traj-lower_mean_unc/B8/K16/seed0":
+        "5ea27c16e663700191a0bb1d641cab07ea8eb6f2df464d891cfe5d02a3569d22",
+    "chain-40/prio_traj-lower_mean_unc/B8/K16/seed1":
+        "1aea28c03234ca0b9638b2407457b1904b86e50b43deb4fdeb0bb5442278341e",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed0":
         "a086662c15f70bab05e1dd8acbb4ee261b17ee8808001703c78558bc3222dd6d",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed1":

@@ -85,21 +85,18 @@ def test_uncertainty_values():
     assert uncertainty_at(ens2, 0, 0) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 32])
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 32, 33])
 def test_uncertainty_values_match_member_std_per_pair(k):
+    """A pair's value has the bits of its members' own ``.std()``, whether it
+    is gathered alone or among 500 pairs, below and from 8 members on."""
     ens = EnsembleQ(40, 3, ensemble_size=k, rng=np.random.default_rng(16))
     ens.tables *= np.random.default_rng(k).uniform(-50.0, 50.0, size=ens.tables.shape)
-    states, actions = np.array([3, 0, 3, 1]), np.array([2, 1, 0, 1])
-    values = ens.uncertainty_values(states, actions)
-    if k < 8:
-        # From 8 members on, a column's own std sums pairwise, while the
-        # gathered block sums its rows in order; the two differ in the last bit.
-        for v, s, a in zip(values, states, actions):
-            assert v == ens.tables[:, s, a].std()
     rng = np.random.default_rng(k + 1)
     states, actions = rng.integers(0, 40, 500), rng.integers(0, 3, 500)
-    want = ens.tables.reshape(k, -1).take(states * 3 + actions, axis=1).std(axis=0)
-    assert ens.uncertainty_values(states, actions).tobytes() == want.tobytes()
+    batched = ens.uncertainty_values(states, actions)
+    alone = [uncertainty_at(ens, s, a) for s, a in zip(states, actions)]
+    want = [ens.tables[:, s, a].std() for s, a in zip(states, actions)]
+    assert batched.tolist() == alone == want
 
 
 def test_uncertainty_translation_invariant():
@@ -417,9 +414,10 @@ def test_oracle_is_bellman_fixed_point():
         gamma = ds.discount
         values = value_iteration_oracle(ds, tol=1e-12)
         best = {}
-        for _, _, tr in ds.iter_transitions():
-            backup = tr.reward + (0.0 if tr.terminal else gamma * values[tr.next_state])
-            best[tr.state] = max(best.get(tr.state, -np.inf), backup)
+        for s, r, s2, done in zip(ds.states.tolist(), ds.rewards.tolist(),
+                                  ds.next_states.tolist(), ds.terminal.tolist()):
+            backup = r + (0.0 if done else gamma * values[s2])
+            best[s] = max(best.get(s, -np.inf), backup)
         for s, v in best.items():
             assert values[s] == pytest.approx(v, abs=1e-9)
 
@@ -497,7 +495,7 @@ def test_train_batch_size_larger_than_n_rejected():
 
 def test_train_sarsa_never_bootstraps_outside_dataset_actions():
     ds = make_random_chain(4, 2, 6, np.random.default_rng(14), terminal_prob=1.0)
-    seen_pairs = {(tr.state, tr.action) for _, _, tr in ds.iter_transitions()}
+    seen_pairs = set(zip(ds.states.tolist(), ds.actions.tolist()))
     config = TrainConfig(sampler="uni_traj", target=TargetKind("sarsa"),
                          total_steps=300, ensemble_size=2, seed=1)
     result = train(ds, config)

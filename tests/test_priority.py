@@ -14,7 +14,6 @@ from trajreplay.priority import (
     PrioritizedSelector,
     PriorityTable,
     build_priority_table,
-    quality_priority,
     rank_distribution,
     rank_order,
 )
@@ -44,6 +43,11 @@ def one_trajectory_dataset(traj):
     return OfflineDataset((traj,), state_count=traj.length + 1, action_count=1)
 
 
+def quality_value(traj, kind):
+    """The trajectory's quality priority as build_priority_table computes it."""
+    return build_priority_table(one_trajectory_dataset(traj), kind).values[0]
+
+
 def uncertainty_priority(traj, kind, source):
     """The trajectory's priority as build_priority_table computes it from ``source``."""
     table = build_priority_table(one_trajectory_dataset(traj), kind, ensemble=source)
@@ -62,26 +66,26 @@ def fresh_draws(table, candidates, rng, draws):
 
 def test_quality_metrics_worked_example():
     traj = reward_trajectory([1.0, 2.0, 3.0, 4.0])
-    assert quality_priority(traj.rewards, "return") == pytest.approx(10.0)
-    assert quality_priority(traj.rewards, "avg_reward") == pytest.approx(2.5)
-    assert quality_priority(traj.rewards, "uqm_reward") == pytest.approx(4.0)
-    assert quality_priority(traj.rewards, "uhm_reward") == pytest.approx(3.5)
-    assert quality_priority(traj.rewards, "min_reward") == pytest.approx(1.0)
-    assert quality_priority(traj.rewards, "max_reward") == pytest.approx(4.0)
+    assert quality_value(traj, "return") == pytest.approx(10.0)
+    assert quality_value(traj, "avg_reward") == pytest.approx(2.5)
+    assert quality_value(traj, "uqm_reward") == pytest.approx(4.0)
+    assert quality_value(traj, "uhm_reward") == pytest.approx(3.5)
+    assert quality_value(traj, "min_reward") == pytest.approx(1.0)
+    assert quality_value(traj, "max_reward") == pytest.approx(4.0)
 
 
 def test_quality_metrics_constant_rewards():
     traj = reward_trajectory([2.0, 2.0, 2.0])
-    assert quality_priority(traj.rewards, "return") == pytest.approx(6.0)
+    assert quality_value(traj, "return") == pytest.approx(6.0)
     for kind in ("avg_reward", "uqm_reward", "uhm_reward", "min_reward", "max_reward"):
-        assert quality_priority(traj.rewards, kind) == pytest.approx(2.0)
+        assert quality_value(traj, kind) == pytest.approx(2.0)
 
 
 def test_quality_metrics_length_one():
     traj = reward_trajectory([3.5])
-    assert quality_priority(traj.rewards, "return") == pytest.approx(3.5)
+    assert quality_value(traj, "return") == pytest.approx(3.5)
     for kind in QUALITY_KINDS:
-        assert quality_priority(traj.rewards, kind) == pytest.approx(3.5)
+        assert quality_value(traj, kind) == pytest.approx(3.5)
 
 
 def test_uncertainty_metrics_worked_example():
@@ -123,7 +127,7 @@ def test_quality_order_chain_min_avg_uhm_uqm_max():
     rng = np.random.default_rng(1)
     for _ in range(200):
         traj = reward_trajectory(list(rng.uniform(-5, 5, int(rng.integers(1, 20)))))
-        values = {k: quality_priority(traj.rewards, k) for k in QUALITY_KINDS}
+        values = {k: quality_value(traj, k) for k in QUALITY_KINDS}
         assert (
             values["min_reward"]
             <= values["avg_reward"]

@@ -30,7 +30,6 @@ from trajreplay.priority import (
     PrioritizedSelector,
     PriorityTable,
     build_priority_table,
-    quality_priority,
     rank_order,
     top_fraction_count,
     uncertainty_priorities,
@@ -125,13 +124,13 @@ def test_grouped_metrics_match_each_trajectory_bit_for_bit(case):
                 for j in range(n)]
         table = build_priority_table(ds, kind).values
         assert bits([table[j] for j in range(n)]) == bits(want), kind
+        # the one-trajectory case of the same build
         one = ids[0]
-        rewards = ds.rewards[offsets[one]:offsets[one + 1]].tolist()
-        assert bits([quality_priority(rewards, kind)]) == bits([want[one]]), kind
+        alone = OfflineDataset((ds.trajectories[one],), ds.state_count, ds.action_count)
+        assert bits([build_priority_table(alone, kind).values[0]]) == bits([want[one]]), kind
     for kind in UNCERTAINTY_KINDS:
         for some in (list(range(n)), ids):
             # one gather of the ids' pairs, in id order, as the scorer makes it
-            # (from 8 members a one-pair gather sums them in another order)
             pairs = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in some])
             values = ensemble.uncertainty_values(ds.states[pairs], ds.actions[pairs])
             edges = np.cumsum([0] + [offsets[j + 1] - offsets[j] for j in some]).tolist()

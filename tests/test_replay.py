@@ -6,13 +6,13 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from trajreplay.learner import TrainConfig
 from trajreplay.replay import (
     PerTransitionSampler,
     SumTree,
     TrajectoryReplay,
     UniformSelector,
     UniformTransitionSampler,
-    per_priority,
 )
 from trajreplay.scenarios import make_random_chain
 
@@ -132,7 +132,7 @@ def test_exactly_once_per_epoch_randomized():
         emitted = Counter(
             (tid, t) for tid, indices in passes.items() for t in indices
         )
-        expected = Counter((tid, t) for tid, t, _ in ds.iter_transitions())
+        expected = Counter(ds.position(i) for i in range(ds.total_transitions))
         assert emitted == expected
         for tid, indices in passes.items():
             length = ds.trajectories[tid].length
@@ -184,10 +184,14 @@ def test_uniform_sample_frequencies_binomial():
 
 
 def test_per_priority_floor():
-    assert per_priority(0.0, 0.01) == 0.01
-    assert per_priority(-2.5, 0.01) == pytest.approx(2.51)
+    """A written priority is |TD error| + epsilon (alpha 1), so a zero error
+    keeps the floor; epsilon must be positive."""
+    sampler = PerTransitionSampler(chain_dataset([2]), alpha=1.0, epsilon=0.01)
+    sampler.update_priorities([0, 1], [0.0, -2.5])
+    assert sampler.tree.leaf_value(0) == 0.01
+    assert sampler.tree.leaf_value(1) == pytest.approx(2.51)
     with pytest.raises(ValueError, match="epsilon"):
-        per_priority(1.0, 0.0)
+        PerTransitionSampler(chain_dataset([2]), epsilon=0.0)
 
 
 def test_per_sampler_rejects_negative_alpha():
@@ -207,7 +211,7 @@ def test_per_sampler_rejects_a_non_finite_alpha_or_epsilon(alpha, epsilon, messa
         PerTransitionSampler(chain_dataset([2]), alpha=alpha, epsilon=epsilon)
     if alpha == 1.0:
         with pytest.raises(ValueError, match=message):
-            per_priority(0.5, epsilon)
+            TrainConfig(sampler="prio_state", epsilon=epsilon)
 
 
 def test_per_equal_priorities_sample_uniformly():
