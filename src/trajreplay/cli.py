@@ -318,10 +318,10 @@ def cmd_analyze(args) -> int:
             columns.append(["unavailable"] * n)
             continue
         table = build_priority_table(dataset, metric, ensemble=ensemble)
-        order = rank_order(table, range(n))
-        ranks = {tid: rank for rank, tid in enumerate(order, start=1)}
-        columns.append([_fmt(table.values[j]) for j in range(n)])
-        columns.append([str(ranks[j]) for j in range(n)])
+        ranks = np.empty(n, dtype=np.intp)
+        ranks[rank_order(table, range(n))] = np.arange(1, n + 1)
+        columns.append(list(map(_fmt, table.values.tolist())))
+        columns.append(list(map(str, ranks.tolist())))
 
     lines = [",".join(header)]
     offsets = dataset.offsets

@@ -103,10 +103,6 @@ class Trajectory:
     def length(self) -> int:
         return len(self.transitions)
 
-    @property
-    def rewards(self) -> tuple[float, ...]:
-        return tuple(tr.reward for tr in self.transitions)
-
 
 # The per-step and per-trajectory columns, in constructor order.
 _COLUMNS = ("states", "actions", "rewards", "next_states", "terminal", "timeout")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add
 from typing import Protocol, Sequence
@@ -128,15 +128,15 @@ def uncertainty_priorities(
     kind: str,
     source: UncertaintySource,
     trajectory_ids: Sequence[int],
-) -> dict[int, float]:
-    """The given trajectories' uncertainty priorities, their pairs gathered in
-    blocks of ``UNCERTAINTY_BLOCK``; the one path from uncertainty to priority.
-    An empty id list gives an empty dict."""
+) -> np.ndarray:
+    """The given trajectories' uncertainty priorities, in the ids' order, their
+    pairs gathered in blocks of ``UNCERTAINTY_BLOCK``; the one path from
+    uncertainty to priority.  An empty id list gives an empty array."""
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"{kind!r} is not an uncertainty metric kind")
     n = len(trajectory_ids)
     if n == 0:
-        return {}
+        return np.empty(0)
     at = dataset.offsets.__getitem__
     starts = np.fromiter(map(at, trajectory_ids), np.intp, n)
     lengths = np.fromiter(map(at, map(add, trajectory_ids, repeat(1))), np.intp, n) - starts
@@ -150,14 +150,15 @@ def uncertainty_priorities(
     # fmin skips NaN, so this is any(values < 0) in one ufunc call
     if np.fmin.reduce(values) < 0:
         raise ValueError("uncertainty values must be non-negative")
-    return dict(zip(trajectory_ids, _summaries(values, bounds, lengths, kind).tolist()))
+    return _summaries(values, bounds, lengths, kind)
 
 
-@dataclass
+@dataclass(eq=False)
 class PriorityTable:
-    """Per-trajectory priority values plus the rank-exponent alpha."""
+    """Trajectory j's priority at ``values[j]`` (a 1-D float array) plus the
+    rank-exponent alpha."""
 
-    values: dict[int, float] = field(default_factory=dict)
+    values: np.ndarray
     alpha: float = 1.0
     kind: str = UNIFORM_KIND
 
@@ -165,9 +166,11 @@ class PriorityTable:
         check_alpha(self.alpha)
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        for j, value in self.values.items():
-            if not math.isfinite(value):
-                raise ValueError(f"priority for trajectory {j} is not finite: {value}")
+        self.values = np.asarray(self.values, dtype=float)
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"priority for trajectory {j} is not finite: {self.values[j]}")
 
 
 def build_priority_table(
@@ -184,11 +187,10 @@ def build_priority_table(
             raise ValueError(f"metric {kind!r} requires an ensemble's uncertainty values")
         values = uncertainty_priorities(dataset, kind, ensemble, range(dataset.n_trajectories))
     elif kind == UNIFORM_KIND:
-        values = dict.fromkeys(range(dataset.n_trajectories), 1.0)
+        values = np.ones(dataset.n_trajectories)
     elif kind in QUALITY_KINDS:
         offsets = np.asarray(dataset.offsets, dtype=np.intp)
-        summaries = _summaries(dataset.rewards, offsets[:-1], np.diff(offsets), kind)
-        values = dict(enumerate(summaries.tolist()))
+        values = _summaries(dataset.rewards, offsets[:-1], np.diff(offsets), kind)
     else:
         raise ValueError(f"unknown metric kind {kind!r}")
     return PriorityTable(values=values, alpha=alpha, kind=kind)
@@ -198,11 +200,12 @@ def rank_order(table: PriorityTable, candidates: Sequence[int]) -> list[int]:
     """Candidates sorted best rank first: priority descending, ties by id."""
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
-    values = table.values
-    try:
-        return sorted(candidates, key=lambda j: (-values[j], j))
-    except KeyError as exc:
-        raise ValueError(f"trajectory id {exc.args[0]} missing from priority table") from exc
+    ids = np.asarray(candidates, dtype=np.intp)
+    outside = (ids < 0) | (ids >= len(table.values))
+    if outside.any():
+        j = ids[outside.argmax()]
+        raise ValueError(f"trajectory id {j} missing from priority table")
+    return ids[np.lexsort((ids, -table.values[ids]))].tolist()
 
 
 def rank_distribution(
@@ -230,16 +233,16 @@ class PrioritizedSelector:
     is :class:`~trajreplay.replay.UniformSelector`'s job, so a uniform-kind
     table is rejected.  Owned by a single replay machine.
 
-    Table values change only through :meth:`notify_complete`, so every table
-    id is ranked once per table version: on first use and again after each
-    refresh, with one ``np.lexsort`` (the order of :func:`rank_order`).  When
-    the machine rebuilds its available pool (the length check detects it), the
-    pool's order is that ranking filtered by membership, kept worst first.
-    Until the next rebuild the pool only shrinks by the ids this selector
-    returns, so a draw of rank k pops k places from the end.  With an
-    ``ensemble`` and an uncertainty table, the trajectories a batch completes
-    are re-scored from the ensemble in one :func:`uncertainty_priorities` call
-    (dynamic uncertainty metrics).
+    Table values change only through :meth:`notify_complete`, which writes
+    the re-scored ids' places in ``table.values``, so every table id is ranked
+    once per table version by :func:`rank_order`: on first use and again after
+    each refresh.  When the machine rebuilds its available pool (the length
+    check detects it), the pool's order is that ranking filtered by
+    membership, kept worst first.  Until the next rebuild the pool only
+    shrinks by the ids this selector returns, so a draw of rank k pops k
+    places from the end.  With an ``ensemble`` and an uncertainty table, the
+    trajectories a batch completes are re-scored from the ensemble in one
+    :func:`uncertainty_priorities` call (dynamic uncertainty metrics).
     """
 
     def __init__(
@@ -269,10 +272,7 @@ class PrioritizedSelector:
 
     def _rank_pool(self, candidates: Sequence[int]) -> list[int]:
         if self._ranking is None:
-            values = self.table.values
-            ids = np.fromiter(values, np.intp, len(values))
-            priorities = np.fromiter(values.values(), float, len(values))
-            self._ranking = ids[np.lexsort((ids, -priorities))[::-1]].tolist()
+            self._ranking = rank_order(self.table, range(len(self.table.values)))[::-1]
         members = set(candidates)
         pool = [j for j in self._ranking if j in members]
         if len(pool) != len(candidates):
@@ -281,12 +281,11 @@ class PrioritizedSelector:
 
     def notify_complete(self, trajectory_ids: Sequence[int]) -> None:
         if self._ensemble is not None and len(trajectory_ids):
+            n = len(self.table.values)
             for j in trajectory_ids:
-                if j not in self.table.values:
+                if not 0 <= j < n:
                     raise ValueError(f"unknown trajectory id {j}")
-            self.table.values.update(
-                uncertainty_priorities(
-                    self._dataset, self.table.kind, self._ensemble, trajectory_ids
-                )
+            self.table.values[np.asarray(trajectory_ids, np.intp)] = uncertainty_priorities(
+                self._dataset, self.table.kind, self._ensemble, trajectory_ids
             )
             self._ranking = None

@@ -225,7 +225,7 @@ class SumTree:
     subtree first: in leaf order for a power-of-two capacity, rotated
     otherwise (capacity 3 visits leaves 1, 2, 0), so draws stay proportional.
     :meth:`find_prefixes` and :meth:`update_many` take a whole batch in one
-    loop; :meth:`find_prefix` and :meth:`update` are their one-element cases.
+    loop.
     """
 
     def __init__(self, capacity: int, value: float = 0.0) -> None:
@@ -250,12 +250,9 @@ class SumTree:
     def leaf_value(self, leaf: int) -> float:
         return self._nodes[self.capacity - 1 + leaf]
 
-    def update(self, leaf: int, value: float) -> None:
-        self.update_many((leaf,), (value,))
-
     def update_many(self, leaves: Sequence[int], values: Sequence[float]) -> None:
-        """Write ``values`` to ``leaves`` in batch order, each as :meth:`update`
-        would: a repeated leaf's change is taken against its earlier write.
+        """Write ``values`` to ``leaves`` in batch order, one leaf at a time: a
+        repeated leaf's change is taken against its earlier write.
 
         Every pair is checked before any is written, so a bad one writes none.
         """
@@ -275,10 +272,6 @@ class SumTree:
             while idx:
                 idx = (idx - 1) >> 1
                 nodes[idx] += change
-
-    def find_prefix(self, prefix: float) -> int:
-        """Return the leaf whose mass interval contains ``prefix``."""
-        return self.find_prefixes((prefix,))[0]
 
     def find_prefixes(self, prefixes: Sequence[float]) -> list[int]:
         """The leaf whose mass interval contains each prefix, in order."""

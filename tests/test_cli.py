@@ -597,3 +597,45 @@ def test_analyze_rejects_an_ensemble_of_another_shape(tmp_path, capsys, shape):
     assert captured.out == ""
     assert captured.err == (f"error: ensemble tables are (S, A) = {shape}, "
                             "but the dataset needs (16, 3)\n")
+
+
+# SHA-256 of `analyze`'s CSV bytes for all 13 metric kinds: the priority
+# values and ranks it writes are a contract, whatever form the table takes.
+ANALYZE_DIGESTS = {
+    "figure1-sparse": "7304358f3edc2476b268dbd2a6043cb174400d2f60d79d2c29629f89a78e729c",
+    "chain-40": "20157b28da67b3dd00b7a90fcb439bd264efcb52a3d5de556b14f6274d9789e2",
+}
+
+
+def analyze_inputs(name, tmp_path):
+    """A dataset and a K = 5 ensemble for it whose members agree exactly at
+    every third state, so the uncertainty kinds have floored ties."""
+    from trajreplay.dataset import save_dataset
+    from trajreplay.learner import EnsembleQ
+    from trajreplay.scenarios import make_random_chain
+
+    if name == "figure1-sparse":
+        ds = make_figure1("sparse")
+    else:
+        ds = make_random_chain(40, 1, 12, np.random.default_rng(23), action_count=3,
+                               terminal_prob=0.5)
+    tables = np.random.default_rng(24).uniform(0.0, 1.0, (5, ds.state_count, ds.action_count))
+    tables[:, ::3] = 0.5
+    dataset_path, ensemble_path = tmp_path / "ds.jsonl", tmp_path / "ens.npz"
+    save_dataset(ds, dataset_path)
+    EnsembleQ.from_tables(tables).save(ensemble_path)
+    return dataset_path, ensemble_path
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_DIGESTS))
+def test_analyze_writes_the_pinned_bytes_for_every_metric_kind(tmp_path, name):
+    import hashlib
+
+    from trajreplay.priority import ALL_KINDS
+
+    assert len(ALL_KINDS) == 13
+    dataset_path, ensemble_path = analyze_inputs(name, tmp_path)
+    out = tmp_path / "all.csv"
+    assert main(["analyze", "--dataset", str(dataset_path), "--metrics", ",".join(ALL_KINDS),
+                 "--ensemble", str(ensemble_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ANALYZE_DIGESTS[name]

@@ -60,7 +60,7 @@ def within_3_sigma(count, n, p):
 
 def fresh_draws(table, candidates, rng, draws):
     """Ids drawn one at a time, each by a new selector over the whole pool."""
-    ds = make_random_chain(max(table.values) + 1, 1, 2, np.random.default_rng(0))
+    ds = make_random_chain(len(table.values), 1, 2, np.random.default_rng(0))
     return Counter(PrioritizedSelector(table, ds).select(candidates, rng) for _ in range(draws))
 
 
@@ -138,7 +138,7 @@ def test_quality_order_chain_min_avg_uhm_uqm_max():
 
 
 def test_rank_distribution_worked_example():
-    table = PriorityTable({0: 3.0, 1: 1.0, 2: 2.0}, alpha=1.0, kind="return")
+    table = PriorityTable(np.array([3.0, 1.0, 2.0]), alpha=1.0, kind="return")
     assert rank_order(table, [0, 1, 2]) == [0, 2, 1]
     dist = rank_distribution(table, [0, 1, 2])
     assert dist[0] == pytest.approx(6 / 11)
@@ -150,41 +150,39 @@ def test_rank_distribution_worked_example():
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
 def test_priority_table_rejects_an_alpha_that_is_not_finite_and_non_negative(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
-        PriorityTable({0: 1.0}, alpha=alpha, kind="return")
+        PriorityTable(np.array([1.0]), alpha=alpha, kind="return")
 
 
 def test_rank_distribution_alpha_zero_is_uniform():
-    table = PriorityTable({0: 9.0, 1: 1.0, 2: 4.0}, alpha=0.0, kind="return")
+    table = PriorityTable(np.array([9.0, 1.0, 4.0]), alpha=0.0, kind="return")
     dist = rank_distribution(table, [0, 1, 2])
     for p in dist.values():
         assert p == pytest.approx(1 / 3)
 
 
 def test_rank_distribution_single_candidate():
-    table = PriorityTable({5: 1.0}, alpha=1.0, kind="return")
+    table = PriorityTable(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), alpha=1.0, kind="return")
     assert rank_distribution(table, [5]) == {5: 1.0}
 
 
 def test_rank_distribution_empty_candidates_rejected():
-    table = PriorityTable({0: 1.0}, alpha=1.0, kind="return")
+    table = PriorityTable(np.array([1.0]), alpha=1.0, kind="return")
     with pytest.raises(ValueError, match="empty"):
         rank_distribution(table, [])
 
 
 def test_rank_distribution_ties_break_by_ascending_id():
-    table = PriorityTable({0: 4.0, 1: 8.0, 2: 4.0}, alpha=1.0, kind="return")
+    table = PriorityTable(np.array([4.0, 8.0, 4.0]), alpha=1.0, kind="return")
     assert rank_order(table, [0, 1, 2]) == [1, 0, 2]
 
 
 def test_rank_invariance_under_monotone_rescaling():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        values = {j: float(v) for j, v in enumerate(rng.uniform(0.1, 10, 6))}
-        table = PriorityTable(dict(values), alpha=float(rng.uniform(0, 3)), kind="return")
+        values = rng.uniform(0.1, 10, 6)
+        table = PriorityTable(values.copy(), alpha=float(rng.uniform(0, 3)), kind="return")
         scale = float(rng.uniform(0.01, 100))
-        scaled = PriorityTable(
-            {j: v * scale for j, v in values.items()}, alpha=table.alpha, kind="return"
-        )
+        scaled = PriorityTable(values * scale, alpha=table.alpha, kind="return")
         candidates = [0, 1, 2, 3, 4, 5]
         base = rank_distribution(table, candidates)
         assert rank_distribution(scaled, candidates) == pytest.approx(base)
@@ -193,14 +191,14 @@ def test_rank_invariance_under_monotone_rescaling():
 def test_rank_distribution_sums_to_one_for_alpha_grid():
     rng = np.random.default_rng(3)
     for alpha in (0.0, 0.3, 1.0, 2.7):
-        values = {j: float(v) for j, v in enumerate(rng.uniform(0, 5, 9))}
-        dist = rank_distribution(PriorityTable(values, alpha=alpha, kind="return"), list(values))
+        values = rng.uniform(0, 5, 9)
+        dist = rank_distribution(PriorityTable(values, alpha=alpha, kind="return"), range(9))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0 for p in dist.values())
 
 
 def test_selector_frequencies_match_distribution():
-    table = PriorityTable({0: 2.0, 1: 1.0}, alpha=1.0, kind="return")
+    table = PriorityTable(np.array([2.0, 1.0]), alpha=1.0, kind="return")
     rng = np.random.default_rng(4)
     draws = 100_000
     counts = fresh_draws(table, [0, 1], rng, draws)
@@ -211,7 +209,7 @@ def test_selector_frequencies_match_distribution():
 def test_uniform_kind_draws_through_uniform_selector():
     ds = make_random_chain(3, 1, 4, np.random.default_rng(5))
     table = build_priority_table(ds, "uniform")
-    assert table.values == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert table.values.tolist() == [1.0, 1.0, 1.0]
     assert rank_distribution(table, [0, 1, 2]) == {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
     rng = np.random.default_rng(5)
     draws = 60_000
@@ -228,10 +226,9 @@ def test_prioritized_selector_rejects_uniform_table():
 
 def test_shrinking_candidates_renormalize():
     rng = np.random.default_rng(6)
-    values = {j: float(v) for j, v in enumerate(rng.uniform(0, 5, 6))}
-    table = PriorityTable(values, alpha=1.0, kind="return")
+    table = PriorityTable(rng.uniform(0, 5, 6), alpha=1.0, kind="return")
     selector = PrioritizedSelector(table, make_random_chain(6, 1, 2, rng))
-    candidates = list(values)
+    candidates = list(range(6))
     while candidates:
         dist = rank_distribution(table, candidates)
         assert set(dist) == set(candidates)
@@ -260,14 +257,14 @@ def test_refresh_halved_uncertainty_doubles_lower_mean():
 
 def test_refresh_noop_for_quality_tables():
     traj = reward_trajectory([1.0, 5.0])
-    table = PriorityTable({0: 6.0}, alpha=1.0, kind="return")
+    table = PriorityTable(np.array([6.0]), alpha=1.0, kind="return")
     PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([9.9, 9.9])).notify_complete([0])
     assert table.values[0] == 6.0
 
 
 def test_refresh_unknown_id_rejected():
     traj = reward_trajectory([1.0])
-    table = PriorityTable({0: 1.0}, alpha=1.0, kind="lower_mean_unc")
+    table = PriorityTable(np.array([1.0]), alpha=1.0, kind="lower_mean_unc")
     selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.5]))
     with pytest.raises(ValueError, match="unknown trajectory id 3"):
         selector.notify_complete([3])
@@ -276,28 +273,28 @@ def test_refresh_unknown_id_rejected():
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_refresh_unknown_id_anywhere_leaves_table_unchanged(position):
     ds = make_random_chain(3, 2, 4, np.random.default_rng(4), action_count=1)
-    table = PriorityTable({0: 1.0, 1: 2.0, 2: 3.0}, alpha=1.0, kind="lower_mean_unc")
+    table = PriorityTable(np.array([1.0, 2.0, 3.0]), alpha=1.0, kind="lower_mean_unc")
     selector = PrioritizedSelector(table, ds, PairValues([0.5] * ds.state_count))
     ids = [0, 1, 2]
     ids.insert(position, 7)
     with pytest.raises(ValueError, match="unknown trajectory id 7"):
         selector.notify_complete(ids)
-    assert table.values == {0: 1.0, 1: 2.0, 2: 3.0}
+    assert table.values.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_scoring_no_trajectories_gives_an_empty_dict():
+def test_scoring_no_trajectories_gives_an_empty_array():
     ds = one_trajectory_dataset(reward_trajectory([0.0] * 3))
     u = PairValues([0.1, 0.2, 0.3])
     for kind in priority.UNCERTAINTY_KINDS:
-        assert priority.uncertainty_priorities(ds, kind, u, []) == {}
+        assert priority.uncertainty_priorities(ds, kind, u, []).shape == (0,)
 
 
 def test_an_empty_completion_list_leaves_the_table_as_it_is():
     ds = one_trajectory_dataset(reward_trajectory([0.0] * 3))
-    table = PriorityTable({0: 2.0}, alpha=1.0, kind="lower_mean_unc")
+    table = PriorityTable(np.array([2.0]), alpha=1.0, kind="lower_mean_unc")
     selector = PrioritizedSelector(table, ds, PairValues([0.1, 0.2, 0.3]))
     selector.notify_complete([])
-    assert table.values == {0: 2.0}
+    assert table.values.tolist() == [2.0]
     assert selector.select([0], np.random.default_rng(0)) == 0
 
 
@@ -311,11 +308,11 @@ def test_negative_uncertainty_values_rejected():
     traj = reward_trajectory([0.0] * 3)
     with pytest.raises(ValueError, match="non-negative"):
         uncertainty_priority(traj, "lower_mean_unc", PairValues([0.1, -0.2, 0.3]))
-    table = PriorityTable({0: 1.0}, alpha=1.0, kind="higher_uqm_unc")
+    table = PriorityTable(np.array([1.0]), alpha=1.0, kind="higher_uqm_unc")
     selector = PrioritizedSelector(table, one_trajectory_dataset(traj), PairValues([0.1, -0.2, 0.3]))
     with pytest.raises(ValueError, match="non-negative"):
         selector.notify_complete([0])
-    assert table.values == {0: 1.0}
+    assert table.values.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("block", [7, 1 << 14])
@@ -332,7 +329,7 @@ def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
             return tables[:, states, actions].std(axis=0)
 
     def refreshed(kind, batches):
-        table = PriorityTable({j: 0.0 for j in range(ds.n_trajectories)}, alpha=1.0, kind=kind)
+        table = PriorityTable(np.zeros(ds.n_trajectories), alpha=1.0, kind=kind)
         selector = PrioritizedSelector(table, ds, Members())
         for ids in batches:
             selector.notify_complete(ids)
@@ -343,9 +340,9 @@ def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
         ids = rng.permutation(ds.n_trajectories).tolist()
         cuts = sorted(rng.choice(np.arange(1, len(ids)), size=5, replace=False).tolist())
         sub_batches = [ids[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(ids)])]
-        assert refreshed(kind, [ids]) == bulk
-        assert refreshed(kind, sub_batches) == bulk
-        assert refreshed(kind, [[j] for j in range(ds.n_trajectories)]) == bulk
+        assert refreshed(kind, [ids]).tobytes() == bulk.tobytes()
+        assert refreshed(kind, sub_batches).tobytes() == bulk.tobytes()
+        assert refreshed(kind, [[j] for j in range(ds.n_trajectories)]).tobytes() == bulk.tobytes()
         for j, traj in enumerate(ds.trajectories):
             states = np.array([tr.state for tr in traj.transitions])
             actions = np.array([tr.action for tr in traj.transitions])
@@ -357,8 +354,8 @@ def test_table_build_matches_per_trajectory_refresh(block, monkeypatch):
 def test_build_priority_table_covers_every_trajectory():
     ds = make_random_chain(8, 1, 6, np.random.default_rng(7))
     table = build_priority_table(ds, "uqm_reward", alpha=1.3)
-    assert set(table.values) == set(range(8))
-    assert all(math.isfinite(v) for v in table.values.values())
+    assert table.values.shape == (8,)
+    assert all(math.isfinite(v) for v in table.values)
 
 
 def test_selector_agrees_with_reference_distribution():

@@ -260,7 +260,7 @@ def test_sum_tree_root_tracks_leaf_sum():
     for _ in range(2000):
         leaf = int(rng.integers(37))
         value = float(rng.uniform(0, 10))
-        tree.update(leaf, value)
+        tree.update_many((leaf,), (value,))
         values[leaf] = value
         assert tree.total == pytest.approx(values.sum(), rel=1e-9)
 
@@ -268,13 +268,13 @@ def test_sum_tree_root_tracks_leaf_sum():
 def test_sum_tree_rejects_negative():
     tree = SumTree(4)
     with pytest.raises(ValueError, match="non-negative"):
-        tree.update(0, -1.0)
+        tree.update_many((0,), (-1.0,))
 
 
 def ones_tree(capacity):
     tree = SumTree(capacity)
     for leaf in range(capacity):
-        tree.update(leaf, 1.0)
+        tree.update_many((leaf,), (1.0,))
     return tree
 
 
@@ -282,7 +282,7 @@ def test_sum_tree_rejects_a_leaf_outside_its_range():
     tree = ones_tree(4)
     for leaf in (-1, 4):
         with pytest.raises(ValueError, match="leaf"):
-            tree.update(leaf, 5.0)
+            tree.update_many((leaf,), (5.0,))
     # -1 once wrote internal node 2 and made the root 7.0
     assert tree.total == 4.0
     assert [tree.leaf_value(leaf) for leaf in range(4)] == [1.0] * 4
@@ -292,7 +292,7 @@ def test_sum_tree_rejects_a_leaf_outside_its_range():
 def test_sum_tree_rejects_a_weight_that_is_not_finite_or_is_negative(value):
     tree = ones_tree(4)
     with pytest.raises(ValueError, match="finite and non-negative"):
-        tree.update(2, value)
+        tree.update_many((2,), (value,))
     assert tree.total == 4.0 and tree.leaf_value(2) == 1.0
     with pytest.raises(ValueError, match="finite and non-negative"):
         SumTree(4, value)
@@ -350,10 +350,10 @@ def test_sum_tree_matches_naive_categorical():
     priorities[rng.integers(n)] = 0.0  # include a zero-mass leaf
     tree = SumTree(n)
     for leaf, p in enumerate(priorities):
-        tree.update(leaf, float(p))
+        tree.update_many((leaf,), (float(p),))
     probs = priorities / priorities.sum()
     draws = 100_000
-    tree_counts = Counter(tree.find_prefix(u) for u in rng.random(draws) * tree.total)
+    tree_counts = Counter(tree.find_prefixes((u,))[0] for u in rng.random(draws) * tree.total)
     naive_counts = Counter(
         int(k) for k in rng.choice(n, size=draws, p=probs)
     )

@@ -52,9 +52,9 @@ def trees(draw, power_of_two=False):
     # a first write, then an overwrite, so updates propagate changes both ways
     first = draw(st.lists(st.integers(0, 5), min_size=capacity, max_size=capacity))
     for leaf in draw(st.permutations(range(capacity))):
-        tree.update(leaf, float(first[leaf]))
+        tree.update_many((leaf,), (float(first[leaf]),))
     for leaf in draw(st.permutations(range(capacity))):
-        tree.update(leaf, float(weights[leaf]))
+        tree.update_many((leaf,), (float(weights[leaf]),))
     total = sum(weights)
     whole = st.integers(0, total - 1).map(float)
     fractional = st.floats(0.0, total, exclude_max=True)
@@ -69,7 +69,7 @@ def test_find_prefix_is_cumsum_search_for_power_of_two_capacity(case):
     assert tree.total == weights.sum()
     cumulative = np.cumsum(weights)
     for prefix in prefixes:
-        leaf = tree.find_prefix(prefix)
+        leaf = tree.find_prefixes((prefix,))[0]
         assert leaf == np.searchsorted(cumulative, prefix, side="right")
         assert weights[leaf] > 0
 
@@ -82,7 +82,7 @@ def test_find_prefix_is_cumsum_search_in_descent_order(case):
     assert sorted(order) == list(range(tree.capacity))
     cumulative = np.cumsum(weights[order])
     for prefix in prefixes:
-        leaf = tree.find_prefix(prefix)
+        leaf = tree.find_prefixes((prefix,))[0]
         assert leaf == order[np.searchsorted(cumulative, prefix, side="right")]
         assert weights[leaf] > 0
 
@@ -165,7 +165,7 @@ def test_batched_write_equals_single_writes_node_for_node(power_of_two, data):
     for leaves, values in data.draw(write_batches(capacity)):
         batched.update_many(leaves, values)
         for leaf, value in zip(leaves, values):
-            single.update(leaf, value)
+            single.update_many((leaf,), (value,))
         assert node_hex(batched) == node_hex(single)
 
 
@@ -201,7 +201,7 @@ def test_batched_descent_equals_per_prefix_descent(power_of_two, data):
     cumulative = np.cumsum([tree.leaf_value(leaf) for leaf in order]).tolist()
     prefixes = prefixes_for(data.draw, tree.total, cumulative)
     got = tree.find_prefixes(prefixes)
-    assert got == [tree.find_prefix(p) for p in prefixes]
+    assert got == [tree.find_prefixes((p,))[0] for p in prefixes]
     assert all(0 <= leaf < capacity for leaf in got)
 
 
@@ -212,6 +212,6 @@ def test_bottom_up_build_equals_sequential_writes(value, capacity):
     built = SumTree(capacity, value)
     sequential, reference = SumTree(capacity), ArrayTree(capacity)
     for leaf in range(capacity):
-        sequential.update(leaf, value)
+        sequential.update_many((leaf,), (value,))
         reference.update(leaf, value)
     assert node_hex(built) == node_hex(sequential) == node_hex(reference)
