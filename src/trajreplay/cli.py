@@ -251,8 +251,11 @@ def _resolve_seeds(args, raw_config: dict[str, list[str]]) -> list[int]:
 
 
 def write_curve_csv(path: Path, curve: np.ndarray) -> None:
-    # the rows formatted as _fmt does, written in one call
-    rows = "".join(f"{step},{value:.9g}\n" for step, value in enumerate(curve.tolist(), 1))
+    # the rows formatted by _fmt, each distinct value once, written in one call; a
+    # value is keyed by its bits, so -0.0 keeps its own text apart from 0.0
+    keys, inverse = np.unique(curve.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(_fmt, keys.view(np.float64).tolist())), dtype=object)
+    rows = "".join(f"{step},{text}\n" for step, text in enumerate(texts[inverse].tolist(), 1))
     path.write_text("step,max_q_s0\n" + rows, encoding="utf-8", newline="\n")
 
 

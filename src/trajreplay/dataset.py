@@ -29,12 +29,11 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -325,19 +324,18 @@ def _as_bool(value, key: str, line_no: int) -> bool:
     return value
 
 
-def _iter_records(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: malformed JSON record ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"line {line_no}: record must be a JSON object")
-            yield line_no, record
+def _parse_line(line: str, line_no: int) -> dict | None:
+    """A line's record as ``json.loads(line.strip())`` reads it, None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {line_no}: malformed JSON record ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise ValueError(f"line {line_no}: record must be a JSON object")
+    return record
 
 
 def _trajectory_from_record(record: dict, line_no: int) -> Trajectory:
@@ -413,7 +411,7 @@ def _id_column(values: list) -> np.ndarray | None:
     """The ids as an intp column, or None unless each is an int (not a bool) in [0, intp max]."""
     if set(map(type, values)) == {int}:
         try:
-            column = np.array(values, dtype=np.intp)
+            column = np.fromiter(values, np.intp, len(values))
         except OverflowError:
             return None
         if np.minimum.reduce(column) >= 0:
@@ -480,53 +478,69 @@ def load_dataset(path: str | Path) -> OfflineDataset:
     ``trajectory-jsonl``, else ``state`` means ``flat-transitions``.  A count
     the header lacks is inferred from the data; the discount defaults to 0.99.
 
-    The file is read and parsed once.  Its records stream onto flat lists,
-    which a few array operations convert and check; no per-step object is
-    built.  Every line is parsed before a fault is raised, so a malformed
-    JSON line reports first.  Then the first record in file order that fails
-    its own checks: the columns locate it, and it alone is built into
-    :class:`Transition` and :class:`Trajectory` objects, whose constructors
-    word the fault.  Then a flat file's chain break, then the header's counts
-    and discount and the id bounds.  Ids above the ``intp`` range are rejected.
+    The file is read once, and each line decoded once by ``raw_decode``.  A
+    line it rejects, or with more than whitespace after the value, is read
+    as ``json.loads(line.strip())`` reads it: so are a blank line, leading
+    whitespace and a BOM, and that route words every malformed line.  The
+    records stream onto flat lists, which a few array operations convert and
+    check; no per-step object is built.  Every line is parsed before a fault
+    is raised, so a malformed JSON line reports first.  Then the first record
+    in file order that fails its own checks: the columns locate it, and it
+    alone is built into :class:`Transition` and :class:`Trajectory` objects,
+    whose constructors word the fault.  Then a flat file's chain break, then
+    the header's counts and discount and the id bounds.  Ids above the
+    ``intp`` range are rejected.
     """
     path = Path(path)
-    records = _iter_records(path)
-    header: dict = {}
-    first = next(records, None)
-    if first is not None and _is_header(first[1]):
-        header, first = first[1], next(records, None)
-    if first is None:
-        raise ValueError(f"{path}: file contains no data records")
-    flat = "states" not in first[1]
-    pick = itemgetter(*(_FLAT_KEYS if flat else _COLUMNS))
+    decode = json.JSONDecoder().raw_decode
+    header = first = pick = untaken = None
     raw = states, actions, rewards, next_states, terminal, timeout = [[] for _ in _FLAT_KEYS]
     ends: list[int] = []
     lines = array("q")  # each taken record's line number; not int objects, one per step
-    untaken = None
-    for line_no, record in chain((first,), records):
-        try:
-            s, a, r, ns, te, ti = row = pick(record)
-        except KeyError:
-            row = None
-        if row is None or not (flat or (type(s) is type(a) is type(r) is type(ns) is list
-                                        and len(s) == len(a) == len(r) == len(ns) > 0)):
-            untaken = line_no, record
-            deque(records, maxlen=0)  # every line is parsed before a fault is raised
-            break
-        if flat:
-            states.append(s)
-            actions.append(a)
-            rewards.append(r)
-            next_states.append(ns)
-        else:
-            states += s
-            actions += a
-            rewards += r
-            next_states += ns
-            ends.append(len(states))
-        terminal.append(te)
-        timeout.append(ti)
-        lines.append(line_no)
+    with path.open("r", encoding="utf-8") as fh:
+        numbered = enumerate(fh, start=1)
+        for line_no, line in numbered:
+            try:
+                record, end = decode(line)
+            except json.JSONDecodeError:
+                record = None
+            if type(record) is not dict or not (line[end:].isspace() or end == len(line)):
+                record = _parse_line(line, line_no)  # words a fault as json.loads does
+                if record is None:
+                    continue
+            if pick is None:  # the header, or the first data record, which sets the format
+                if header is None and _is_header(record):
+                    header = record
+                    continue
+                first = line_no, record
+                flat = "states" not in record
+                pick = itemgetter(*(_FLAT_KEYS if flat else _COLUMNS))
+            try:
+                s, a, r, ns, te, ti = row = pick(record)
+            except KeyError:
+                row = None
+            if row is None or not (flat or (type(s) is type(a) is type(r) is type(ns) is list
+                                            and len(s) == len(a) == len(r) == len(ns) > 0)):
+                untaken = line_no, record
+                for line_no, line in numbered:  # every line is parsed before a fault is raised
+                    _parse_line(line, line_no)
+                break
+            if flat:
+                states.append(s)
+                actions.append(a)
+                rewards.append(r)
+                next_states.append(ns)
+            else:
+                states += s
+                actions += a
+                rewards += r
+                next_states += ns
+                ends.append(len(states))
+            terminal.append(te)
+            timeout.append(ti)
+            lines.append(line_no)
+    if first is None:
+        raise ValueError(f"{path}: file contains no data records")
     if flat and "state" not in first[1]:
         raise ValueError(f"line {first[0]}: cannot detect record format")
     bounds = range(len(lines) + 1) if flat else [0, *ends]
@@ -556,7 +570,7 @@ def load_dataset(path: str | Path) -> OfflineDataset:
     if broken:
         i = int(breaks.argmax()) + 1
         raise _chain_break(i, next_states.item(i - 1), states.item(i))
-    return _dataset(header, states, actions, rewards, next_states, terminal, timeout,
+    return _dataset(header or {}, states, actions, rewards, next_states, terminal, timeout,
                     (0, *ends.tolist()))
 
 

@@ -200,12 +200,16 @@ def test_sweep_holds_an_earlier_runs_ensemble_only_to_save_it(tmp_path, monkeypa
 
 
 def test_curve_csv_bytes_match_a_row_by_row_writer(tmp_path):
-    curve = np.array([-0.0, 1e-10, 8 * 0.99**5, 1e17])
+    """Repeated values, both zeros in either order and a NaN each keep their
+    own text, although equal floats (0.0 and -0.0) share one dict key."""
+    curve = np.array([-0.0, 1e-10, 8 * 0.99**5, 1e17, 0.0, -0.0, 8 * 0.99**5, np.nan, 0.0,
+                      np.nan, -0.0, 1e-10])
     path = tmp_path / "curve.csv"
     write_curve_csv(path, curve)
     rows = "".join(f"{step},{format(value, '.9g')}\n" for step, value in enumerate(curve, 1))
     assert path.read_bytes() == ("step,max_q_s0\n" + rows).encode()
-    assert path.read_bytes() == b"step,max_q_s0\n1,-0\n2,1e-10\n3,7.6079204\n4,1e+17\n"
+    assert path.read_bytes() == (b"step,max_q_s0\n1,-0\n2,1e-10\n3,7.6079204\n4,1e+17\n"
+                                 b"5,0\n6,-0\n7,7.6079204\n8,nan\n9,0\n10,nan\n11,-0\n12,1e-10\n")
 
 
 def test_variant_label_includes_target_and_beta():

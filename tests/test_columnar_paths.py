@@ -159,10 +159,12 @@ def faulty_last_line(files, tmp_path, flat):
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_a_faulty_file_is_parsed_once(files, tmp_path, monkeypatch, flat):
+    """One decode per line; ``json.loads`` decodes through the same method."""
     path, line_count, _ = faulty_last_line(files, tmp_path, flat)
     calls = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda text, *a, **k: calls.append(1) or loads(text))
+    raw_decode = json.JSONDecoder.raw_decode
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode",
+                        lambda self, *a, **k: calls.append(1) or raw_decode(self, *a, **k))
     with pytest.raises(ValueError, match=f"^line {line_count}: "):
         load_dataset(path)
     assert len(calls) == line_count

@@ -6,12 +6,15 @@ flatten-then-split unchanged, and any chain-consistent step log survives
 split-then-flatten, except that an unflagged tail comes back flagged as a
 timeout.  A dataset's columns must equal the fields of its transitions,
 ``save_dataset`` then ``load_dataset`` must give the dataset back, and the
-loader's split of a flat file must be ``split_flat_transitions``.
+loader's split of a flat file must be ``split_flat_transitions``.  Whatever
+whitespace, stray text or non-object lines surround the records, a file must
+load as if each non-blank line were read by ``json.loads(line.strip())``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -130,3 +133,97 @@ def test_flat_file_splits_like_split_flat_transitions(tmp_path_factory, steps):
     assert loaded == want
     assert loaded.trajectories == want.trajectories
     assert_columns_are_the_transitions(loaded)
+
+
+# str.isspace characters, ASCII and not: NEL, NBSP, em space, line separator,
+# ideographic space; none of them ends a line when a file is read as text
+SPACES = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"),
+                 min_size=1, max_size=3)
+NOISE_LINES = ["[1, 2]", "3", '"state"', "null", "NaN", "-Infinity", "{", '{"state": }']
+TRAILERS = ["x", " 1", "}", ",", " {}", "\u3000]"]
+
+
+def step_record(tr, timeout):
+    return {"state": tr.state, "action": tr.action, "reward": tr.reward,
+            "next_state": tr.next_state, "terminal": tr.terminal, "timeout": timeout}
+
+
+def trajectory_record(traj):
+    steps = traj.transitions
+    return {"states": [tr.state for tr in steps], "actions": [tr.action for tr in steps],
+            "rewards": [tr.reward for tr in steps],
+            "next_states": [tr.next_state for tr in steps],
+            "terminal": steps[-1].terminal, "timeout": traj.timeout_truncated}
+
+
+@st.composite
+def messy_files(draw):
+    """The text of a valid file in either format, its lines mostly padded
+    with whitespace and blank lines, now and then given a BOM, a non-finite
+    reward, text after the record or a line that is not a JSON object."""
+    trajectories = draw(trajectory_lists())
+    if draw(st.booleans()):
+        records = [step_record(tr, t) for tr, t in flatten_trajectories(trajectories)]
+    else:
+        records = [trajectory_record(traj) for traj in trajectories]
+    if draw(st.booleans()):
+        records.insert(0, {"state_count": STATE_COUNT, "action_count": ACTION_COUNT})
+    rare = st.integers(0, 19).map(lambda k: k == 19)
+    lines = []
+    for record in records:
+        while draw(st.integers(0, 3)) == 3:
+            blank = st.one_of(st.just(""), SPACES)
+            lines.append(draw(st.sampled_from(NOISE_LINES) if draw(rare) else blank))
+        key = "reward" if "reward" in record else "rewards"
+        if key in record and draw(rare):
+            value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            record[key] = value if key == "reward" else [value] + record[key][1:]
+        text = json.dumps(record)
+        if draw(st.booleans()):
+            text = draw(SPACES) + text
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(TRAILERS) if draw(rare) else SPACES)
+        lines.append(text)
+    if draw(rare):
+        lines[0] = "\ufeff" + lines[0]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def load_or_message(path):
+    try:
+        return load_dataset(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def stripped_line_load(path):
+    """The load of ``path`` when each non-blank line is read by
+    ``json.loads(line.strip())``: that read's first fault, else the load of
+    the file rewritten with each record as ``json.dumps`` writes it."""
+    lines = []
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    return f"line {line_no}: malformed JSON record ({exc.msg})"
+                if not isinstance(record, dict):
+                    return f"line {line_no}: record must be a JSON object"
+                line = json.dumps(record)
+            lines.append(line)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return load_or_message(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_files())
+def test_a_file_loads_as_json_loads_reads_each_stripped_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("messy") / "data.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = load_or_message(path)
+    assert got == stripped_line_load(path)
