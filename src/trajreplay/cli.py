@@ -245,7 +245,7 @@ def run_experiment(spec: ExperimentSpec, dataset: OfflineDataset) -> Path:
 
 def _resolve_seeds(args, raw_config: dict[str, list[str]]) -> list[int]:
     """The seeds of ``--seeds``, else of the config's ``seed`` key, else seed 0."""
-    if args.seeds:
+    if args.seeds is not None:
         return [_read("--seeds", int, s) for s in args.seeds.split(",")]
     return [_read("seed", int, s) for s in raw_config.get("seed", ["0"])]
 

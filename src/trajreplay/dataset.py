@@ -131,6 +131,8 @@ class OfflineDataset:
     * ``rewards``: float64.
     * ``terminal``: bool; true only at the last step of a trajectory that
       ended by environment termination.
+    * ``head``: bool; true at each trajectory's last step.  It is derived
+      from ``offsets``, so it is not saved, compared or pickled.
 
     ``timeout`` is the per-trajectory bool column of timeout truncation, and
     ``offsets`` a tuple of ints.  The columns are read-only.
@@ -141,7 +143,7 @@ class OfflineDataset:
     makes a per-step object.
     """
 
-    __slots__ = (*_COLUMNS, "offsets", "state_count", "action_count", "discount",
+    __slots__ = (*_COLUMNS, "head", "offsets", "state_count", "action_count", "discount",
                  "_trajectories")
 
     def __init__(
@@ -180,11 +182,14 @@ class OfflineDataset:
 
     def _adopt(self, states, actions, rewards, next_states, terminal, timeout, offsets,
                state_count, action_count, discount) -> None:
-        """Take the columns and counts, then check the discount and the id bounds."""
+        """Take the columns and counts, mark each trajectory's last step as its
+        head, then check the discount and the id bounds."""
         if not 0.0 < discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {discount}")
-        columns = (states, actions, rewards, next_states, terminal, timeout)
-        for name, column in zip(_COLUMNS, columns):
+        head = np.zeros(len(states), dtype=bool)
+        head[np.array(offsets[1:], dtype=np.intp) - 1] = True
+        columns = (states, actions, rewards, next_states, terminal, timeout, head)
+        for name, column in zip((*_COLUMNS, "head"), columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "offsets", offsets)

@@ -402,7 +402,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
             batch = draw()
             i = batch.index[0]
             # the one slot's previous target is its trajectory's target(t+1)
-            target = compute_target(i, batch.head[0], dataset, kind, target, q_bar, policy, gamma)
+            target = compute_target(i, dataset, kind, target, q_bar, policy, gamma)
             s = state_column.item(i)
             td_errors = ensemble.update((s,), (action_column.item(i),), (target,))
             if per_sampler is not None:
@@ -419,7 +419,7 @@ def train(dataset: OfflineDataset, config: TrainConfig) -> TrainResult:
             batch = draw()
             index = batch.index
             # a replay slot's previous target is its trajectory's target(t+1)
-            targets = batch_targets(index, batch.head, targets, dataset, kind, q_mean, q_bar, gamma)
+            targets = batch_targets(index, targets, dataset, kind, q_mean, q_bar, gamma)
             td_errors = ensemble.update(state_column[index], action_column[index], targets)
             if per_sampler is not None:
                 per_sampler.update_priorities(index, td_errors)

@@ -131,12 +131,17 @@ def uncertainty_priorities(
 ) -> np.ndarray:
     """The given trajectories' uncertainty priorities, in the ids' order, their
     pairs gathered in blocks of ``UNCERTAINTY_BLOCK``; the one path from
-    uncertainty to priority.  An empty id list gives an empty array."""
+    uncertainty to priority.  An empty id list gives an empty array; an id
+    outside ``[0, n_trajectories)`` raises before any value is gathered."""
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"{kind!r} is not an uncertainty metric kind")
     n = len(trajectory_ids)
     if n == 0:
         return np.empty(0)
+    count = dataset.n_trajectories
+    if min(trajectory_ids) < 0 or max(trajectory_ids) >= count:
+        j = next(j for j in trajectory_ids if not 0 <= j < count)
+        raise ValueError(f"unknown trajectory id {j}")
     at = dataset.offsets.__getitem__
     starts = np.fromiter(map(at, trajectory_ids), np.intp, n)
     lengths = np.fromiter(map(at, map(add, trajectory_ids, repeat(1))), np.intp, n) - starts
@@ -281,10 +286,6 @@ class PrioritizedSelector:
 
     def notify_complete(self, trajectory_ids: Sequence[int]) -> None:
         if self._ensemble is not None and len(trajectory_ids):
-            n = len(self.table.values)
-            for j in trajectory_ids:
-                if not 0 <= j < n:
-                    raise ValueError(f"unknown trajectory id {j}")
             self.table.values[np.asarray(trajectory_ids, np.intp)] = uncertainty_priorities(
                 self._dataset, self.table.kind, self._ensemble, trajectory_ids
             )

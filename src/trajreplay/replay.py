@@ -38,14 +38,12 @@ class BatchItem:
 
 @dataclass(slots=True, eq=False)
 class Batch:
-    """One draw: ``index[k]`` is item k's flat position and ``head[k]``
-    whether it is its trajectory's last step.  At B = 1 both are one-element
-    lists of a Python int and bool; otherwise an ``np.intp`` and a bool array.
-    Indexing or iterating builds :class:`BatchItem` views of Python ints and
-    bools, placed by ``dataset.position``."""
+    """One draw: ``index[k]`` is item k's flat position, a one-element list of
+    a Python int at B = 1 and an ``np.intp`` array otherwise.  Indexing or
+    iterating builds :class:`BatchItem` views of Python ints and bools, read
+    from ``dataset.position`` and ``dataset.head``."""
 
     index: list[int] | np.ndarray
-    head: list[bool] | np.ndarray
     dataset: OfflineDataset = field(repr=False)
 
     def __len__(self) -> int:
@@ -53,7 +51,7 @@ class Batch:
 
     def __getitem__(self, k: int) -> BatchItem:  # iteration stops at its IndexError
         i = int(self.index[k])
-        return BatchItem(*self.dataset.position(i), i, bool(self.head[k]))
+        return BatchItem(*self.dataset.position(i), i, self.dataset.head.item(i))
 
 
 class TrajectorySelector(Protocol):
@@ -89,10 +87,10 @@ class TrajectoryReplay:
     index 0; that call then passes every such id, in slot order, to one
     ``notify_complete`` call of the selector.
 
-    Each slot keeps the flat positions of its trajectory's first step, of
-    the step it emits next and of its last step.  At B = 1 they are Python
-    ints, since a one-element array costs more than the step; above, they
-    are ``np.intp`` arrays and a call is a few array operations.
+    Each slot keeps the flat positions of its trajectory's first step and of
+    the step it emits next.  At B = 1 they are Python ints, since a
+    one-element array costs more than the step; above, they are ``np.intp``
+    arrays and a call is a few array operations.
     """
 
     def __init__(
@@ -114,7 +112,7 @@ class TrajectoryReplay:
         self._epoch = 1
         self._slot_ids = [-1] * batch_size  # -1 while vacant
         positions = [0] * batch_size if batch_size == 1 else np.zeros(batch_size, np.intp)
-        self._first, self._next, self._last = (positions.copy() for _ in range(3))
+        self._first, self._next = positions, positions.copy()
         if batch_size > 1:  # each trajectory's first and last flat position
             bounds = np.asarray(dataset.offsets, dtype=np.intp)
             self._starts, self._ends = bounds[:-1], bounds[1:] - 1
@@ -159,26 +157,25 @@ class TrajectoryReplay:
         if len(self._first) == 1:
             tid = picked[0]
             self._first[0] = offsets[tid]
-            self._next[0] = self._last[0] = offsets[tid + 1] - 1
+            self._next[0] = offsets[tid + 1] - 1
         else:  # one write per position array, after every selector call
             slots, picked = np.array(self._vacant), np.array(picked)
             self._first[slots] = self._starts[picked]
-            self._next[slots] = self._last[slots] = self._ends[picked]
+            self._next[slots] = self._ends[picked]
         self._vacant = []
 
     def next_batch(self) -> Batch:
         """Emit one transition per slot at its cursor, then step cursors back."""
         if self._vacant:
             self._fill_vacant_slots()
-        first, upcoming, last = self._first, self._next, self._last
+        first, upcoming = self._first, self._next
         if len(upcoming) == 1:
             i = upcoming[0]
-            index, head = [i], [i == last[0]]
+            index = [i]
             done = [0] if i == first[0] else None
             upcoming[0] = i - 1
         else:
             index = upcoming.copy()
-            head = index == last
             done = (index == first).nonzero()[0].tolist()
             upcoming -= 1
         if done:
@@ -188,14 +185,7 @@ class TrajectoryReplay:
                 ids[i] = -1
             self._vacant = done
             self._selector.notify_complete(completed)
-        return Batch(index, head, self._dataset)
-
-
-def _trajectory_heads(dataset: OfflineDataset) -> np.ndarray:
-    """Per stored transition, whether it is its trajectory's last step."""
-    heads = np.zeros(dataset.total_transitions, dtype=bool)
-    heads[np.asarray(dataset.offsets[1:], dtype=np.intp) - 1] = True
-    return heads
+        return Batch(index, self._dataset)
 
 
 class UniformTransitionSampler:
@@ -203,15 +193,12 @@ class UniformTransitionSampler:
 
     def __init__(self, dataset: OfflineDataset) -> None:
         self._dataset = dataset
-        self._heads = _trajectory_heads(dataset)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        heads = self._heads
+        n = self._dataset.total_transitions
         if batch_size == 1:  # the size-1 array draw's value, without the array
-            i = int(rng.integers(len(heads)))
-            return Batch([i], [heads.item(i)], self._dataset)
-        index = rng.integers(0, len(heads), size=batch_size, dtype=np.intp)
-        return Batch(index, heads[index], self._dataset)
+            return Batch([int(rng.integers(n))], self._dataset)
+        return Batch(rng.integers(0, n, size=batch_size, dtype=np.intp), self._dataset)
 
 
 class SumTree:
@@ -324,17 +311,13 @@ class PerTransitionSampler:
         self.alpha = alpha
         self.epsilon = epsilon
         self._dataset = dataset
-        self._heads = _trajectory_heads(dataset)
-        self.tree = SumTree(len(self._heads), 1.0)
+        self.tree = SumTree(dataset.total_transitions, 1.0)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        heads = self._heads
         if batch_size == 1:  # the size-1 array draw's value, without the array
-            index = self.tree.find_prefixes([rng.random() * self.tree.total])
-            return Batch(index, [heads.item(index[0])], self._dataset)
+            return Batch(self.tree.find_prefixes([rng.random() * self.tree.total]), self._dataset)
         leaves = self.tree.find_prefixes((rng.random(batch_size) * self.tree.total).tolist())
-        index = np.array(leaves, dtype=np.intp)
-        return Batch(index, heads[index], self._dataset)
+        return Batch(np.array(leaves, dtype=np.intp), self._dataset)
 
     def update_priorities(self, indices: Sequence[int], td_errors: Sequence[float]) -> None:
         """Write the priorities of the transitions at these flat indices."""

@@ -11,9 +11,10 @@ The rule has two regimes.  :func:`compute_target` is the reference: one item
 on Python scalars, which ``train`` uses at batch size 1.  :func:`batch_targets`
 applies the same rule to a whole batch with array operations, bit for bit,
 and ``train`` uses it for B > 1.  Both take items as a ``Batch``'s flat
-``index`` and ``head`` flags and read Qbar through one ``q_bar(s', a')`` call
-per bootstrapped item, so every policy bootstrap stays one call that can be
-counted from outside.
+``index``, read whether an item is its trajectory's head from
+``dataset.head`` (only when w < 1), and read Qbar through one
+``q_bar(s', a')`` call per bootstrapped item, so every policy bootstrap stays
+one call that can be counted from outside.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class TargetKind:
 
 def compute_target(
     index: int,
-    head: bool,
     dataset: OfflineDataset,
     kind: TargetKind,
     later: float | None,
@@ -71,8 +71,8 @@ def compute_target(
 ) -> float:
     """The target of one item under the run's kind (fixed for the whole run).
 
-    The item is the transition at flat ``index``; ``head`` says whether it
-    is its trajectory's last step.  Its reward, next state and terminal flag
+    The item is the transition at flat ``index``.  Its reward, next state,
+    terminal flag and whether it is its trajectory's last step (its head)
     are read from the dataset's columns.  w = 1 is the bootstrap
     r + gamma * Qbar(s', pi(s')) (just r at a terminal step), and so is a
     trajectory head, the base case of the backward recursion.  Otherwise
@@ -82,7 +82,7 @@ def compute_target(
     """
     reward = dataset.rewards.item(index)
     w = kind.bootstrap_weight
-    if w == 1.0 or head:
+    if w == 1.0 or dataset.head.item(index):
         if dataset.terminal.item(index):
             return reward
         next_state = dataset.next_states.item(index)
@@ -99,7 +99,6 @@ def compute_target(
 
 def batch_targets(
     index: np.ndarray,
-    head: np.ndarray,
     later: np.ndarray | None,
     dataset: OfflineDataset,
     kind: TargetKind,
@@ -109,29 +108,28 @@ def batch_targets(
 ) -> np.ndarray:
     """:func:`compute_target` of every item of a batch, bit for bit.
 
-    Item i is the transition at flat ``index[i]`` (an integer array); the
-    bool ``head[i]`` says whether it is its trajectory's last step, and
+    Item i is the transition at flat ``index[i]`` (an integer array), and
     ``later[i]`` is the target of the same trajectory's step t+1 (in
     ``train``, the same slot's previous value), or ``later`` is None when no
-    item needs one.  The policy is greedy on
-    ``q_mean``: ``argmax(axis=1)`` takes the lowest tied action, as
+    item needs one.  A terminal flag is only ever set at a head, so a
+    terminal item's target is its reward under every kind.  The policy is
+    greedy on ``q_mean``: ``argmax(axis=1)`` takes the lowest tied action, as
     ``EnsembleQ.greedy_action`` does.  ``q_bar`` is called once per
     bootstrapped item, in batch order.
     """
     w = kind.bootstrap_weight
     reward = dataset.rewards[index]
     terminal = dataset.terminal[index]
-    if w == 1.0:  # every item takes the head rule
-        carried = None
-        bootstrap = ~terminal
-        terminal_head = terminal
-    else:
+    # heads bootstrap unless terminal, the interior only when w > 0
+    bootstrap = ~terminal
+    carried = None
+    if w < 1.0:  # w = 1 takes the head rule at every item
+        head = dataset.head[index]
         carried = (~head).nonzero()[0]
         if later is None and carried.size:
             raise _order_error(dataset, int(index[carried[0]]))
-        terminal_head = terminal & head
-        # heads bootstrap unless terminal, the interior only when w > 0
-        bootstrap = head & ~terminal if w == 0.0 else ~terminal_head
+        if w == 0.0:
+            bootstrap &= head
     at = bootstrap.nonzero()[0]
     boot = np.zeros(len(index))
     if at.size:
@@ -144,7 +142,7 @@ def batch_targets(
         boot[carried] = carry if w == 0.0 else (1.0 - w) * carry + w * boot[carried]
     targets = reward + gamma * boot
     # a terminal head's target is its reward, a -0.0 included
-    np.copyto(targets, reward, where=terminal_head)
+    np.copyto(targets, reward, where=terminal)
     return targets
 
 

@@ -197,8 +197,7 @@ def test_criterion_4_weighted_target_endpoints():
         policy = lambda s, g=greedy: int(g[s])
         gamma = float(rng.uniform(0.5, 1.0))
         def target(item, kind, later):
-            return compute_target(item.index, item.is_trajectory_head, dataset, kind, later,
-                                  q_bar, policy, gamma)
+            return compute_target(item.index, dataset, kind, later, q_bar, policy, gamma)
 
         for j in range(dataset.n_trajectories):
             # each kind's target for t+1, carried down the backward pass
@@ -238,8 +237,7 @@ def test_criterion_5_sarsa_support_constraint():
             later = None
             for item in backward_items(dataset, j):
                 later = got[item.time_index] = compute_target(
-                    item.index, item.is_trajectory_head, dataset, SARSA, later, q_bar,
-                    lambda s: 0, gamma
+                    item.index, dataset, SARSA, later, q_bar, lambda s: 0, gamma
                 )
             acc = 0.0
             for t in range(traj.length - 1, -1, -1):

@@ -314,7 +314,8 @@ def test_train_rejects_repeated_seeds(tmp_path, capsys, seeds_flag, config_seeds
     ("target = weighted\nbeta = half\n", [], "'beta': cannot read 'half' as float"),
     ("seed = 0, one\n", [], "'seed': cannot read 'one' as int"),
     ("sampler = uni_traj\n", ["--seeds", "0,abc"], "'--seeds': cannot read 'abc' as int"),
-], ids=["key-twice", "int", "float", "seed", "seeds-flag"])
+    ("sampler = uni_traj\nseed = 4\n", ["--seeds", ""], "'--seeds': cannot read '' as int"),
+], ids=["key-twice", "int", "float", "seed", "seeds-flag", "empty-seeds-flag"])
 def test_a_bad_sweep_line_names_its_key(tmp_path, capsys, text, flags, message):
     """A key given twice names both lines, so no run of the first is dropped
     silently, and a value that does not convert names its key or flag."""

@@ -13,11 +13,14 @@ load as if each non-blank line were read by ``json.loads(line.strip())``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import pickle
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,16 +126,48 @@ def test_save_load_reproduces_fields_and_columns(tmp_path_factory, trajectories,
 @given(step_logs())
 def test_flat_file_splits_like_split_flat_transitions(tmp_path_factory, steps):
     path = tmp_path_factory.mktemp("flat") / "steps.jsonl"
-    lines = [json.dumps({"state_count": STATE_COUNT, "action_count": ACTION_COUNT})]
-    lines += [json.dumps({"state": tr.state, "action": tr.action, "reward": tr.reward,
-                          "next_state": tr.next_state, "terminal": tr.terminal,
-                          "timeout": timeout}) for tr, timeout in steps]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flat_file(path, steps)
     loaded = load_dataset(path)
     want = OfflineDataset(split_flat_transitions(steps), STATE_COUNT, ACTION_COUNT)
     assert loaded == want
     assert loaded.trajectories == want.trajectories
     assert_columns_are_the_transitions(loaded)
+
+
+def flat_file(path, steps):
+    """Write ``steps`` as a flat-transitions file with a header line."""
+    lines = [json.dumps({"state_count": STATE_COUNT, "action_count": ACTION_COUNT})]
+    lines += [json.dumps(step_record(tr, timeout)) for tr, timeout in steps]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_heads_are_the_last_steps(ds):
+    assert ds.head.dtype == bool and ds.head.shape == (ds.total_transitions,)
+    assert np.flatnonzero(ds.head).tolist() == [end - 1 for end in ds.offsets[1:]]
+    assert not ds.head.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ds.head[0] = not ds.head[0]
+    # a terminal flag is only ever set at a head
+    assert not (ds.terminal & ~ds.head).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajectory_lists(), step_logs())
+def test_head_marks_each_trajectorys_last_step_on_every_path(tmp_path_factory, trajectories,
+                                                             steps):
+    """Objects, a trajectory file, a flat file with flags mid-file and an
+    unflagged tail, and a pickle round trip of each give the same head rule."""
+    tr, _ = steps[-1]
+    steps = [*steps[:-1], (dataclasses.replace(tr, terminal=False), False)]  # unflagged tail
+    folder = tmp_path_factory.mktemp("head")
+    objects = OfflineDataset(trajectories, STATE_COUNT, ACTION_COUNT)
+    save_dataset(objects, folder / "trajectories.jsonl")
+    flat_file(folder / "steps.jsonl", steps)
+    built = [objects, load_dataset(folder / "trajectories.jsonl"),
+             load_dataset(folder / "steps.jsonl")]
+    for ds in built + [pickle.loads(pickle.dumps(ds)) for ds in built]:
+        assert_heads_are_the_last_steps(ds)
+    assert built[2].timeout[-1]  # the tail is kept, as a timeout
 
 
 # str.isspace characters, ASCII and not: NEL, NBSP, em space, line separator,

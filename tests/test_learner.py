@@ -524,8 +524,7 @@ def test_train_sarsa_never_bootstraps_outside_dataset_actions():
 
     for _ in range(300):
         (item,) = replay.next_batch()
-        later = compute_target(item.index, item.is_trajectory_head, ds, sarsa, later, q_bar,
-                               lambda s: 0, 0.99)
+        later = compute_target(item.index, ds, sarsa, later, q_bar, lambda s: 0, 0.99)
     assert [pair for pair in reads if pair not in seen_pairs] == []
     # 300 single-slot steps cover many whole passes, each signalled once
     assert len(selector.completed) >= 300 // max(t.length for t in ds.trajectories)
@@ -542,10 +541,10 @@ def test_train_carries_each_slots_target_to_its_next_step(monkeypatch, sampler, 
     real = learner.batch_targets
     calls = []
 
-    def recorder(index, head, later, *args):
-        values = real(index, head, later, *args)
+    def recorder(index, later, *args):
+        values = real(index, later, *args)
         carried = [None] * len(index) if later is None else later.tolist()
-        for i, is_head, carry, value in zip(index.tolist(), head.tolist(), carried,
+        for i, is_head, carry, value in zip(index.tolist(), ds.head[index].tolist(), carried,
                                             values.tolist(), strict=True):
             calls.append((*ds.position(i), is_head, carry, value))
         return values

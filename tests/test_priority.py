@@ -282,6 +282,19 @@ def test_refresh_unknown_id_anywhere_leaves_table_unchanged(position):
     assert table.values.tolist() == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_scoring_an_unknown_id_names_it_before_any_gather(bad):
+    """A direct call names the first id outside [0, n) and reads no value."""
+
+    class NoValues:
+        def uncertainty_values(self, states, actions):
+            raise AssertionError("gathered before the id check")
+
+    ds = make_random_chain(3, 2, 4, np.random.default_rng(4), action_count=1)
+    with pytest.raises(ValueError, match=f"^unknown trajectory id {bad}$"):
+        priority.uncertainty_priorities(ds, "lower_mean_unc", NoValues(), [0, bad, 1, 5])
+
+
 def test_scoring_no_trajectories_gives_an_empty_array():
     ds = one_trajectory_dataset(reward_trajectory([0.0] * 3))
     u = PairValues([0.1, 0.2, 0.3])

@@ -228,10 +228,10 @@ def test_batches_are_index_and_head_columns_drawn_as_a_twin_draws(
     lengths, sampler, data, seed, steps
 ):
     """For B in 1..8: ``len(batch) == B`` and the batch is not a tuple.  At
-    B = 1 its index and head are lists of a Python int and bool; from B = 2
-    on they are ``np.intp`` and bool arrays.  Either way view k holds Python
-    ints and bools, with ``index == offsets[tid] + t`` and
-    ``is_trajectory_head == (t == length - 1) == head[k]``.  A twin
+    B = 1 its index is a list of a Python int; from B = 2 on it is an
+    ``np.intp`` array.  Either way view k holds Python ints and bools, with
+    ``index == offsets[tid] + t`` and
+    ``is_trajectory_head == (t == length - 1) == ds.head[index[k]]``.  A twin
     generator gives the same draws: the scalar uniform draw at B = 1 and the
     array draw above it, PER's prefixes through the same tree, and the
     replay's selector calls in slot order."""
@@ -242,13 +242,11 @@ def test_batches_are_index_and_head_columns_drawn_as_a_twin_draws(
         index, head, calls = twin_draw()
         batch, got_calls = draw()
         if batch_size == 1:
-            assert type(batch.index) is list and type(batch.head) is list
-            assert [type(batch.index[0]), type(batch.head[0])] == [int, bool]
+            assert type(batch.index) is list and type(batch.index[0]) is int
         else:
             assert type(batch.index) is np.ndarray and batch.index.dtype == np.intp
-            assert type(batch.head) is np.ndarray and batch.head.dtype == bool
         assert np.asarray(batch.index).tolist() == index
-        assert head is None or np.asarray(batch.head).tolist() == head
+        assert head is None or ds.head[batch.index].tolist() == head
         assert got_calls == calls
         assert all(type(j) is int for call in got_calls or () for j in call)
         assert len(batch) == batch_size and not isinstance(batch, tuple)
@@ -260,4 +258,4 @@ def test_batches_are_index_and_head_columns_drawn_as_a_twin_draws(
             assert type(it.is_trajectory_head) is bool
             assert 0 <= t < lengths[tid]
             assert it.index == batch.index[k] == ds.offsets[tid] + t
-            assert it.is_trajectory_head == (t == lengths[tid] - 1) == batch.head[k]
+            assert it.is_trajectory_head == (t == lengths[tid] - 1) == ds.head[batch.index[k]]

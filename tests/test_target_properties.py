@@ -86,8 +86,7 @@ def test_weighted_at_beta_zero_is_sarsa_bit_for_bit(case):
     got = want = None
     for item in items:
         recorder.head = item.is_trajectory_head
-        got = compute_target(item.index, item.is_trajectory_head, ds, kind, got,
-                             recorder.q_bar, recorder.policy, gamma)
+        got = compute_target(item.index, ds, kind, got, recorder.q_bar, recorder.policy, gamma)
         if item.is_trajectory_head:
             want = policy_bootstrap(ds, item, gamma, q, policy)
         else:
@@ -105,7 +104,7 @@ def test_weighted_at_beta_one_is_standard_on_every_item(case):
     kind = TargetKind("weighted", 1.0)
     got = None
     for item in items:
-        got = compute_target(item.index, item.is_trajectory_head, ds, kind, got, q_bar, pi, gamma)
+        got = compute_target(item.index, ds, kind, got, q_bar, pi, gamma)
         assert got.hex() == policy_bootstrap(ds, item, gamma, q, policy).hex()
 
 
@@ -154,7 +153,6 @@ def item_at(ds, i):
 def test_batch_targets_is_compute_target_bit_for_bit(case):
     ds, index, later, q_mean, target_mean, kind, gamma = case
     items = [item_at(ds, i) for i in index.tolist()]
-    head = np.array([it.is_trajectory_head for it in items])
     reads, batch_reads = [], []
 
     def reader(log):
@@ -169,15 +167,14 @@ def test_batch_targets_is_compute_target_bit_for_bit(case):
     want = []
     for it, carry in zip(items, later.tolist()):
         before = len(reads)
-        want.append(compute_target(it.index, it.is_trajectory_head, ds, kind, carry,
-                                   reader(reads), greedy, gamma))
+        want.append(compute_target(it.index, ds, kind, carry, reader(reads), greedy, gamma))
         # the reference reads Q̄ once per bootstrap, and only there
         head_terminal = it.is_trajectory_head and ds.terminal[it.index]
         if kind.bootstrap_weight == 0.0:
             assert len(reads) - before == (it.is_trajectory_head and not head_terminal)
         else:
             assert len(reads) - before == (not head_terminal)
-    got = batch_targets(index, head, later, ds, kind, q_mean, reader(batch_reads), gamma)
+    got = batch_targets(index, later, ds, kind, q_mean, reader(batch_reads), gamma)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
     assert batch_reads == reads
 
@@ -189,10 +186,10 @@ def test_batch_targets_needs_later_only_off_the_head_rule(case):
     head = np.array([item_at(ds, i).is_trajectory_head for i in index.tolist()])
     q_bar = target_mean.item
     if kind.bootstrap_weight == 1.0 or head.all():
-        got = batch_targets(index, head, None, ds, kind, q_mean, q_bar, gamma)
+        got = batch_targets(index, None, ds, kind, q_mean, q_bar, gamma)
         assert got.shape == index.shape
     else:
         i = int(index[head.argmin()])
         j, t = ds.position(i)
         with pytest.raises(ValueError, match=f"trajectory {j} at t={t + 1}.*backward order"):
-            batch_targets(index, head, None, ds, kind, q_mean, q_bar, gamma)
+            batch_targets(index, None, ds, kind, q_mean, q_bar, gamma)

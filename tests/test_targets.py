@@ -18,11 +18,6 @@ def item_for(ds, t, j=0):
     return BatchItem(j, t, lo + t, t == hi - lo - 1)
 
 
-def at(item):
-    """An item's two ``compute_target`` inputs: its flat index and head flag."""
-    return item.index, item.is_trajectory_head
-
-
 def backward_items(ds, j=0):
     length = ds.offsets[j + 1] - ds.offsets[j]
     return [item_for(ds, t, j) for t in range(length - 1, -1, -1)]
@@ -44,15 +39,15 @@ def constant_q(value):
 
 
 def standard_target(ds, item, q_bar, policy, gamma):
-    return compute_target(*at(item), ds, STANDARD, None, q_bar, policy, gamma)
+    return compute_target(item.index, ds, STANDARD, None, q_bar, policy, gamma)
 
 
 def sarsa_target(ds, item, later, q_bar, policy, gamma):
-    return compute_target(*at(item), ds, SARSA, later, q_bar, policy, gamma)
+    return compute_target(item.index, ds, SARSA, later, q_bar, policy, gamma)
 
 
 def weighted_target(ds, item, later, q_bar, policy, gamma, beta):
-    return compute_target(*at(item), ds, TargetKind("weighted", beta), later, q_bar, policy, gamma)
+    return compute_target(item.index, ds, TargetKind("weighted", beta), later, q_bar, policy, gamma)
 
 
 def backward_pass(ds, kind, q_bar, policy, gamma, j=0, later=None):
@@ -60,7 +55,7 @@ def backward_pass(ds, kind, q_bar, policy, gamma, j=0, later=None):
     as the next step's ``later``, the way one replay slot carries it."""
     values = []
     for item in backward_items(ds, j):
-        later = compute_target(*at(item), ds, kind, later, q_bar, policy, gamma)
+        later = compute_target(item.index, ds, kind, later, q_bar, policy, gamma)
         values.append(later)
     return values
 
@@ -223,10 +218,10 @@ def test_every_non_head_without_later_target_is_order_violation(kind):
     ds = reward_dataset([0.0, 1.0, 2.0, 3.0])
     for t in (2, 1, 0):
         with pytest.raises(ValueError, match="backward order"):
-            compute_target(*at(item_for(ds, t)), ds, kind, None, constant_q(0.0), lambda s: 0, 0.9)
+            compute_target(item_for(ds, t).index, ds, kind, None, constant_q(0.0), lambda s: 0, 0.9)
     # a head needs no later target, and ignores one it is given
     for later in (None, 123.0):
-        assert compute_target(*at(item_for(ds, 3)), ds, kind, later, constant_q(0.0),
+        assert compute_target(item_for(ds, 3).index, ds, kind, later, constant_q(0.0),
                               lambda s: 0, 0.9) == 3.0
 
 
@@ -235,7 +230,7 @@ def test_compute_target_dispatch():
     gamma = 0.99
     s = backward_pass(ds, TargetKind("sarsa"), constant_q(0.0), lambda s: 0, gamma)[-1]
     assert s == pytest.approx(7.92)
-    std = compute_target(*at(item_for(ds, 0)), ds, TargetKind("standard"), None, constant_q(8.0),
+    std = compute_target(item_for(ds, 0).index, ds, TargetKind("standard"), None, constant_q(8.0),
                          lambda s: 0, gamma)
     assert std == pytest.approx(7.92)
 
