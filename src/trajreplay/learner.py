@@ -56,8 +56,9 @@ class EnsembleQ:
     sync, which every ``target_sync_period`` updates is made equal to
     ``q_mean``.  At a period of 1 the first update makes ``target_mean`` the
     ``q_mean`` table itself; at a longer period a sync copies the whole
-    table.  Every entry of both is the column mean ``tables[:, s, a].mean()``
-    bit for bit.
+    table.  Every entry of both sums its column's members in index order
+    from +0.0 over K: ``tables[:, s, a].mean()`` bit for bit below 8
+    members, possibly not in the last bits from 8 on.
     """
 
     def __init__(
@@ -123,26 +124,18 @@ class EnsembleQ:
     def uncertainty_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Population standard deviation of member values at each (state, action).
 
-        Each value has the bits of ``tables[:, s, a].std()`` for every K, so
-        a pair reads the same whether it is gathered alone or in a batch.
+        Its means are :func:`column_means`, member sums in index order from
+        +0.0: ``tables[:, s, a].std()`` bit for bit below 8 members, possibly
+        not in the last bits from 8 on, for a pair alone or in a batch alike.
         """
         # take() on flat pair indices gathers the same (K, n) block as
         # tables[:, states, actions], about twice as fast on large batches.
-        k = len(self.tables)
         flat = np.asarray(states) * self._action_count + np.asarray(actions)
-        cols, axis = self._by_pair.take(flat, axis=1), 0
-        if k >= 8:
-            # a column's own sum is pairwise from 8 members on, as is the sum
-            # of each contiguous row of the transposed copy (see column_means)
-            cols, axis = np.ascontiguousarray(cols.T), 1
-        # cols.std(axis) by the same ufunc calls in the same order as NumPy's
-        # own, bit for bit, without the wrapper that costs a third of a short call.
-        mean = np.add.reduce(cols, axis=axis, keepdims=True)
-        mean /= k
-        cols -= mean
+        cols = self._by_pair.take(flat, axis=1)
+        # cols.std(axis=0)'s steps, without the wrapper that costs a third of a short call
+        cols -= column_means(cols)
         np.square(cols, out=cols)
-        var = np.add.reduce(cols, axis=axis)
-        var /= k
+        var = column_means(cols)
         return np.sqrt(var, out=var)
 
     def update(
@@ -160,35 +153,28 @@ class EnsembleQ:
         on the (K, S * A) members: round r takes every pair's r-th
         occurrence, so a batch of distinct pairs is one round.  Each touched
         ``q_mean`` entry is rewritten from its column by :func:`column_means`.
-        One pair with fewer than 8 members is updated on Python floats read
-        from the flat members: NumPy adds fewer than 8 elements in order from
-        +0.0, as the running total does, so the mean is the same, a -0.0
-        column's +0.0 included.  From 8 members on NumPy sums pairwise, so
-        that case keeps the column view.
+        One pair is updated on Python floats read from the flat members, its
+        mean the running total from +0.0 over K: the same in-order sum, a
+        -0.0 column's +0.0 included.
         """
-        tables = self.tables
         q_mean = self.q_mean
         n = len(states)
         if len(actions) != n or len(targets) != n:
             raise ValueError(f"{n} states, {len(actions)} actions and {len(targets)} targets")
-        k = len(tables)
         if n == 1:
             s, a, target = states[0], actions[0], targets[0]
             td_error = target - q_mean.item(s, a)  # an id past the table raises here
+            if s < 0 or a < 0:  # wrap as the read above did
+                s, a = s % q_mean.shape[0], a % self._action_count
             eta = self.eta
-            if k < 8 and s >= 0 and a >= 0:  # a negative id wraps as in the view below
-                members = self._members
-                total = 0.0
-                for i in range(s * self._action_count + a, members.size, self._pair_count):
-                    v = members.item(i)
-                    v += eta * (target - v)
-                    members[i] = v
-                    total += v
-                q_mean[s, a] = total / k
-            else:
-                col = tables[:, s, a]
-                col += eta * (target - col)
-                q_mean[s, a] = col.sum() / k
+            members = self._members
+            total = 0.0
+            for i in range(s * self._action_count + a, members.size, self._pair_count):
+                v = members.item(i)
+                v += eta * (target - v)
+                members[i] = v
+                total += v
+            q_mean[s, a] = total / len(self.tables)
             self._count_update()
             return [td_error]
         states = np.asarray(states, dtype=np.intp)
@@ -261,34 +247,23 @@ class EnsembleQ:
         return ens
 
 
-# Columns per block when column means are built from a transposed copy, so the
-# copy holds at most this many columns of K values however large the table is.
-MEAN_BLOCK_PAIRS = 1 << 14
-
-
 def column_means(tables: np.ndarray) -> np.ndarray:
-    """The mean of every column ``tables[:, ...]`` of a (K, ...) array, bit
-    for bit, in the shape of ``tables[0]``.
+    """The mean of every column ``tables[:, ...]`` of a (K, ...) array, in the
+    shape of ``tables[0]``: the column's sum over the members in index order
+    from +0.0, divided by K.  Below 8 members that is ``.mean()`` bit for
+    bit; from 8 on it may differ in the last bits, as NumPy sums a column
+    pairwise.
 
-    A sum over axis 0 adds the members one row at a time from +0.0.  A
-    column's own mean adds fewer than 8 elements the same way, so below 8
-    members that is the mean, a -0.0 column's +0.0 included.  From 8 members
-    on the column mean sums pairwise and the row order differs in the last
-    bit; reducing the contiguous last axis of a (columns, K) copy, one block
-    of columns at a time, sums each column the way the column mean does.
-    Both divide the sum by K, as ``mean`` does.
+    A reduce over axis 0 adds whole rows in that order.  A lone column would
+    be a 1-D reduce, which is pairwise, so it takes the running sum from its
+    first member instead, plus +0.0 for a -0.0 column: the same sum.
     """
     k = len(tables)
     columns = tables.reshape(k, -1)
-    if k < 8:
-        means = np.add.reduce(columns, axis=0)
-    else:
-        means = np.empty(columns.shape[1])
-        for lo in range(0, len(means), MEAN_BLOCK_PAIRS):
-            block = columns[:, lo:lo + MEAN_BLOCK_PAIRS]
-            means[lo:lo + MEAN_BLOCK_PAIRS] = np.add.reduce(np.ascontiguousarray(block.T), axis=1)
-    means /= k
-    return means.reshape(tables.shape[1:])
+    sums = (np.add.accumulate(columns)[-1] + 0.0 if columns.shape[1] == 1
+            else np.add.reduce(columns, axis=0))
+    sums /= k
+    return sums.reshape(tables.shape[1:])
 
 
 def _check_gamma(gamma: float) -> None:

@@ -6,6 +6,8 @@ bytes, and by that of its final member ``tables`` followed by its
 wrong target anywhere in the data.  A change to a hot path (sampling, targets,
 the ensemble update, priorities) must leave every digest unchanged; a change
 that means to alter a run re-pins the affected digests and says why.
+``tests/test_reference_trainer.py`` checks every digest against a plain
+reference trainer too, so a pinned run is shown right, not only unchanged.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ CHAIN_KINDS = (("standard", "standard", 0.5), ("sarsa", "sarsa", 0.5),
                ("weighted0.5", "weighted", 0.5), ("weighted0", "weighted", 0.0))
 
 # (sampler, metric, kind, K) of the chain-40 runs at B = 40, its trajectory
-# count; uni_state at K = 16 repeats pairs, so it pins occurrence rounds
-# whose means sum pairwise
+# count; uni_state at K = 16 repeats pairs, so it pins occurrence rounds,
+# some of one pair, whose means sum in order
 FULL_BATCH_VARIANTS = (
     ("uni_traj", "uniform", "standard", 5),
     ("prio_traj", "lower_mean_unc", "sarsa", 5),
@@ -114,9 +116,9 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
                                          total_steps=300, seed=seed)
                     runs[f"{scenario}/{sampler}-{metric}-{kind}/K{k}/seed{seed}"] = (
                         scenario, config)
-    # K = 16 reads means whose column sums no longer match a row mean over
-    # axis 0 (K >= 8), so these pin the column-mean reads of greedy actions,
-    # curve values and targets.
+    # K = 16 means sum the members in order where NumPy's own column mean
+    # would sum pairwise (K >= 8), so these pin the mean reads of greedy
+    # actions, curve values and targets.
     for scenario in ("figure1-sparse", "figure1-dense"):
         for sampler, kind in K16_VARIANTS:
             for seed in (0, 1):
@@ -124,7 +126,7 @@ def golden_runs() -> dict[str, tuple[str, TrainConfig]]:
                                      ensemble_size=16, target_sync_period=10,
                                      total_steps=300, seed=seed)
                 runs[f"{scenario}/{sampler}-uniform-{kind}/K16/seed{seed}"] = (scenario, config)
-    # K = 16 uncertainty runs pin the pairwise member sums of uncertainty_values
+    # K = 16 uncertainty runs pin the in-order member sums of uncertainty_values
     for metric, k in (("lower_mean_unc", 5), ("higher_uqm_unc", 5), ("lower_mean_unc", 16)):
         for seed in (0, 1):
             config = TrainConfig(sampler="prio_traj", metric=metric, ensemble_size=k,
@@ -188,29 +190,29 @@ def digests(run_id: str) -> tuple[str, str]:
 
 GOLDENS = {
     "figure1-dense/uni_state-uniform-standard/K16/seed0":
-        "7b677970bb6fed961cff56188f8d1028aebdc8f83a1d2b83483f4ebd3142a7b6",
+        "e95264db62306727a121a5efd81702d7e94b75cc78e5f1c71588bc8656520111",
     "figure1-dense/uni_state-uniform-standard/K16/seed1":
-        "3d9a3ed0a1a6a0493858557f2a97e91794572c113bae9e1f4f85fbd7514fc4f1",
+        "6ce92f77b7b063e8e99285b047eaf583f08640a67654527ecda7cdd459037827",
     "figure1-dense/uni_traj-uniform-standard/K16/seed0":
-        "52e394598cc796293bdb558ac148be718c298f0fb3f316a380ce750416499782",
+        "c370173831b4aebaffd7e1469093e7c7ed46e384b0f5b519dedd5001da77ad1c",
     "figure1-dense/uni_traj-uniform-standard/K16/seed1":
-        "f3232abe312cd520a45e99a56c8c3677933f4b69e4b652ce4604feee843f6a64",
+        "2c8ce33574593985237d27ca59aa91f4308eddd6905663b96889be8adadf1fef",
     "figure1-dense/uni_traj-uniform-weighted/K16/seed0":
-        "d7dbd6f92ecf7fbc24f8d8103b8a5039b62b6168e763c33b9b365410c1914680",
+        "d4e289b8a5a8d98d91e0bf5c515a3db50ba5f9956c508d0a4f6d9f7df477a2ba",
     "figure1-dense/uni_traj-uniform-weighted/K16/seed1":
-        "4678971c4900afcc1f33df7d7994c266cb49e11582a0c6ad172496453c461829",
+        "d71cc43e091355dfd22e349a2306efc77cca634e028f6348be31b3900343d5f4",
     "figure1-sparse/uni_state-uniform-standard/K16/seed0":
-        "2279cd97dc4490179065309d288902511d2363cbb0475e69f7c84f779b39128b",
+        "61e99ddeb792c47364032d882590d69c731023578fe3606b30b0de0d061db101",
     "figure1-sparse/uni_state-uniform-standard/K16/seed1":
-        "76ab2107ff7c0ba192ff0587697d9fd2f14a04a3512f854055c90660b5617a5f",
+        "37202f38953fdeec17392ad5008ae3ae5bc7ea7c6fb0c2a73d7f13110d5cce76",
     "figure1-sparse/uni_traj-uniform-standard/K16/seed0":
-        "e37c8ce8c2f07533f69e40245fb7c5a14aa61f3c7eaddb687ade9b7efd551dc7",
+        "e2bd45a18eb3d8ce7c876f5ff251542558a27d519bdebdadd092e51de370f25f",
     "figure1-sparse/uni_traj-uniform-standard/K16/seed1":
-        "2687be736d11a64f835e28793450a7df80ec183c9ae8472ae5a571096b08c0d0",
+        "1834fe9cea816a22dbc00f66e7bdc14e84ba96a9273861a5aa5d87a993649af2",
     "figure1-sparse/uni_traj-uniform-weighted/K16/seed0":
-        "9857e309cd1372d559e234c0fe95e4d064d59ff1b24ae6f204dee227a1c98859",
+        "40a98b7d3a8e5c1e842d785bdf065d0921b0018abacf501a99c9534f36bde5a0",
     "figure1-sparse/uni_traj-uniform-weighted/K16/seed1":
-        "3bb9a50c19c9c56067026d75cc12357ba1cb937da951be8a83b01a05cbf77c4d",
+        "9255fa4fdfd684a676fa7fdaacc49059af4d01d08d43cf49f2f6cdf71d7a568a",
     "chain-1000x10/uni_state/B32/K5/seed0":
         "6e255f1ffa3c00713765cdbda61a244e728dd5dec2dbbcd559373f224507a5ad",
     "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed0":
@@ -218,9 +220,9 @@ GOLDENS = {
     "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed1":
         "156d6db777f21cf7d18a81986a51eb1856d31189f619f6c5bc88f76c4570b89e",
     "chain-40/prio_traj-lower_mean_unc/B8/K16/seed0":
-        "7e22f3f695085562d7553ec7fd992b55e78fd0585ec019e166cca7cb8382885a",
+        "8530a9cecd34671403a8d3dda11c7e24f4fac5ed956395b5fcf313afb70919d9",
     "chain-40/prio_traj-lower_mean_unc/B8/K16/seed1":
-        "52eb3aa69bf06abb02ee4bb5a50aeff508c085a29ed122002c006dd32af8708e",
+        "9939f3f0e806a833712a4197383d648888f1e9c1514154948f3d7015047da3ec",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed0":
         "74cd05ed978dc32dc5cccfa7d1208f2799ddd4e505a6c9d503700ed40dc82293",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed1":
@@ -396,33 +398,33 @@ GOLDENS = {
     "figure1-sparse@trajectory-jsonl/uni_traj-uniform-weighted/K5/seed0":
         "8bbe9b65536d64e64b7db057b8dc8f690e23cc52c08aef6b9d4c77162521923e",
     "chain-40/uni_traj-sarsa/B8/K16/sync1/seed0":
-        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+        "71f9d7d8b34f0f9fc82fb9ed1f5e3e68e0db1fbee62b253054df55e09c59bad5",
     "chain-40/uni_traj-sarsa/B8/K16/sync10/seed0":
-        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+        "71f9d7d8b34f0f9fc82fb9ed1f5e3e68e0db1fbee62b253054df55e09c59bad5",
     "chain-40/uni_traj-sarsa/B8/K5/sync1/seed0":
         "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
     "chain-40/uni_traj-sarsa/B8/K5/sync10/seed0":
         "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
     "chain-40/uni_traj-standard/B8/K16/sync1/seed0":
-        "0e988a5e7da91b27582a4e303123578da00a0873370998f3dcb864d4666f44cf",
+        "06fe896a3255f002640ab995d9d7517c38dbae2abb937ad30946e8bd372d441d",
     "chain-40/uni_traj-standard/B8/K16/sync10/seed0":
-        "db805fbd015919b3ac649a4cb2e334bcce2cbb1470304f19238b861825d59c0a",
+        "e007035877eb2669cbb66e6b4c3fd7d9682fc161ae3fe8e9ec06e411c1a2feda",
     "chain-40/uni_traj-standard/B8/K5/sync1/seed0":
         "e44602797e63a014387171ae0600e8b0bf13088b257e17331043cb2106bd7f14",
     "chain-40/uni_traj-standard/B8/K5/sync10/seed0":
         "0d3dcef1022f71331a59012fbaa190b0c337aa489a4e04304e44df50170ee00e",
     "chain-40/uni_traj-weighted0.5/B8/K16/sync1/seed0":
-        "e9e22b0b3a831449118d8c295f754d2bf91298d1ac0a2b58607ed61d317b5554",
+        "4474b8c76d3619d0625697d4d98589f1b71a14080b52680e5908537aabd818b7",
     "chain-40/uni_traj-weighted0.5/B8/K16/sync10/seed0":
-        "67455ebea537e29a225fc6f7978a5e80589cef35a375170448b6e5199a0fb8e2",
+        "f63c603e134b79f3cc304825f24abaa06f6cf882cc68075c19acbf1a6972ad8d",
     "chain-40/uni_traj-weighted0.5/B8/K5/sync1/seed0":
         "f235022186599fbec4625908584e10ed69b433b784c0109ce7d2f1b5672092f2",
     "chain-40/uni_traj-weighted0.5/B8/K5/sync10/seed0":
         "c0e92c8461ed8c28d93ba0ce4575e89e7049b0debfd612499d66a8fe9acaa918",
     "chain-40/uni_traj-weighted0/B8/K16/sync1/seed0":
-        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+        "71f9d7d8b34f0f9fc82fb9ed1f5e3e68e0db1fbee62b253054df55e09c59bad5",
     "chain-40/uni_traj-weighted0/B8/K16/sync10/seed0":
-        "0fb608e330ab1e805ccee4014198a005268df1af6c284f98599a3d83dc00412a",
+        "71f9d7d8b34f0f9fc82fb9ed1f5e3e68e0db1fbee62b253054df55e09c59bad5",
     "chain-40/uni_traj-weighted0/B8/K5/sync1/seed0":
         "e2457287106ed32d17ca91a569ff27665e263b30b671dcba801c467938f64826",
     "chain-40/uni_traj-weighted0/B8/K5/sync10/seed0":
@@ -496,7 +498,7 @@ GOLDENS = {
     "chain-40/prio_traj-lower_mean_unc-sarsa/B40/K5/seed0":
         "0363a75b91155c5f43818f2da20c4e4a0f2356e2c51f630014b7b3590a9bb268",
     "chain-40/uni_state-uniform-standard/B40/K16/seed0":
-        "1c1f2962e77e759df6dfeae8d9b876df02f1088b0559cfe82153f2894cb6cbe9",
+        "794268efc8d5a8b3ed2bc2d857481f3bf3d5837228426f6742c348e1564d5f94",
     "chain-40/uni_state-uniform-standard/B40/K5/seed0":
         "609e5db91bdf3a4202997559338e54520fd2fca95e06f63af7863e2f641cba0c",
     "chain-40/uni_traj-uniform-standard/B40/K5/seed0":
@@ -515,41 +517,41 @@ TABLE_GOLDENS = {
     "chain-40/prio_traj-higher_uqm_unc/B8/K5/seed1":
         "d8dbd9097813e343a444676b613654f3f90f425d025d406c17bddfd50bb5f7b6",
     "chain-40/prio_traj-lower_mean_unc/B8/K16/seed0":
-        "5ea27c16e663700191a0bb1d641cab07ea8eb6f2df464d891cfe5d02a3569d22",
+        "339c1493050edfd764a12d460b01ee583cb01c4081e2ebd4ca9341cc0d186d98",
     "chain-40/prio_traj-lower_mean_unc/B8/K16/seed1":
-        "1aea28c03234ca0b9638b2407457b1904b86e50b43deb4fdeb0bb5442278341e",
+        "2b30df611257cc28c314be1376f2320b4d04d572173c4a1377d7b1c71fca38ff",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed0":
         "a086662c15f70bab05e1dd8acbb4ee261b17ee8808001703c78558bc3222dd6d",
     "chain-40/prio_traj-lower_mean_unc/B8/K5/seed1":
         "76a7466b95387e5b9ecb7bc9901f83077777926e38d8ed92da0271496b93ff4e",
     "chain-40/uni_traj-sarsa/B8/K16/sync1/seed0":
-        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+        "005bee6d232c4ab76fd1496700a40138032e8aa8095b7b5a4aa0f974449486b3",
     "chain-40/uni_traj-sarsa/B8/K16/sync10/seed0":
-        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+        "005bee6d232c4ab76fd1496700a40138032e8aa8095b7b5a4aa0f974449486b3",
     "chain-40/uni_traj-sarsa/B8/K5/sync1/seed0":
         "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
     "chain-40/uni_traj-sarsa/B8/K5/sync10/seed0":
         "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
     "chain-40/uni_traj-standard/B8/K16/sync1/seed0":
-        "06d1da807b8522872d2cbaf2ffaa7a32bfdd58dfd7f6e41e91738352fc4ce893",
+        "c5130defaece678bc7d7c669470bd666f69178d612013608894f306beb70ea61",
     "chain-40/uni_traj-standard/B8/K16/sync10/seed0":
-        "9b594474d377882377903c74df25c71d9acfca33d063bfa5b582dac3a88f5d4b",
+        "ed2d971ece286ba5a6b7eead0c01f28ce04c70b86bb15b009ce6af694b7d7ba6",
     "chain-40/uni_traj-standard/B8/K5/sync1/seed0":
         "b880473d994a803251972b1e39c37d54c7bc5595c2c214ff89b7250ef7307069",
     "chain-40/uni_traj-standard/B8/K5/sync10/seed0":
         "d4d9cd78318496567a6c052417af2e5d48f9fa9d04637ab2022109356294ea0e",
     "chain-40/uni_traj-weighted0.5/B8/K16/sync1/seed0":
-        "31d0964aaf1639ab1c022b2c3051c51c45d657cccf84ac83559035dbbdafd137",
+        "9070846d9fd816d0c0d687b629630f53f9f62b644257527f0308b034c97ecc89",
     "chain-40/uni_traj-weighted0.5/B8/K16/sync10/seed0":
-        "364a5cc4646c473827982f839fa2bcf3706b3367cd3b3ffd98513a5487637432",
+        "ff3fb825dcca332e1e242852290db7696d35c5ce6e8086bad34178d079f02750",
     "chain-40/uni_traj-weighted0.5/B8/K5/sync1/seed0":
         "b49578f346f69ceb35401f33460f911902c1e4312e20eb6aa6012c0ed964607a",
     "chain-40/uni_traj-weighted0.5/B8/K5/sync10/seed0":
         "8e36ba48126285ee81269709c82f6035a9d263ec58fc2ccab80c1bac3d9bca3f",
     "chain-40/uni_traj-weighted0/B8/K16/sync1/seed0":
-        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+        "005bee6d232c4ab76fd1496700a40138032e8aa8095b7b5a4aa0f974449486b3",
     "chain-40/uni_traj-weighted0/B8/K16/sync10/seed0":
-        "37f73dcc633d06e6cbc03e3f9ac5ddc3072d8a8a84f7575fb97d486f5abdd50b",
+        "005bee6d232c4ab76fd1496700a40138032e8aa8095b7b5a4aa0f974449486b3",
     "chain-40/uni_traj-weighted0/B8/K5/sync1/seed0":
         "eb1dc95361c1f903273fa4bf2e86b34292b8f8644163f87c8a6f3a05c022910b",
     "chain-40/uni_traj-weighted0/B8/K5/sync10/seed0":
@@ -617,9 +619,9 @@ TABLE_GOLDENS = {
     "figure1-dense/uni_state-uniform-standard/K1/seed1":
         "bad6f5750ed9372a42264bf44b2bca2c06c32b0019ded4a87108e772339dafdf",
     "figure1-dense/uni_state-uniform-standard/K16/seed0":
-        "2ed8959a3e7a09f4ce4d733cf3f4aac7c9faf37601c3d5640decd37ac8e0636f",
+        "0cc68a0089e8f28e95ed9173920d7eedd3b7ee978ae6e57fa9b734a171e38d44",
     "figure1-dense/uni_state-uniform-standard/K16/seed1":
-        "f29a18f586792d472a6cd15bf74a3399d303e104f70b34c24f2dfc857a3a4c22",
+        "8b77c6dc16a8a71234b0cce9a5d09da32ea56f575373e2be662b954614cdb688",
     "figure1-dense/uni_state-uniform-standard/K5/seed0":
         "82d19076d274642cda4165087c0c77cb134041a03fec676f9f34e0b498bf571e",
     "figure1-dense/uni_state-uniform-standard/K5/seed1":
@@ -645,9 +647,9 @@ TABLE_GOLDENS = {
     "figure1-dense/uni_traj-uniform-standard/K1/seed1":
         "4e5104c87437823530ad4c04c9a2a955974227a88c530ec641e2b5c29da310be",
     "figure1-dense/uni_traj-uniform-standard/K16/seed0":
-        "301563b8c6b7d14ec2017b0c73b40bfce70eb6e0e088f57ca1124411b63ecd20",
+        "e9d1d0d2f43ade77697b6530f64a034adfb1e2aa0f53a807566f3adb83ce3a52",
     "figure1-dense/uni_traj-uniform-standard/K16/seed1":
-        "277986ff428e40c61dfb0b29f9f0fc9abaf38f159282e2d04379bdc3c3062f43",
+        "9ad106f7ba516adeefabb793304fb4f81c561903c17994c9f99a211ab504df05",
     "figure1-dense/uni_traj-uniform-standard/K5/seed0":
         "e24688d8f9c4464fc81fef76d6c006c113f226344cb6ece01eda47964d1046b8",
     "figure1-dense/uni_traj-uniform-standard/K5/seed1":
@@ -661,9 +663,9 @@ TABLE_GOLDENS = {
     "figure1-dense/uni_traj-uniform-weighted/K1/seed1":
         "33965b378d15b5475506cdbaf54cc4890dcbdd7b812b807e6c46ec4f5e7d9208",
     "figure1-dense/uni_traj-uniform-weighted/K16/seed0":
-        "f92a179286b3cdaaf60ce9eecb6116b06a5b3d7162782f2ee05653ebca54b3e2",
+        "bcb1afb3be325ac8b9327efc96f0b1192c43ea0540b40b48b3152181fec94db8",
     "figure1-dense/uni_traj-uniform-weighted/K16/seed1":
-        "a40e49f216f3fad81f4dd6ab163ca4f4b7571cba13c0ee336f7ef2c96ce2df31",
+        "d96683d230ed6b2f095496e71bdad303aa211f0915e6c03332796845314d62e0",
     "figure1-dense/uni_traj-uniform-weighted/K5/seed0":
         "1047c7cdc60168b79c65d2fbb883f173b6e9cd2c5360ee5ac160e238a5918c00",
     "figure1-dense/uni_traj-uniform-weighted/K5/seed1":
@@ -725,9 +727,9 @@ TABLE_GOLDENS = {
     "figure1-sparse/uni_state-uniform-standard/K1/seed1":
         "6d6e328669d64159533c72c21017476917c7c8ace13da7886a70ddbfd1792b61",
     "figure1-sparse/uni_state-uniform-standard/K16/seed0":
-        "a406bffacd7916b3c59c925052c3b14f05a24f7879511a9ef6f00d2675aa5ea3",
+        "2f18d1ac511c57f00318ddffb7f5de5e9a5231cfcc2fa9c1e1f31b572c5609e0",
     "figure1-sparse/uni_state-uniform-standard/K16/seed1":
-        "d806849925a48f9d5b16d7b2c7b3f31ed4dcd9b5ea801c9ea0b2ed6258eb9cd4",
+        "a7e38fe1bd3e98a60b99fe4d0181c4c9e0bc4e6160338d33ea199e8d35b8e6fd",
     "figure1-sparse/uni_state-uniform-standard/K5/seed0":
         "02a7c209ea4b3d7a0d77a4f64b6ec2f818e1e212c57ec8e422a4794f517ede42",
     "figure1-sparse/uni_state-uniform-standard/K5/seed1":
@@ -753,9 +755,9 @@ TABLE_GOLDENS = {
     "figure1-sparse/uni_traj-uniform-standard/K1/seed1":
         "12769f29d049d9f7bd04e55afd79dd5764fe6211fd9626cddbab868fd722eb27",
     "figure1-sparse/uni_traj-uniform-standard/K16/seed0":
-        "b64ac9efdb90e864b17a7a056b673f9bcf389de875db76c5e2a2093103cb80e8",
+        "c1684fa0f767b6e4b9b3530e2dfa5f6a71a10f7fb14ea176d63b505a21b24756",
     "figure1-sparse/uni_traj-uniform-standard/K16/seed1":
-        "3c9911b7290d7891dbd119a3fe7a3c6cfad84bfd6e35aa68801755bc358f9321",
+        "96220ddf47b74efc2590f49f9f698b8d72dad3f2cea278a4270a7afeceff7ab4",
     "figure1-sparse/uni_traj-uniform-standard/K5/seed0":
         "031d9e9ae0a2df39d037cff881175e9929fa0198d029f6677fe1dc72614cea2c",
     "figure1-sparse/uni_traj-uniform-standard/K5/seed1":
@@ -769,9 +771,9 @@ TABLE_GOLDENS = {
     "figure1-sparse/uni_traj-uniform-weighted/K1/seed1":
         "293f1f0521a86dd4820a250045c910589c4a9f5e5edfc8d12d833dff96855fc6",
     "figure1-sparse/uni_traj-uniform-weighted/K16/seed0":
-        "ea8c46f8f1a69589c15da5e85e161bdee5f8ee2fef69992c251ea93c3a131140",
+        "0d84c0fcf8dfd04f5ff72c433f5851747499fdf594e834913bc12f9aedb896a5",
     "figure1-sparse/uni_traj-uniform-weighted/K16/seed1":
-        "31a10b79791b9bdba3e6d8d4dc34f854b02fd7585d476e6543c7fdc630ac389d",
+        "661ef984e7fdbc2e2b794b4b5c5a063dc98995558f2ef70c678ed030daf20f1c",
     "figure1-sparse/uni_traj-uniform-weighted/K5/seed0":
         "8a7c27a0f1373da97632cf4f5ec983c5997b1314fe92791bfeb4a4a846ceb8ae",
     "figure1-sparse/uni_traj-uniform-weighted/K5/seed1":
@@ -813,7 +815,7 @@ TABLE_GOLDENS = {
     "chain-40/prio_traj-lower_mean_unc-sarsa/B40/K5/seed0":
         "21fe7637de170fc7b8855cd6eeaf076f33f922d767d71bce8d9c2a788f752b25",
     "chain-40/uni_state-uniform-standard/B40/K16/seed0":
-        "8a1b523010120d9ce16b7514c3b6dd29cceaef9fe334f3a5f89c4d8d15fbc471",
+        "8ec0243a8efa3871636c8bfa4e33521382b929cb96ffee2bebedeac732972a64",
     "chain-40/uni_state-uniform-standard/B40/K5/seed0":
         "e947c1f07f70c1c1aaf2166c199c825e7a33709e843b121141adcafb9aeb5031",
     "chain-40/uni_traj-uniform-standard/B40/K5/seed0":

@@ -16,6 +16,8 @@ from trajreplay.learner import (
 from trajreplay.scenarios import make_figure1, make_random_chain
 from trajreplay.targets import TargetKind
 
+from test_update_properties import in_order_mean, in_order_std
+
 
 def test_update_full_step_hits_target_exactly():
     ens = EnsembleQ(2, 2, ensemble_size=1, eta=1.0, rng=np.random.default_rng(0))
@@ -87,16 +89,19 @@ def test_uncertainty_values():
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 32, 33])
 def test_uncertainty_values_match_member_std_per_pair(k):
-    """A pair's value has the bits of its members' own ``.std()``, whether it
-    is gathered alone or among 500 pairs, below and from 8 members on."""
+    """A pair's value has the bits of the in-order standard deviation of its
+    members, whether it is gathered alone or among 500 pairs, below and from
+    8 members on."""
     ens = EnsembleQ(40, 3, ensemble_size=k, rng=np.random.default_rng(16))
     ens.tables *= np.random.default_rng(k).uniform(-50.0, 50.0, size=ens.tables.shape)
     rng = np.random.default_rng(k + 1)
     states, actions = rng.integers(0, 40, 500), rng.integers(0, 3, 500)
     batched = ens.uncertainty_values(states, actions)
     alone = [uncertainty_at(ens, s, a) for s, a in zip(states, actions)]
-    want = [ens.tables[:, s, a].std() for s, a in zip(states, actions)]
+    want = [in_order_std(ens.tables[:, s, a].tolist()) for s, a in zip(states, actions)]
     assert batched.tolist() == alone == want
+    if k < 8:
+        assert want == [ens.tables[:, s, a].std() for s, a in zip(states, actions)]
 
 
 def test_uncertainty_translation_invariant():
@@ -124,7 +129,7 @@ def target_values(ens):
 
 
 def member_means(ens):
-    return [[float(ens.tables[:, s, a].mean()) for a in range(ens.tables.shape[2])]
+    return [[in_order_mean(ens.tables[:, s, a].tolist()) for a in range(ens.tables.shape[2])]
             for s in range(ens.tables.shape[1])]
 
 
@@ -327,15 +332,15 @@ def test_a_batch_with_an_id_past_the_table_raises_and_writes_nothing(k, states, 
 
 
 def test_sixteen_members_read_one_column_mean_everywhere():
-    # For K >= 8 a row mean over axis 0 differs from the column mean in the
-    # last bit; every read must give tables[:, s, a].mean() exactly.
+    # For K >= 8 NumPy's pairwise column mean differs from the in-order sum in
+    # the last bit; every read must give the in-order mean exactly.
     ens = EnsembleQ(6, 5, ensemble_size=16, eta=0.3, target_sync_period=1,
                     rng=np.random.default_rng(18))
     rng = np.random.default_rng(19)
     for batch in ([(0, 1)], [(1, 2), (3, 4), (5, 0)], [(2, 2), (4, 1), (2, 2)]):
         states, actions = [s for s, _ in batch], [a for _, a in batch]
         targets = rng.uniform(-1.0, 1.0, len(batch)).tolist()
-        before = [float(ens.tables[:, s, a].mean()) for s, a in batch]
+        before = [in_order_mean(ens.tables[:, s, a].tolist()) for s, a in batch]
         tds = ens.update(states, actions, targets)
         assert tds == [t - m for t, m in zip(targets, before)]
         means = np.array(member_means(ens))
@@ -345,8 +350,8 @@ def test_sixteen_members_read_one_column_mean_everywhere():
             assert ens.max_mean_q(s) == means[s].max()
             for a in range(5):
                 assert ens.q_mean[s, a] == means[s, a]
-    # the property is not vacuous: a row mean differs somewhere
-    assert not np.array_equal(ens.tables.mean(axis=0), means)
+    # the property is not vacuous: a column's own pairwise mean differs somewhere
+    assert not np.array_equal(ens.tables.transpose(1, 2, 0).copy().mean(axis=2), means)
 
 
 def test_config_normalizes_metric_for_uniform_samplers():

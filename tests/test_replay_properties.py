@@ -137,11 +137,17 @@ def test_one_completion_call_per_batch_in_slot_order(lengths, data, seed, steps)
         selector.calls.clear()
 
 
-def reference_batches(lengths, batch_size, rng):
+def uniform_pick(pool, rng):
+    """The pool position ``UniformSelector`` picks."""
+    return int(rng.integers(len(pool)))
+
+
+def reference_batches(lengths, batch_size, rng, pick=uniform_pick):
     """The trajectory machine written plainly: per call, refill the vacant
-    slots in slot order (a uniform pick, swap-removed from the pool; an empty
-    pool is rebuilt from every inactive id), then emit each slot's cursor.
-    Yields (index, head, completed ids) per call."""
+    slots in slot order (the pool position ``pick(pool, rng)`` names,
+    swap-removed from the pool; an empty pool is rebuilt from every inactive
+    id), then emit each slot's cursor.  Yields (index, head, completed ids)
+    per call."""
     offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
     pool = list(range(len(lengths)))
     slots = [None] * batch_size  # [trajectory id, cursor] or None while vacant
@@ -151,7 +157,7 @@ def reference_batches(lengths, batch_size, rng):
                 if not pool:
                     active = {slot[0] for slot in slots if slot is not None}
                     pool = [j for j in range(len(lengths)) if j not in active]
-                pos = int(rng.integers(len(pool)))
+                pos = pick(pool, rng)
                 tid = pool[pos]
                 pool[pos] = pool[-1]
                 pool.pop()

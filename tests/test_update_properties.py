@@ -1,10 +1,13 @@
 """Property tests for ``EnsembleQ.update``: the batched path equals the item
 loop, a one-pair update equals it to the sign of zero, and the target sync
-equals a full copy of ``q_mean`` at every sync."""
+equals a full copy of ``q_mean`` at every sync.  Every mean is checked
+against :func:`in_order_mean`, the members summed in index order from +0.0
+on Python floats, at every K."""
 
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -25,10 +28,24 @@ def ensemble(k, state_count, action_count, eta, sync, seed):
                      target_sync_period=sync, rng=np.random.default_rng(seed))
 
 
+def in_order_mean(values):
+    """The values summed in index order from +0.0, divided by their count."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def in_order_std(values):
+    """The population standard deviation from two :func:`in_order_mean` means."""
+    mean = in_order_mean(values)
+    return math.sqrt(in_order_mean([(v - mean) * (v - mean) for v in values]))
+
+
 def reference_update(tables, eta, pairs, targets):
     """TD errors from the pre-batch means, then the items applied one by one."""
     tables = tables.copy()
-    td_errors = [t - float(tables[:, s, a].mean()) for (s, a), t in zip(pairs, targets)]
+    td_errors = [t - in_order_mean(tables[:, s, a].tolist()) for (s, a), t in zip(pairs, targets)]
     for (s, a), t in zip(pairs, targets):
         col = tables[:, s, a]
         col += eta * (t - col)
@@ -36,16 +53,15 @@ def reference_update(tables, eta, pairs, targets):
 
 
 def column_means(tables):
-    """Each (s, a) entry as the mean of its own member column."""
-    return np.array([[tables[:, s, a].mean() for a in range(tables.shape[2])]
+    """Each (s, a) entry as the in-order mean of its own member column."""
+    return np.array([[in_order_mean(tables[:, s, a].tolist()) for a in range(tables.shape[2])]
                      for s in range(tables.shape[1])])
 
 
-@pytest.mark.parametrize("k", range(1, 10))
-def test_column_means_is_each_columns_own_mean(monkeypatch, k):
-    """Below 8 members the row-order mean, from 8 on the blocked copy: both
-    equal every column's own mean, a -0.0 column's +0.0 included."""
-    monkeypatch.setattr(learner, "MEAN_BLOCK_PAIRS", 4)  # several blocks
+@pytest.mark.parametrize("k", [*range(1, 10), 16, 32, 33])
+def test_column_means_is_each_columns_own_mean(k):
+    """Every column's in-order mean, a -0.0 column's +0.0 included, for a
+    whole table and for each column alone, which NumPy would sum pairwise."""
     rng = np.random.default_rng(k)
     tables = rng.standard_normal((k, 5, 3)) * np.exp(rng.standard_normal((k, 5, 3)) * 8)
     tables[:, 0, 0] = -0.0
@@ -53,6 +69,11 @@ def test_column_means_is_each_columns_own_mean(monkeypatch, k):
     want = column_means(tables)
     assert not np.signbit(want[0, 0])
     assert np.array_equal(bits(learner.column_means(tables)), bits(want))
+    alone = [[learner.column_means(tables[:, s:s + 1, a]).item() for a in range(3)]
+             for s in range(5)]
+    assert np.array_equal(bits(alone), bits(want))
+    if k >= 8:  # not vacuous: a column's own pairwise mean differs somewhere
+        assert not np.array_equal(want, tables.transpose(1, 2, 0).copy().mean(axis=2))
 
 
 @st.composite
@@ -144,12 +165,15 @@ def test_one_pair_update_matches_the_reference_bit_for_bit(case):
 def test_repeated_pair_equals_two_single_updates(k, eta, t1, t2, seed):
     batched = ensemble(k, 3, 2, eta, 100, seed)
     serial = ensemble(k, 3, 2, eta, 100, seed)
+    want, _ = reference_update(batched.tables, eta, [(1, 0), (2, 1), (1, 0)], [t1, 0.5, t2])
     batched.update([1, 2, 1], [0, 1, 0], [t1, 0.5, t2])
     serial.update([1], [0], [t1])
     serial.update([2], [1], [0.5])
     serial.update([1], [0], [t2])
+    assert np.array_equal(batched.tables, want)
+    assert np.array_equal(bits(batched.q_mean), bits(column_means(want)))
     assert np.array_equal(batched.tables, serial.tables)
-    assert np.array_equal(batched.q_mean, serial.q_mean)
+    assert np.array_equal(bits(batched.q_mean), bits(serial.q_mean))
 
 
 @pytest.mark.parametrize("targets", [[1.0], [1.0, 2.0, 3.0]])
