@@ -105,6 +105,7 @@ class Trajectory:
 
 # The per-step and per-trajectory columns, in constructor order.
 _COLUMNS = ("states", "actions", "rewards", "next_states", "terminal", "timeout")
+_STORED = (*_COLUMNS, "offsets")  # what a dataset compares and pickles, besides its counts
 
 
 def _object_columns(trajectories: Sequence[Trajectory]) -> tuple:
@@ -135,7 +136,7 @@ class OfflineDataset:
       from ``offsets``, so it is not saved, compared or pickled.
 
     ``timeout`` is the per-trajectory bool column of timeout truncation, and
-    ``offsets`` a tuple of ints.  The columns are read-only.
+    ``offsets`` the ``np.intp`` array of trajectory bounds.  All are read-only.
 
     Build one from :class:`Trajectory` objects or with :func:`load_dataset`.
     :attr:`trajectories` is the object view.  A loaded dataset builds it from
@@ -168,7 +169,7 @@ class OfflineDataset:
         next_states: np.ndarray,
         terminal: np.ndarray,
         timeout: np.ndarray,
-        offsets: tuple[int, ...],
+        offsets: Sequence[int],
         state_count: int,
         action_count: int,
         discount: float,
@@ -182,17 +183,17 @@ class OfflineDataset:
 
     def _adopt(self, states, actions, rewards, next_states, terminal, timeout, offsets,
                state_count, action_count, discount) -> None:
-        """Take the columns and counts, mark each trajectory's last step as its
-        head, then check the discount and the id bounds."""
+        """Take the columns, offsets and counts, mark each trajectory's last step
+        as its head, then check the discount and the id bounds."""
         if not 0.0 < discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {discount}")
+        offsets = np.asarray(offsets, dtype=np.intp)
         head = np.zeros(len(states), dtype=bool)
-        head[np.array(offsets[1:], dtype=np.intp) - 1] = True
-        columns = (states, actions, rewards, next_states, terminal, timeout, head)
-        for name, column in zip((*_COLUMNS, "head"), columns):
+        head[offsets[1:] - 1] = True
+        columns = (states, actions, rewards, next_states, terminal, timeout, head, offsets)
+        for name, column in zip((*_COLUMNS, "head", "offsets"), columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "state_count", state_count)
         object.__setattr__(self, "action_count", action_count)
         object.__setattr__(self, "discount", discount)
@@ -219,21 +220,20 @@ class OfflineDataset:
         raise AttributeError(f"OfflineDataset is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        columns = tuple(getattr(self, name) for name in _COLUMNS)
-        counts = (self.offsets, self.state_count, self.action_count, self.discount)
-        return type(self)._from_columns, columns + counts
+        stored = tuple(getattr(self, name) for name in _STORED)
+        return type(self)._from_columns, stored + (self.state_count, self.action_count, self.discount)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OfflineDataset):
             return NotImplemented
         return (
-            (self.offsets, self.state_count, self.action_count, self.discount)
-            == (other.offsets, other.state_count, other.action_count, other.discount)
-            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+            (self.state_count, self.action_count, self.discount)
+            == (other.state_count, other.action_count, other.discount)
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _STORED)
         )
 
     def __hash__(self) -> int:
-        return hash((self.offsets, self.state_count, self.action_count, self.discount))
+        return hash((self.offsets.tobytes(), self.state_count, self.action_count, self.discount))
 
     def __repr__(self) -> str:
         return (
@@ -263,7 +263,7 @@ class OfflineDataset:
 
     @property
     def total_transitions(self) -> int:
-        return self.offsets[-1]
+        return self.offsets.item(-1)
 
     @property
     def start_state(self) -> int:
@@ -273,8 +273,8 @@ class OfflineDataset:
 
     def position(self, index: int) -> tuple[int, int]:
         """The (trajectory id, time index) of flat position ``index``."""
-        j = bisect_right(self.offsets, index) - 1
-        return j, index - self.offsets[j]
+        j = int(self.offsets.searchsorted(index, "right")) - 1
+        return j, index - self.offsets.item(j)
 
 
 def _chain_break(index: int, next_state: int, state: int) -> ValueError:
@@ -576,7 +576,7 @@ def load_dataset(path: str | Path) -> OfflineDataset:
         i = int(breaks.argmax()) + 1
         raise _chain_break(i, next_states.item(i - 1), states.item(i))
     return _dataset(header or {}, states, actions, rewards, next_states, terminal, timeout,
-                    (0, *ends.tolist()))
+                    np.concatenate(([0], ends)))
 
 
 def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:

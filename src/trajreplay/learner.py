@@ -429,30 +429,35 @@ def value_iteration_oracle(
     if gamma is None:
         gamma = dataset.discount
     _check_gamma(gamma)
-    outcomes: dict[tuple[int, int], tuple[float, int, bool]] = {}
-    by_state: dict[int, list[tuple[float, int, bool]]] = {}
-    steps = zip(*(getattr(dataset, name).tolist()
-                  for name in ("states", "actions", "rewards", "next_states", "terminal")))
-    for i, (s, a, reward, next_state, terminal) in enumerate(steps):
-        key = (s, a)
-        outcome = (reward, next_state, terminal)
-        seen = outcomes.get(key)
-        if seen is None:
-            outcomes[key] = outcome
-            by_state.setdefault(s, []).append(outcome)
-        elif seen != outcome:
-            tid, t = dataset.position(i)
-            raise ValueError(
-                f"non-deterministic data: (state={s}, action={a}) has "
-                f"outcomes {seen} and {outcome} (trajectory {tid}, step {t})"
-            )
+    states, actions, rewards, next_states, terminal = (getattr(dataset, name) for name in (
+        "states", "actions", "rewards", "next_states", "terminal"))
+    outcome = rewards, next_states, terminal
+    # each step's pair's first step; a later step with another outcome is a conflict
+    _, first, pair = np.unique(states * dataset.action_count + actions,
+                               return_index=True, return_inverse=True)
+    conflict = np.logical_or.reduce([column != column[first[pair]] for column in outcome])
+    if conflict.any():
+        i = int(conflict.argmax())
+        seen, other = (tuple(column.item(j) for column in outcome) for j in (first[pair[i]], i))
+        tid, t = dataset.position(i)
+        raise ValueError(
+            f"non-deterministic data: (state={states.item(i)}, action={actions.item(i)}) has "
+            f"outcomes {seen} and {other} (trajectory {tid}, step {t})"
+        )
+    # the pairs' first steps grouped by state, each group in data order
+    steps = first[np.lexsort((first, states[first]))]
+    groups, starts = np.unique(states[steps], return_index=True)
+    r, s2, done = (column[steps] for column in outcome)
+    place = np.arange(len(steps))
     values = np.zeros(dataset.state_count)
     for sweep in itertools.count(1):
+        candidates = r + np.where(done, 0.0, gamma * values[s2])
+        best = np.maximum.reduceat(candidates, starts)
+        zero = best == 0  # max() keeps the first of a tied -0.0 and +0.0
+        best[zero] = candidates[np.minimum.reduceat(
+            np.where(candidates == 0, place, len(place)), starts)[zero]]
         new_values = values.copy()
-        for s, outs in by_state.items():
-            new_values[s] = max(
-                r + (0.0 if terminal else gamma * values[s2]) for r, s2, terminal in outs
-            )
+        new_values[groups] = best
         delta = float(np.max(np.abs(new_values - values)))
         values = new_values
         if delta < tol:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -135,16 +133,15 @@ def uncertainty_priorities(
     outside ``[0, n_trajectories)`` raises before any value is gathered."""
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"{kind!r} is not an uncertainty metric kind")
-    n = len(trajectory_ids)
-    if n == 0:
+    if len(trajectory_ids) == 0:
         return np.empty(0)
     count = dataset.n_trajectories
     if min(trajectory_ids) < 0 or max(trajectory_ids) >= count:
         j = next(j for j in trajectory_ids if not 0 <= j < count)
         raise ValueError(f"unknown trajectory id {j}")
-    at = dataset.offsets.__getitem__
-    starts = np.fromiter(map(at, trajectory_ids), np.intp, n)
-    lengths = np.fromiter(map(at, map(add, trajectory_ids, repeat(1))), np.intp, n) - starts
+    ids = np.asarray(trajectory_ids, dtype=np.intp)
+    starts = dataset.offsets[ids]
+    lengths = dataset.offsets[ids + 1] - starts
     bounds = np.cumsum(lengths) - lengths  # each trajectory's first place in the gather
     pairs = np.arange(bounds[-1] + lengths[-1]) + np.repeat(starts - bounds, lengths)
     values = np.empty(len(pairs))
@@ -194,8 +191,7 @@ def build_priority_table(
     elif kind == UNIFORM_KIND:
         values = np.ones(dataset.n_trajectories)
     elif kind in QUALITY_KINDS:
-        offsets = np.asarray(dataset.offsets, dtype=np.intp)
-        values = _summaries(dataset.rewards, offsets[:-1], np.diff(offsets), kind)
+        values = _summaries(dataset.rewards, dataset.offsets[:-1], np.diff(dataset.offsets), kind)
     else:
         raise ValueError(f"unknown metric kind {kind!r}")
     return PriorityTable(values=values, alpha=alpha, kind=kind)

@@ -114,8 +114,7 @@ class TrajectoryReplay:
         positions = [0] * batch_size if batch_size == 1 else np.zeros(batch_size, np.intp)
         self._first, self._next = positions, positions.copy()
         if batch_size > 1:  # each trajectory's first and last flat position
-            bounds = np.asarray(dataset.offsets, dtype=np.intp)
-            self._starts, self._ends = bounds[:-1], bounds[1:] - 1
+            self._starts, self._ends = dataset.offsets[:-1], dataset.offsets[1:] - 1
         self._vacant = list(range(batch_size))
         self._available: list[int] = list(range(n))
         self._avail_pos = {j: j for j in self._available}
@@ -156,8 +155,8 @@ class TrajectoryReplay:
             picked.append(tid)
         if len(self._first) == 1:
             tid = picked[0]
-            self._first[0] = offsets[tid]
-            self._next[0] = offsets[tid + 1] - 1
+            self._first[0] = offsets.item(tid)
+            self._next[0] = offsets.item(tid + 1) - 1
         else:  # one write per position array, after every selector call
             slots, picked = np.array(self._vacant), np.array(picked)
             self._first[slots] = self._starts[picked]

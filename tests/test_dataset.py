@@ -135,7 +135,7 @@ def test_split_then_flatten_is_identity_on_steps():
 
 def assert_columns_match_transitions(ds):
     assert ds.states.dtype == np.intp and ds.actions.dtype == np.intp
-    assert type(ds.offsets) is tuple and all(type(o) is int for o in ds.offsets)
+    assert ds.offsets.dtype == np.intp and not ds.offsets.flags.writeable
     assert ds.offsets[0] == 0 and len(ds.offsets) == ds.n_trajectories + 1
     assert ds.total_transitions == len(ds.states) == len(ds.actions)
     for j, traj in enumerate(ds.trajectories):
@@ -161,7 +161,7 @@ def test_columns_match_transitions_of_loaded_datasets(tmp_path):
     assert_columns_match_transitions(loaded)
     assert np.array_equal(loaded.states, ds.states)
     assert np.array_equal(loaded.actions, ds.actions)
-    assert loaded.offsets == ds.offsets
+    assert np.array_equal(loaded.offsets, ds.offsets)
     flat = tmp_path / "flat.jsonl"
     flat.write_text("".join(
         json.dumps({"state": tr.state, "action": tr.action, "reward": tr.reward,

@@ -101,7 +101,7 @@ def assert_columns_are_the_transitions(ds):
     assert ds.terminal.tolist() == [tr.terminal for tr in steps]
     assert ds.timeout.tolist() == [traj.timeout_truncated for traj in ds.trajectories]
     lengths = [traj.length for traj in ds.trajectories]
-    assert ds.offsets == tuple(accumulate(lengths, initial=0))
+    assert ds.offsets.tolist() == list(accumulate(lengths, initial=0))
     for i in range(len(steps)):
         j, t = ds.position(i)
         assert ds.trajectories[j].transitions[t] is steps[i]
@@ -141,6 +141,14 @@ def flat_file(path, steps):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def assert_offsets_are_a_read_only_intp_array(ds):
+    assert type(ds.offsets) is np.ndarray and ds.offsets.dtype == np.intp
+    assert ds.offsets.shape == (ds.n_trajectories + 1,)
+    assert not ds.offsets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ds.offsets[0] = 1
+
+
 def assert_heads_are_the_last_steps(ds):
     assert ds.head.dtype == bool and ds.head.shape == (ds.total_transitions,)
     assert np.flatnonzero(ds.head).tolist() == [end - 1 for end in ds.offsets[1:]]
@@ -156,7 +164,8 @@ def assert_heads_are_the_last_steps(ds):
 def test_head_marks_each_trajectorys_last_step_on_every_path(tmp_path_factory, trajectories,
                                                              steps):
     """Objects, a trajectory file, a flat file with flags mid-file and an
-    unflagged tail, and a pickle round trip of each give the same head rule."""
+    unflagged tail, and a pickle round trip of each give the same head rule,
+    and read-only ``np.intp`` offsets equal to those of the same objects."""
     tr, _ = steps[-1]
     steps = [*steps[:-1], (dataclasses.replace(tr, terminal=False), False)]  # unflagged tail
     folder = tmp_path_factory.mktemp("head")
@@ -165,8 +174,12 @@ def test_head_marks_each_trajectorys_last_step_on_every_path(tmp_path_factory, t
     flat_file(folder / "steps.jsonl", steps)
     built = [objects, load_dataset(folder / "trajectories.jsonl"),
              load_dataset(folder / "steps.jsonl")]
-    for ds in built + [pickle.loads(pickle.dumps(ds)) for ds in built]:
+    split = OfflineDataset(split_flat_transitions(steps), STATE_COUNT, ACTION_COUNT)
+    for ds, want in zip(built + [pickle.loads(pickle.dumps(ds)) for ds in built],
+                        [objects, objects, split] * 2):
         assert_heads_are_the_last_steps(ds)
+        assert_offsets_are_a_read_only_intp_array(ds)
+        assert np.array_equal(ds.offsets, want.offsets)
     assert built[2].timeout[-1]  # the tail is kept, as a timeout
 
 
